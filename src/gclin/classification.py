@@ -71,8 +71,7 @@ def canonical_c(j: GCAut):
     c_rows = [row[:n] for row in c_c.basis.data]
     c = Subspace.from_spanning(QI, n, c_rows).real_form()
     jc_cols = []
-    for cr in c.basis.data:
-        img = j.j1.apply(cr)
+    for img in (c.basis @ j.j1.transpose()).data:
         if not c.contains(img):
             raise AssertionError("canonical subspace is not stable under the (1,1) block")
         jc_cols.append(c.coordinates(img))
@@ -131,7 +130,7 @@ def decompose(j: GCAut) -> Decomposition:
     if not omega_s.m.is_invertible():
         raise AssertionError("real 2-form degenerates on the symplectic part")
 
-    w = Matrix(QQ, [omega_map.apply(sr) for sr in s.basis.data], cols=n).kernel()
+    w = (s.basis @ omega_map.transpose()).kernel()
     if s.dim + w.dim != n or not s.intersect(w).is_zero():
         raise AssertionError("orthogonal complement does not complete the carrier")
 

@@ -3,7 +3,9 @@
 Every verb reads JSON payloads, dispatches to one library operation
 family, and prints a single JSON object with deterministic key order.
 Exit codes: 0 = success or predicate true, 1 = predicate false,
-2 = malformed input or invalid structure.
+2 = malformed input or invalid structure, 3 = internal error (a failed
+cross-check or an arithmetic or type fault), reported by exception type
+and message.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ class CliError(Exception):
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _describe_exception(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _load_json(path: str):
@@ -414,11 +420,13 @@ def _selftest_checks(seed: int):
     checks = []
 
     def record(name, fn):
+        entry = {"name": name, "ok": True}
         try:
-            ok = bool(fn())
-        except Exception:
-            ok = False
-        checks.append((name, ok))
+            if not fn():
+                raise AssertionError("check returned false")
+        except Exception as exc:
+            entry.update(ok=False, error=_describe_exception(exc))
+        checks.append(entry)
 
     def fixtures():
         structure, w, _, _ = build_subnotquot_example()
@@ -477,10 +485,11 @@ def _selftest_checks(seed: int):
 
 def _cmd_selftest(args) -> int:
     checks = _selftest_checks(args.seed)
+    failed = sum(1 for check in checks if not check["ok"])
     payload = {
-        "checks": [{"name": name, "ok": ok} for name, ok in checks],
-        "failed": sum(1 for _, ok in checks if not ok),
-        "passed": sum(1 for _, ok in checks if ok),
+        "checks": checks,
+        "failed": failed,
+        "passed": len(checks) - failed,
         "seed": args.seed,
     }
     _emit(payload)
@@ -582,6 +591,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit({"error": str(exc)})
         return 2
+    except (AssertionError, ZeroDivisionError, TypeError) as exc:
+        _emit({"error": _describe_exception(exc)})
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,12 +19,13 @@ try:
 except ImportError:  # pragma: no cover
     _ratio = Fraction
 
-RATIONAL_TYPES = (Fraction, int, type(_ratio(0)))
+_RATIO = type(_ratio(0))
+RATIONAL_TYPES = (Fraction, int, _RATIO)
 
 
 def rational(x):
     """Coerce ints, strings like '3/4' and Fraction-likes to a rational."""
-    if type(x) is type(_ratio(0)):
+    if type(x) is _RATIO:
         return x
     if isinstance(x, (int, Fraction)):
         return _ratio(x)

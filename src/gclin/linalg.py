@@ -7,10 +7,12 @@ point, no pivot tolerances: a pivot is any entry != 0.
 Subspaces are stored by a reduced row-echelon basis, which makes equality
 of subspaces a syntactic comparison of bases.
 
-Elimination and products run on plain integers: each row (or column) is
-scaled by the common denominator of its entries, so a Q row becomes a
-row of Z and a Q(i) row a pair of rows of Z (real and imaginary parts).
-Exact scalars are built only once per result entry.
+Elimination, products and vector operations (dot products, matrix times
+vector, images, reduction modulo a subspace) all run on plain integers
+through one product kernel and one elimination kernel: each row (or
+column) is scaled by the common denominator of its entries, so a Q row
+becomes a row of Z and a Q(i) row a pair of rows of Z (real and imaginary
+parts).  Exact scalars are built only once per result entry.
 """
 
 from __future__ import annotations
@@ -21,33 +23,32 @@ from operator import mul
 from .fields import QI, QQ, GaussianRational, rational_from_ints
 
 
-def _aslist(v):
-    return list(v)
-
-
-def vec_add(x, y):
-    return [a + b for a, b in zip(x, y)]
-
-
-def vec_sub(x, y):
-    return [a - b for a, b in zip(x, y)]
-
-
-def vec_scale(c, x):
-    return [c * a for a in x]
-
-
 def vec_dot(x, y):
+    """x . y; over Q(i) when either side holds a Gaussian rational."""
     if len(x) != len(y):
         raise ValueError("dot product needs equal lengths")
-    s = None
-    for a, b in zip(x, y):
-        s = a * b if s is None else s + a * b
-    return 0 if s is None else s
+    field = QI if _has_gaussian(x) or _has_gaussian(y) else QQ
+    return _product_rows(field, _lift(field, [x]), _lift(field, [y]))[0][0]
 
 
 def vec_is_zero(x):
     return all(not bool(a) for a in x)
+
+
+def _has_gaussian(v):
+    return any(type(x) is GaussianRational for x in v)
+
+
+def _lift(field, rows):
+    """Rows the integer kernel reads over field: over Q(i) every entry must
+    be Gaussian, and rational or int entries get imaginary part 0."""
+    if field is QQ:
+        return rows
+    zero = QQ.zero
+    return [
+        [x if type(x) is GaussianRational else GaussianRational.from_rationals(x, zero) for x in row]
+        for row in rows
+    ]
 
 
 def _int_row(row):
@@ -197,14 +198,14 @@ def _rref_rows(field, data, ncols):
     return out, pivots
 
 
-def _product_rows(field, left, right, ncols):
-    """Rows of left @ right from integer dot products, one scalar per entry."""
+def _product_rows(field, rows, cols):
+    """Entry (r, c) is rows[r] . cols[c], from integer dot products, one
+    scalar per entry; left @ right is (left's rows, right's columns)."""
     zero = field.zero
-    columns = list(zip(*right)) if right else [()] * ncols
     out = []
     if field is QI:
-        cols = [_gauss_int_row(col) for col in columns]
-        for ar, ai, ad in map(_gauss_int_row, left):
+        cols = [_gauss_int_row(col) for col in cols]
+        for ar, ai, ad in map(_gauss_int_row, rows):
             line = []
             for br, bi, bd in cols:
                 sr = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
@@ -220,8 +221,8 @@ def _product_rows(field, left, right, ncols):
                     line.append(zero)
             out.append(line)
         return out
-    cols = [_int_row(col) for col in columns]
-    for a, ad in map(_int_row, left):
+    cols = [_int_row(col) for col in cols]
+    for a, ad in map(_int_row, rows):
         line = []
         for b, bd in cols:
             s = sum(map(mul, a, b))
@@ -280,7 +281,12 @@ class Matrix:
             for r in range(height):
                 data.append([x for blk in brow for x in blk.data[r]])
         total_cols = sum(b.cols for b in blocks[0]) if blocks and blocks[0] else 0
-        return Matrix(field, data, cols=total_cols)
+        if any(blk.field is not field for brow in blocks for blk in brow):
+            return Matrix(field, data, cols=total_cols)
+        cols = len(data[0]) if data else total_cols
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return Matrix._wrap(field, data, cols)
 
     def block(self, r0, r1, c0, c1) -> "Matrix":
         return Matrix._wrap(self.field, [row[c0:c1] for row in self.data[r0:r1]], c1 - c0)
@@ -301,7 +307,7 @@ class Matrix:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in addition")
-        data = [vec_add(a, b) for a, b in zip(self.data, other.data)]
+        data = [[a + b for a, b in zip(x, y)] for x, y in zip(self.data, other.data)]
         if other.field is self.field:
             return Matrix._wrap(self.field, data, self.cols)
         return Matrix(self.field, data, cols=self.cols)
@@ -319,10 +325,12 @@ class Matrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        if other.field is not self.field:
-            other = Matrix(self.field, other.data, cols=other.cols)
-        out = _product_rows(self.field, self.data, other.data, other.cols)
-        return Matrix._wrap(self.field, out, other.cols)
+        field = self.field if other.field is self.field else QI
+        left = self.data if self.field is field else _lift(field, self.data)
+        right = list(zip(*other.data)) if other.rows else [()] * other.cols
+        if other.field is not field:
+            right = _lift(field, right)
+        return Matrix._wrap(field, _product_rows(field, left, right), other.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -333,7 +341,9 @@ class Matrix:
         """Matrix times column vector, returned as a plain list."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [vec_dot(row, v) if self.cols else self.field.zero for row in self.data]
+        field = QI if self.field is QI or _has_gaussian(v) else QQ
+        rows = self.data if self.field is field else _lift(field, self.data)
+        return [line[0] for line in _product_rows(field, rows, _lift(field, [v]))]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -372,7 +382,7 @@ class Matrix:
             for r, pc in enumerate(pivots):
                 v[pc] = -red.data[r][c]
             basis.append(v)
-        return Subspace.from_spanning(self.field, self.cols, basis)
+        return Subspace._span(self.field, self.cols, basis)
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -406,7 +416,7 @@ class Matrix:
         """Lift a rational matrix to Q(i) (identity on Q(i) matrices)."""
         if self.field is QI:
             return self
-        return Matrix(QI, self.data, cols=self.cols)
+        return Matrix._wrap(QI, _lift(QI, self.data), self.cols)
 
     def real_part(self) -> "Matrix":
         if self.field is QQ:
@@ -439,12 +449,17 @@ class Subspace:
 
     @staticmethod
     def from_spanning(field, ambient_dim, vectors) -> "Subspace":
-        m = Matrix(field, [_aslist(v) for v in vectors], cols=ambient_dim)
+        m = Matrix(field, [list(v) for v in vectors], cols=ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        red, pivots = m.rref()
-        rows = red.data[: len(pivots)]
-        return Subspace(field, ambient_dim, Matrix._wrap(field, rows, ambient_dim), pivots)
+        return Subspace._span(field, ambient_dim, m.data)
+
+    @staticmethod
+    def _span(field, ambient_dim, rows) -> "Subspace":
+        """The span of rows whose entries are already scalars of field."""
+        red, pivots = Matrix._wrap(field, rows, ambient_dim).rref()
+        basis = Matrix._wrap(field, red.data[: len(pivots)], ambient_dim)
+        return Subspace(field, ambient_dim, basis, pivots)
 
     @staticmethod
     def zero(field, ambient_dim) -> "Subspace":
@@ -479,15 +494,17 @@ class Subspace:
         return hash((self.ambient_dim, self.basis))
 
     def reduce(self, v):
-        """Remainder of v after subtracting its projection onto the basis."""
-        v = [self.field.coerce(x) for x in v]
+        """Remainder of v after subtracting its projection onto the basis.
+
+        The basis is in RREF, so the projection is v[pivots] @ basis and
+        the remainder the one product [1, -v[pivots]] @ [v; basis].
+        """
+        field = self.field
+        v = [field.coerce(x) for x in v]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        for row, p in zip(self.basis.data, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        lead = [field.one] + [-v[p] for p in self.pivots]
+        return _product_rows(field, [lead], list(zip(v, *self.basis.data)))[0]
 
     def contains(self, v) -> bool:
         return vec_is_zero(self.reduce(v))
@@ -497,17 +514,13 @@ class Subspace:
 
     def coordinates(self, v):
         """Coefficients of v in the RREF basis; v must lie in the subspace."""
-        v = [self.field.coerce(x) for x in v]
-        coords = [v[p] for p in self.pivots]
-        if not vec_is_zero(self.reduce(v)):
+        if not self.contains(v):
             raise ValueError("vector not in subspace")
-        return coords
+        return [self.field.coerce(v[p]) for p in self.pivots]
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_spanning(
-            self.field, self.ambient_dim, self.basis.data + other.basis.data
-        )
+        return Subspace._span(self.field, self.ambient_dim, self.basis.data + other.basis.data)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -516,25 +529,16 @@ class Subspace:
         # (lam, mu) with lam^T A = mu^T B <=> A^T lam - B^T mu = 0
         at = self.basis.transpose()
         bt = other.basis.transpose()
-        stacked = Matrix.from_blocks(self.field, [[at, -bt]])
-        vectors = []
-        for combo in stacked.kernel().basis.data:
-            lam = combo[: self.dim]
-            v = [self.field.zero] * self.ambient_dim
-            for c, row in zip(lam, self.basis.data):
-                if c:
-                    v = vec_add(v, vec_scale(c, row))
-            vectors.append(v)
-        return Subspace.from_spanning(self.field, self.ambient_dim, vectors)
+        combos = Matrix.from_blocks(self.field, [[at, -bt]]).kernel().basis
+        lam = combos.block(0, combos.rows, 0, self.dim)
+        return Subspace._span(self.field, self.ambient_dim, (lam @ self.basis).data)
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace (in dual coordinates)."""
         return self.basis.kernel()
 
     def conjugate(self) -> "Subspace":
-        return Subspace.from_spanning(
-            self.field, self.ambient_dim, self.basis.conjugate().data
-        )
+        return Subspace._span(self.field, self.ambient_dim, self.basis.conjugate().data)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -547,15 +551,14 @@ class Subspace:
             v = [self.field.zero] * self.ambient_dim
             v[c] = self.field.one
             vectors.append(v)
-        return Subspace.from_spanning(self.field, self.ambient_dim, vectors)
+        return Subspace._span(self.field, self.ambient_dim, vectors)
 
     def image(self, m: Matrix) -> "Subspace":
         """Image of this subspace under the linear map given by m."""
         if m.cols != self.ambient_dim:
             raise ValueError("map domain mismatch")
-        return Subspace.from_spanning(
-            m.field, m.rows, [m.apply(row) for row in self.basis.data]
-        )
+        product = self.basis @ m.transpose()
+        return Subspace._span(product.field, m.rows, product.data)
 
     def to_gaussian(self) -> "Subspace":
         if self.field is QI:
@@ -572,7 +575,7 @@ class Subspace:
         for row in self.basis.data:
             spanning.append([x.re for x in row])
             spanning.append([x.im for x in row])
-        real = Subspace.from_spanning(QQ, self.ambient_dim, spanning)
+        real = Subspace._span(QQ, self.ambient_dim, spanning)
         if real.dim != self.dim:
             raise ValueError("real form has wrong dimension")
         return real

@@ -50,9 +50,9 @@ def map_relation(mu: Matrix, a: GCAut, b: GCAut) -> LinearRelation:
     if mu.cols != a.n or mu.rows != b.n:
         raise ValueError("map shape does not match the endpoint spaces")
     rows = []
-    for i in range(a.n):
+    for i, mu_col in enumerate(mu.transpose().data):
         unit = [QQ.one if x == i else QQ.zero for x in range(a.n)]
-        rows.append(unit + mu.apply(unit))
+        rows.append(unit + mu_col)
     return LinearRelation(a, b, Subspace.from_spanning(QQ, a.n + b.n, rows))
 
 

@@ -8,6 +8,8 @@ values, so serializing the same object twice gives identical text.
 
 from __future__ import annotations
 
+import re
+
 from .core import GCAut, IsotropicE
 from .fields import QI, QQ, GaussianRational, format_rational, rational
 from .linalg import Matrix, Subspace
@@ -24,9 +26,15 @@ def encode_rational(x) -> str:
     return format_rational(x)
 
 
+_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def decode_rational(data):
+    """A JSON integer, or a string "p" or "p/q" of ASCII digits with q != 0."""
     if isinstance(data, bool) or not isinstance(data, (str, int)):
         raise PayloadError(f"expected a rational string, got {data!r}")
+    if isinstance(data, str) and not _RATIONAL_LITERAL.fullmatch(data):
+        raise PayloadError(f"bad rational {data!r}: expected an integer or 'p/q'")
     try:
         return rational(data)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import pairing
+from .core import is_isotropic
 from .fields import QI, GaussianRational
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, vec_dot
 from .multivector import Multivector
 
 
@@ -33,10 +33,7 @@ def clifford_act(x, phi: Multivector) -> Multivector:
 def clifford_square_scalar(x):
     """f(v) for x = (v, f): the scalar with x.x.phi = f(v) phi."""
     n = len(x) // 2
-    s = QI.zero
-    for a, b in zip(x[:n], x[n:]):
-        s = s + QI.coerce(a) * QI.coerce(b)
-    return s
+    return QI.coerce(vec_dot(x[:n], x[n:]))
 
 
 def annihilator_subspace(phi: Multivector) -> Subspace:
@@ -130,11 +127,9 @@ def standard_data_for_subspace(e: Subspace):
     n = two_n // 2
     if e.dim != n:
         raise ValueError("subspace is not half-dimensional")
+    if not is_isotropic(e):
+        raise ValueError("subspace is not isotropic")
     rows = e.basis.data
-    for i, x in enumerate(rows):
-        for y in rows[i:]:
-            if pairing(x, y):
-                raise ValueError("subspace is not isotropic")
 
     # covector-only part: factors f_1..f_k
     covector_block = Subspace.from_spanning(
@@ -150,16 +145,13 @@ def standard_data_for_subspace(e: Subspace):
         raise AssertionError("projection dimension violates maximal isotropy")
     et = e.basis.transpose()
     top = et.block(0, n, 0, e.dim)
-    lifts = []
+    combos = []
     for v in proj.basis.data:
         combo = top.solve(list(v))
         if combo is None:
             raise AssertionError("vector part is not attained")
-        lift = [QI.zero] * two_n
-        for c, row in zip(combo, rows):
-            if c:
-                lift = [a + c * b for a, b in zip(lift, row)]
-        lifts.append(lift)
+        combos.append(combo)
+    lifts = (Matrix(QI, combos, cols=e.dim) @ e.basis).data
 
     # u lives on the free dual coordinates of span(f_i)
     phi_span = Subspace.from_spanning(QI, n, factor_rows)
@@ -172,8 +164,7 @@ def standard_data_for_subspace(e: Subspace):
         for b in range(a + 1, len(vecs)):
             va, vb = vecs[a], vecs[b]
             eqs.append([va[x] * vb[y] - va[y] * vb[x] for x, y in pairs])
-            g_a = lifts[a][n:]
-            rhs.append(-sum((gi * vi for gi, vi in zip(g_a, vb)), QI.zero))
+            rhs.append(-vec_dot(lifts[a][n:], vb))
     u_terms = {}
     if pairs:
         sol = Matrix(QI, eqs, cols=len(pairs)).solve(rhs)

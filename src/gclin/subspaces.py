@@ -28,7 +28,7 @@ from .core import (
     validate_aut,
 )
 from .fields import QI, QQ
-from .linalg import Matrix, Subspace, vec_dot
+from .linalg import Matrix, Subspace
 from .multivector import Multivector, two_form_coeff, two_form_from_coeff
 from .spinor import (
     SpinorLine,
@@ -66,20 +66,18 @@ def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
     if w.ambient_dim != n or w.field is not QQ:
         raise ValueError("W must be a rational subspace of the carrier")
     e = to_eigenspace(j).e
-    w_rows = [[QI.coerce(x) for x in row] for row in w.basis.data]
-    allowed = [row + [QI.zero] * n for row in w_rows]
+    w_c = w.to_gaussian().basis
+    allowed = [row + [QI.zero] * n for row in w_c.data]
     for i in range(n):
         vec = [QI.zero] * (2 * n)
         vec[n + i] = QI.one
         allowed.append(vec)
     window = Subspace.from_spanning(QI, 2 * n, allowed)
-    cut = e.intersect(window)
-    rows = []
-    for vec in cut.basis.data:
-        v, f = vec[:n], vec[n:]
-        coords = [v[p] for p in w.pivots]
-        restricted = [vec_dot(f, wr) for wr in w_rows]
-        rows.append(coords + restricted)
+    cut = e.intersect(window).basis
+    restricted = cut.block(0, cut.rows, n, 2 * n) @ w_c.transpose()
+    rows = [
+        [vec[p] for p in w.pivots] + f_on_w for vec, f_on_w in zip(cut.data, restricted.data)
+    ]
     return _finish_induced(w.dim, rows)
 
 
@@ -140,13 +138,12 @@ def restrict_spinor(j: GCAut, w: Subspace):
     sf = StandardForm(QI.one, u, factors)
 
     m = w.dim
-    w_rows = [[QI.coerce(x) for x in row] for row in w.basis.data]
-    wmat = Matrix(QI, w_rows, cols=n)
+    wmat = w_ci.basis
     u_w = two_form_from_coeff(wmat @ two_form_coeff(u) @ wmat.transpose())
     phi_w = u_w.exp()
-    for row in factor_rows[:l]:
-        pulled = [vec_dot(row, wr) for wr in w_rows]
-        phi_w = phi_w.wedge(Multivector.covector(m, pulled))
+    pulled = Matrix(QI, factor_rows[:l], cols=n) @ wmat.transpose()
+    for row in pulled.data:
+        phi_w = phi_w.wedge(Multivector.covector(m, row))
     if phi_w.is_zero():
         raise AssertionError("restricted spinor vanished")
     line_w = SpinorLine.of(phi_w)
@@ -170,8 +167,10 @@ def generalized_isotropic_witness(j: GCAut, w: Subspace):
     """None if J(W) lies inside W + Ann(W); else an escaping generator."""
     ann = w.annihilator()
     n = j.n
-    for wr in w.basis.data:
-        if not w.contains(j.j1.apply(wr)) or not ann.contains(j.j3.apply(wr)):
+    j1w = (w.basis @ j.j1.transpose()).data
+    j3w = (w.basis @ j.j3.transpose()).data
+    for wr, x, f in zip(w.basis.data, j1w, j3w):
+        if not w.contains(x) or not ann.contains(f):
             return list(wr) + [QQ.zero] * n
     return None
 
@@ -180,8 +179,10 @@ def generalized_coisotropic_witness(j: GCAut, w: Subspace):
     """None if J(Ann(W)) lies inside W + Ann(W); else an escaping generator."""
     ann = w.annihilator()
     n = j.n
-    for f in ann.basis.data:
-        if not w.contains(j.j2.apply(f)) or not ann.contains(j.j4.apply(f)):
+    j2f = (ann.basis @ j.j2.transpose()).data
+    j4f = (ann.basis @ j.j4.transpose()).data
+    for f, x, g in zip(ann.basis.data, j2f, j4f):
+        if not w.contains(x) or not ann.contains(g):
             return [QQ.zero] * n + list(f)
     return None
 
@@ -209,21 +210,14 @@ def satisfies_graph_condition(j: GCAut, w: Subspace, k: GCAut) -> bool:
     """
     if k.n != w.dim:
         raise ValueError("structure on W has wrong dimension")
-    by_blocks = True
-    for a, wr in enumerate(w.basis.data):
-        j1w = j.j1.apply(wr)
-        if not w.contains(j1w):
-            by_blocks = False
-            break
-        unit = [QQ.one if x == a else QQ.zero for x in range(w.dim)]
-        if w.coordinates(j1w) != k.j1.apply(unit):
-            by_blocks = False
-            break
-        j3w = j.j3.apply(wr)
-        restricted = [vec_dot(j3w, other) for other in w.basis.data]
-        if restricted != k.j3.apply(unit):
-            by_blocks = False
-            break
+    j1w = (w.basis @ j.j1.transpose()).data
+    j3_on_w = (w.basis @ j.j3.transpose() @ w.basis.transpose()).data
+    by_blocks = all(
+        w.contains(x) and w.coordinates(x) == k1_col and restricted == k3_col
+        for x, restricted, k1_col, k3_col in zip(
+            j1w, j3_on_w, k.j1.transpose().data, k.j3.transpose().data
+        )
+    )
 
     tp = twisted_product(k, j)
     by_graph = is_generalized_isotropic(tp, _graph_subspace(w))
@@ -269,8 +263,7 @@ def verify_split(j: GCAut, w: Subspace, n_comp: Subspace) -> bool:
     if w.dim + n_comp.dim != n or not w.intersect(n_comp).is_zero():
         return False
     span = _stable_pair_span(w, n_comp)
-    full = j.full()
-    return all(span.contains(full.apply(row)) for row in span.basis.data)
+    return all(span.contains(x) for x in (span.basis @ j.full().transpose()).data)
 
 
 def _induced_on_summand(j: GCAut, w: Subspace, n_comp: Subspace) -> GCAut:
@@ -280,21 +273,16 @@ def _induced_on_summand(j: GCAut, w: Subspace, n_comp: Subspace) -> GCAut:
     ann_n = n_comp.annihilator()
     basis_rows = [list(wr) + [QQ.zero] * n for wr in w.basis.data]
     basis_rows += [[QQ.zero] * n + list(f) for f in ann_n.basis.data]
-    basis = Matrix(QQ, basis_rows, cols=2 * n).transpose()
+    rows = Matrix(QQ, basis_rows, cols=2 * n)
+    basis = rows.transpose()
     images = []
-    full = j.full()
-    for row in basis_rows:
-        img = full.apply(row)
+    for img in (rows @ j.full().transpose()).data:
         combo = basis.solve(img)
         if combo is None:
             raise ValueError("subspace pair is not stable under the structure")
         images.append(combo)
     inner = Matrix(QQ, images, cols=2 * m).transpose()
-    gram = Matrix(
-        QQ,
-        [[vec_dot(f, wr) for f in ann_n.basis.data] for wr in w.basis.data],
-        cols=m,
-    )
+    gram = w.basis @ ann_n.basis.transpose()
     z = Matrix.zero(QQ, m, m)
     psi = Matrix.from_blocks(QQ, [[Matrix.identity(QQ, m), z], [z, gram]])
     return GCAut.from_full(psi @ inner @ psi.inverse())
@@ -329,13 +317,14 @@ def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
     n = j.n
     if types.is_b_symplectic:
         data = recover(j)
-        rows = [data.omega.m.apply(wr) for wr in w.basis.data]
-        cand = Matrix(QQ, rows, cols=n).kernel()
+        cand = (w.basis @ data.omega.m.transpose()).kernel()
         return cand if verify_split(j, w, cand) else None
     if types.is_b_complex:
         data = recover(j)
         jm = data.jmat
-        if not all(w.contains(jm.apply(wr)) for wr in w.basis.data):
+        jmt = jm.transpose()
+        jw = (w.basis @ jmt).data
+        if not all(w.contains(x) for x in jw):
             return None
         comp0 = w.complement()
         q = Matrix(QQ, w.basis.data + comp0.basis.data, cols=n).transpose()
@@ -353,9 +342,12 @@ def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
         if n1.dim + w.dim != n:
             raise AssertionError("equivariant projection has wrong rank")
         m, qdim = w.dim, n1.dim
-        j_on_w = [w.coordinates(jm.apply(wr)) for wr in w.basis.data]
-        j_on_n = [n1.coordinates(jm.apply(nr)) for nr in n1.basis.data]
-        b = data.b
+        j_on_w = [w.coordinates(x) for x in jw]
+        j_on_n = [n1.coordinates(x) for x in (n1.basis @ jmt).data]
+        # B(x, y) = (b x) . y over the bases of W and N1
+        bw = w.basis @ data.b.m.transpose()
+        b_ww = (bw @ w.basis.transpose()).data
+        b_wn = (bw @ n1.basis.transpose()).data
         # unknown h: N1 -> W as an m x q matrix, flattened row-major
         eqs = []
         rhs = []
@@ -371,25 +363,19 @@ def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
                 eqs.append(row)
                 rhs.append(QQ.zero)
         for a in range(m):
-            wa = w.basis.data[a]
             for bcol in range(qdim):
                 row = [QQ.zero] * (m * qdim)
                 for x in range(m):
-                    row[x * qdim + bcol] = b.value(wa, w.basis.data[x])
+                    row[x * qdim + bcol] = b_ww[a][x]
                 eqs.append(row)
-                rhs.append(-b.value(wa, n1.basis.data[bcol]))
+                rhs.append(-b_wn[a][bcol])
         sol = Matrix(QQ, eqs, cols=m * qdim).solve(rhs)
         if sol is None:
             return None
-        corrected = []
-        for bcol, nr in enumerate(n1.basis.data):
-            vec = list(nr)
-            for x in range(m):
-                c = sol[x * qdim + bcol]
-                if c:
-                    vec = [a_ + c * b_ for a_, b_ in zip(vec, w.basis.data[x])]
-            corrected.append(vec)
-        cand = Subspace.from_spanning(QQ, n, corrected)
+        # N1 + h^T W, with h the m x q solution
+        h = Matrix(QQ, [sol[x * qdim : (x + 1) * qdim] for x in range(m)], cols=qdim)
+        corrected = n1.basis + h.transpose() @ w.basis
+        cand = Subspace.from_spanning(QQ, n, corrected.data)
         if not verify_split(j, w, cand):
             raise AssertionError("solved complement failed the splitting check")
         return cand

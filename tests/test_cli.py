@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from gclin import cli
 from gclin.cli import main
 from gclin.core import TwoForm, complex_structure, symplectic_structure, to_eigenspace
 from gclin.fields import QQ
@@ -10,6 +11,8 @@ from gclin.linalg import Matrix, Subspace
 from gclin.relations import identity_relation, map_relation
 from gclin.samples import random_gcs
 from gclin.serialize import (
+    PayloadError,
+    decode_rational,
     encode_aut,
     encode_eigenspace,
     encode_matrix,
@@ -66,6 +69,48 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     code, out = run(capsys, "validate", str(path))
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "text", ["1.5", " 3/4 ", "1e200000", "3/0", "+1", "3/-4", "1_000", "\u0663", ""]
+)
+def test_rational_outside_grammar_exits_2(write, capsys, text):
+    payload = encode_aut(symplectic_structure(OMEGA2))
+    payload["j"]["j1"][0][0] = text
+    code, out = run(capsys, "validate", write("bad.json", payload))
+    assert code == 2
+    assert "bad rational" in json.loads(out)["error"]
+
+
+def test_rational_grammar_accepts_ints_and_fractions():
+    assert decode_rational(3) == 3
+    assert decode_rational("-2/4") == QQ.coerce("-1/2")
+    assert decode_rational("007") == 7
+    for bad in (True, 1.5, None):
+        with pytest.raises(PayloadError):
+            decode_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        AssertionError("equation list disagrees with the direct criteria"),
+        ZeroDivisionError("division by zero in Q(i)"),
+        TypeError("cannot interpret 'x' as a rational"),
+    ],
+    ids=["assertion", "zero-division", "type"],
+)
+def test_internal_error_exits_3_without_traceback(write, capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "validate_aut", fail)
+    src = write("s.json", encode_aut(symplectic_structure(OMEGA2)))
+    code = main(["validate", src])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {"error": f"{type(exc).__name__}: {exc}"}
+    assert captured.err == ""
 
 
 def test_wrong_shape_exits_2(write, capsys):
@@ -253,6 +298,33 @@ def test_selftest_deterministic_and_green(capsys):
     assert data["failed"] == 0
     code, second = run(capsys, "selftest", "--seed", "0")
     assert second == first
+    assert all(set(check) == {"name", "ok"} for check in data["checks"])
+
+
+@pytest.mark.parametrize(
+    "patch,reason",
+    [
+        (ZeroDivisionError("injected"), "ZeroDivisionError: injected"),
+        (None, "AssertionError: check returned false"),
+    ],
+    ids=["raises", "returns-false"],
+)
+def test_selftest_failure_carries_reason(capsys, monkeypatch, patch, reason):
+    def broken(d):
+        if patch is not None:
+            raise patch
+        return None
+
+    monkeypatch.setattr(cli, "reassemble", broken)
+    code, out = run(capsys, "selftest", "--seed", "0")
+    assert code == 1
+    data = json.loads(out)
+    assert (data["failed"], data["passed"]) == (1, 3)
+    for check in data["checks"]:
+        if check["name"] == "classification-round-trips":
+            assert check == {"error": reason, "name": check["name"], "ok": False}
+        else:
+            assert check == {"name": check["name"], "ok": True}
 
 
 def _negate(text):

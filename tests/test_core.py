@@ -1,6 +1,7 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gclin.core import (
     GCAut,
@@ -11,6 +12,7 @@ from gclin.core import (
     direct_sum_eigenspace,
     dualize,
     dualize_eigenspace,
+    is_isotropic,
     pairing,
     quadratic_form,
     swap_matrix,
@@ -65,6 +67,78 @@ class TestPairing:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pairing([1, 0], [1, 0, 0, 0])
+
+
+def oracle_dot(x, y):
+    """Per-entry dot product: the route before the integer kernel."""
+    s = None
+    for a, b in zip(x, y):
+        s = a * b if s is None else s + a * b
+    return 0 if s is None else s
+
+
+def oracle_pairing(x, y):
+    n = len(x) // 2
+    return (oracle_dot(x[n:], y[:n]) + oracle_dot(y[n:], x[:n])) * QQ.coerce("-1/2")
+
+
+def oracle_isotropic(s):
+    """The pairwise pairing loop over the basis."""
+    rows = s.basis.data
+    return not any(oracle_pairing(x, y) for i, x in enumerate(rows) for y in rows[i:])
+
+
+small = st.integers(min_value=-2, max_value=2)
+scalars = st.one_of(
+    small, st.fractions(min_value=-2, max_value=2, max_denominator=3), st.builds(GaussianRational, small, small)
+)
+
+
+@st.composite
+def pairing_subspaces(draw):
+    """Subspaces of V + V* over Q or Q(i), n <= 3: random spans (mostly not
+    isotropic), spans of rows of a maximal isotropic subspace (isotropic),
+    and such spans with one row perturbed."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    field = draw(st.sampled_from([QQ, QI]))
+    kind = draw(st.sampled_from(["random", "isotropic", "perturbed"]))
+    if kind == "random" or n == 0:
+        k = draw(st.integers(min_value=0, max_value=2 * n))
+        rows = draw(st.lists(st.lists(scalars, min_size=2 * n, max_size=2 * n), min_size=k, max_size=k))
+        if field is QQ:
+            rows = [[x.re if isinstance(x, GaussianRational) else x for x in row] for row in rows]
+        return Subspace.from_spanning(field, 2 * n, rows)
+    rng = Random(draw(st.integers(min_value=0, max_value=10**6)))
+    big = random_maximal_isotropic(rng, n)
+    rows = big.basis_rows()[: draw(st.integers(min_value=0, max_value=n))]
+    if kind == "perturbed" and rows:
+        r = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        c = draw(st.integers(min_value=0, max_value=2 * n - 1))
+        rows[r][c] = rows[r][c] + draw(scalars)
+    return Subspace.from_spanning(QI, 2 * n, rows)
+
+
+class TestIsotropy:
+    @settings(max_examples=200, deadline=None)
+    @given(pairing_subspaces())
+    def test_gram_verdict_matches_pairing_loop(self, s):
+        assert is_isotropic(s) == oracle_isotropic(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=3).flatmap(
+        lambda n: st.tuples(*[st.lists(scalars, min_size=2 * n, max_size=2 * n)] * 2)
+    ))
+    def test_pairing_matches_oracle(self, xy):
+        x, y = xy
+        assert pairing(x, y) == oracle_pairing(x, y)
+
+    def test_both_verdicts_occur(self):
+        e = random_maximal_isotropic(Random(3), 3)
+        assert is_isotropic(e) and oracle_isotropic(e)
+        # e1 + f1 pairs with itself to -1
+        s = Subspace.from_spanning(QI, 6, [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
+        assert not is_isotropic(s) and not oracle_isotropic(s)
+        assert "isotropy" in validate_eigenspace(IsotropicE(3, s)).violations
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gclin.fields import QI, QQ, GaussianRational
-from gclin.linalg import Matrix, Subspace
+from gclin.linalg import Matrix, Subspace, vec_dot
 
 
 def laplace_det(rows):
@@ -346,3 +346,174 @@ def test_hyp_rref_idempotent(rows):
 @given(subspaces())
 def test_hyp_sum_with_complement_full(a):
     assert a.sum(a.complement()) == Subspace.full(QQ, 4)
+
+
+def oracle_dot(x, y):
+    """Per-entry dot product: the route before the integer kernel."""
+    s = None
+    for a, b in zip(x, y):
+        s = a * b if s is None else s + a * b
+    return 0 if s is None else s
+
+
+def oracle_reduce(s, v):
+    """Per-entry reduction modulo the RREF basis, one pivot at a time."""
+    v = [s.field.coerce(x) for x in v]
+    for row, p in zip(s.basis.data, s.pivots):
+        if v[p]:
+            f = v[p]
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def _field_entries(field):
+    """Vector entries the vector layer accepts for field: ints, rationals
+    and, over Q(i), Gaussian rationals."""
+    return rational_entries if field is QQ else st.one_of(rational_entries, gaussian_entries)
+
+
+@st.composite
+def spanned_subspaces(draw, field, ambient=None):
+    """A subspace from random, often dependent, spanning rows; it may be
+    zero-dimensional and the ambient dimension may be 0."""
+    if ambient is None:
+        ambient = draw(st.integers(min_value=0, max_value=5))
+    rows = draw(matrix_rows(field, cols=ambient))
+    return Subspace.from_spanning(field, ambient, rows)
+
+
+@st.composite
+def probe_vectors(draw, s):
+    """A vector of s's ambient space: in s (a combination of its basis) or
+    random, with entries of mixed scalar types."""
+    n = s.ambient_dim
+    entries = _field_entries(s.field)
+    if s.dim and draw(st.booleans()):
+        coeffs = draw(st.lists(entries, min_size=s.dim, max_size=s.dim))
+        v = combination(coeffs, s)
+        # plain ints where the combination is integral
+        return [
+            int(x) if not isinstance(x, GaussianRational) and x.denominator == 1 else x
+            for x in v
+        ]
+    return draw(st.lists(entries, min_size=n, max_size=n))
+
+
+def combination(coeffs, s):
+    """sum of coeffs[r] * basis row r, entry by entry."""
+    return [oracle_dot(coeffs, [row[c] for row in s.basis.data]) for c in range(s.ambient_dim)]
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, QI], ids=["Q", "Qi"])
+
+
+@pytest.mark.parametrize(
+    "left,right", [(QQ, QQ), (QQ, QI), (QI, QQ), (QI, QI)], ids=["Q.Q", "Q.Qi", "Qi.Q", "Qi.Qi"]
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hyp_vec_dot_matches_oracle(left, right, data):
+    n = data.draw(st.integers(min_value=0, max_value=6))
+    x = data.draw(st.lists(_field_entries(left), min_size=n, max_size=n))
+    y = data.draw(st.lists(_field_entries(right), min_size=n, max_size=n))
+    got = vec_dot(x, y)
+    assert got == oracle_dot(x, y)
+    has_gaussian = any(isinstance(a, GaussianRational) for a in x + y)
+    assert type(got) is (GaussianRational if has_gaussian else type(QQ.one))
+
+
+def test_vec_dot_edge_cases():
+    assert vec_dot([], []) == 0
+    assert vec_dot([1, 2], [3, 4]) == 11
+    i = GaussianRational(0, 1)
+    assert vec_dot([i, 1], [i, QQ.coerce("1/2")]) == GaussianRational("-1/2")
+    with pytest.raises(ValueError):
+        vec_dot([1], [1, 2])
+
+
+@pytest.mark.parametrize(
+    "mfield,vfield", [(QQ, QQ), (QQ, QI), (QI, QQ), (QI, QI)], ids=["Q.Q", "Q.Qi", "Qi.Q", "Qi.Qi"]
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hyp_apply_matches_oracle(mfield, vfield, data):
+    rows = data.draw(matrix_rows(mfield))
+    cols = len(rows[0]) if rows else data.draw(st.integers(min_value=0, max_value=4))
+    m = Matrix(mfield, rows, cols=cols)
+    v = data.draw(st.lists(_field_entries(vfield), min_size=cols, max_size=cols))
+    got = m.apply(v)
+    assert got == [oracle_dot(row, v) if cols else mfield.zero for row in m.data]
+    field = QI if mfield is QI or any(isinstance(x, GaussianRational) for x in v) else QQ
+    _assert_scalar_types(field, Matrix(field, [got]) if got else Matrix(field, []))
+
+
+def test_rational_matrix_applied_to_gaussian_vector():
+    i = GaussianRational(0, 1)
+    m = Matrix(QQ, [[1, 2], [0, "1/3"]])
+    assert m.apply([i, 1]) == [2 + i, QQ.coerce("1/3")]
+    assert all(type(x) is GaussianRational for x in m.apply([i, 1]))
+
+
+@pytest.mark.parametrize(
+    "sfield,mfield", [(QQ, QQ), (QQ, QI), (QI, QQ), (QI, QI)], ids=["Q.Q", "Q.Qi", "Qi.Q", "Qi.Qi"]
+)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_hyp_image_matches_oracle(sfield, mfield, data):
+    s = data.draw(spanned_subspaces(sfield))
+    height = data.draw(st.integers(min_value=0, max_value=5))
+    m = Matrix(mfield, data.draw(matrix_rows(mfield, height, s.ambient_dim)), cols=s.ambient_dim)
+    field = QI if QI in (sfield, mfield) else QQ
+    expected = Subspace.from_spanning(
+        field, m.rows, [[oracle_dot(row, v) for row in m.data] for v in s.basis.data]
+    )
+    assert s.image(m) == expected
+
+
+@FIELDS
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hyp_reduce_contains_coordinates_match_oracle(field, data):
+    s = data.draw(spanned_subspaces(field))
+    v = data.draw(probe_vectors(s))
+    remainder = s.reduce(v)
+    expected = oracle_reduce(s, v)
+    assert remainder == expected
+    _assert_scalar_types(field, Matrix(field, [remainder]) if remainder else Matrix(field, []))
+    inside = all(not x for x in expected)
+    assert s.contains(v) == inside
+    if inside:
+        coerced = [field.coerce(x) for x in v]
+        coords = s.coordinates(v)
+        assert coords == [coerced[p] for p in s.pivots]
+        assert combination(coords, s) == coerced
+    else:
+        with pytest.raises(ValueError):
+            s.coordinates(v)
+
+
+@FIELDS
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hyp_intersect_matches_oracle(field, data):
+    a = data.draw(spanned_subspaces(field))
+    b = data.draw(spanned_subspaces(field, a.ambient_dim))
+    got = a.intersect(b)
+    # oracle: inside both (per-entry reduction) and of Grassmann dimension
+    for row in got.basis.data:
+        assert not any(oracle_reduce(a, row)) and not any(oracle_reduce(b, row))
+    assert got.dim == a.dim + b.dim - a.sum(b).dim
+    assert got == b.intersect(a)
+
+
+def test_zero_dimensional_vector_operations():
+    for field in (QQ, QI):
+        z = Subspace.zero(field, 3)
+        assert z.reduce([1, 2, 3]) == [1, 2, 3]
+        assert not z.contains([0, 1, 0]) and z.contains([0, 0, 0])
+        assert z.coordinates([0, 0, 0]) == []
+        empty = Subspace.zero(field, 0)
+        assert empty.reduce([]) == [] and empty.contains([])
+        assert z.image(Matrix.identity(field, 3)) == z
+        assert Matrix.zero(field, 2, 0).apply([]) == [field.zero, field.zero]
+        assert Matrix.zero(field, 0, 2).apply([1, 2]) == []
