@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .core import (
     GCAut,
     TwoForm,
+    _carrying,
     complex_structure,
     conjugate_by_basis,
     direct_sum,
@@ -33,7 +34,7 @@ from .subspaces import (
     induce_on_subspace,
     satisfies_graph_condition,
 )
-from .transforms import b_transform, classify_type, recover
+from .transforms import _recover, b_transform, classify_type
 
 
 def canonical_s(j: GCAut) -> Subspace:
@@ -43,6 +44,11 @@ def canonical_s(j: GCAut) -> Subspace:
     of the eigenspace and its conjugate; the result is checked to be a
     carrier of a valid induced structure of the expected type.
     """
+    return _canonical_s(_carrying(j))[0]
+
+
+def _canonical_s(j: GCAut):
+    """canonical_s of a structure carrying its eigenspace, with the induced structure on S."""
     n = j.n
     e = to_eigenspace(j).e
     rho = projection_matrix(n, "vector")
@@ -53,7 +59,7 @@ def canonical_s(j: GCAut) -> Subspace:
         raise AssertionError("canonical subspace failed to carry a structure")
     if not classify_type(ind.jw).is_b_symplectic:
         raise AssertionError("canonical subspace is not of transformed symplectic type")
-    return s
+    return s, ind
 
 
 def canonical_c(j: GCAut):
@@ -65,6 +71,7 @@ def canonical_c(j: GCAut):
     the graph condition.  All three facts are checked.
     """
     n = j.n
+    j = _carrying(j)
     e = to_eigenspace(j).e
     inside = e.intersect(vector_summand(n))
     c_c = inside.sum(inside.conjugate())
@@ -123,8 +130,8 @@ def decompose(j: GCAut) -> Decomposition:
     b_r = TwoForm(u_map.real_part())
     omega_map = u_map.imag_part()
 
-    moved = b_transform(j, b_r)
-    s = canonical_s(moved)
+    moved = _carrying(b_transform(j, b_r))
+    s, ind_s = _canonical_s(moved)
     s_mat = Matrix(QQ, s.basis.data, cols=n)
     omega_s = TwoForm(s_mat @ omega_map @ s_mat.transpose())
     if not omega_s.m.is_invertible():
@@ -134,7 +141,6 @@ def decompose(j: GCAut) -> Decomposition:
     if s.dim + w.dim != n or not s.intersect(w).is_zero():
         raise AssertionError("orthogonal complement does not complete the carrier")
 
-    ind_s = induce_on_subspace(moved, s)
     if ind_s.jw != symplectic_structure(omega_s):
         raise AssertionError("induced structure on the symplectic part is off")
     ind_w = induce_on_subspace(moved, w)
@@ -144,7 +150,7 @@ def decompose(j: GCAut) -> Decomposition:
     if not types.is_b_complex:
         raise AssertionError("complementary structure is not of transformed complex type")
     if w.dim:
-        rec = recover(ind_w.jw)
+        rec = _recover(ind_w.jw, types)
         jw_mat, b_w = rec.jmat, rec.b
     else:
         jw_mat, b_w = Matrix.zero(QQ, 0, 0), TwoForm(Matrix.zero(QQ, 0, 0))

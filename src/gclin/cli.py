@@ -81,6 +81,12 @@ from .subspaces import (
 from .transforms import b_transform, beta_transform, classify_type, recover
 
 
+# A spinor on an n-dimensional carrier has up to 2^n terms (2^(n/2) for a
+# symplectic structure), so spinor payloads and verbs that build a spinor
+# are refused above this size.
+MAX_SPINOR_N = 16
+
+
 class CliError(Exception):
     """Input or domain error; reported as JSON on exit code 2."""
 
@@ -128,8 +134,18 @@ def _structure_to_aut(obj) -> GCAut:
     raise CliError("unsupported structure payload")
 
 
-def _load_aut(path: str) -> GCAut:
-    return _structure_to_aut(decode_gcs(_load_json(path)))
+def _load_gcs(path: str, builds_spinor: bool = False):
+    """Decode a structure payload, refusing spinor sizes over MAX_SPINOR_N."""
+    payload = _load_json(path)
+    if isinstance(payload, dict) and (builds_spinor or payload.get("repr") == "spinor"):
+        n = payload.get("n")
+        if isinstance(n, int) and n > MAX_SPINOR_N:
+            raise CliError(f"spinor size limit: n = {n} exceeds MAX_SPINOR_N = {MAX_SPINOR_N}")
+    return decode_gcs(payload)
+
+
+def _load_aut(path: str, builds_spinor: bool = False) -> GCAut:
+    return _structure_to_aut(_load_gcs(path, builds_spinor))
 
 
 def _describe(violations) -> str:
@@ -141,7 +157,7 @@ def _describe(violations) -> str:
 
 
 def _cmd_validate(args) -> int:
-    obj = decode_gcs(_load_json(args.file))
+    obj = _load_gcs(args.file)
     if isinstance(obj, GCAut):
         res = validate_aut(obj)
         labeled = [f"{v} {EQUATION_LABELS[v]}" for v in res.violations]
@@ -161,7 +177,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    j = _load_aut(args.file)
+    j = _load_aut(args.file, builds_spinor=args.to == "spinor")
     if args.to == "aut":
         _emit(encode_aut(j))
     elif args.to == "E":
@@ -261,8 +277,7 @@ def _cmd_subspace(args) -> int:
     if test == "graph":
         if not args.k:
             raise CliError("--test graph needs --k with a structure on W")
-        k_raw = decode_gcs(_load_json(args.k))
-        k = _structure_to_aut(k_raw)
+        k = _structure_to_aut(_load_gcs(args.k))
         ok = satisfies_graph_condition(j, w, k)
         out = {"result": ok}
         if not ok:

@@ -13,6 +13,13 @@ A structure is handled in two interchangeable forms:
 The third form, a pure spinor line, is derived on demand by the spinor
 module rather than stored.
 
+A ``GCAut`` built by ``to_aut`` carries the eigenspace it was built from,
+and ``to_eigenspace`` returns that instead of solving for it again.  A
+structure built any other way carries nothing, and ``to_eigenspace``
+never stores onto its argument: operations that need one eigenspace
+several times take a private copy that carries it (``_carrying``), so no
+result outlives the call on the caller's objects.
+
 All two-forms B (and bivectors beta) are identified with the linear maps
 v -> iota_v B they induce; as matrices these are skew.  The bilinear form
 pairing against the coefficient matrix is recovered via transpose.
@@ -149,7 +156,7 @@ def complex_two_form_map(mv: Multivector) -> Matrix:
 class GCAut:
     """Automorphism form of a generalized complex structure."""
 
-    __slots__ = ("n", "j1", "j2", "j3", "j4")
+    __slots__ = ("n", "j1", "j2", "j3", "j4", "_e")
 
     def __init__(self, j1: Matrix, j2: Matrix, j3: Matrix, j4: Matrix):
         n = j1.rows
@@ -158,6 +165,7 @@ class GCAut:
                 raise ValueError("blocks must be rational n x n matrices")
         self.n = n
         self.j1, self.j2, self.j3, self.j4 = j1, j2, j3, j4
+        self._e = None  # the validated +i eigenspace, set only by _aut_of and _carrying
 
     @staticmethod
     def from_full(full: Matrix) -> "GCAut":
@@ -257,7 +265,13 @@ def validate_eigenspace(e: IsotropicE) -> ValidationResult:
 
 
 def to_eigenspace(j: GCAut) -> IsotropicE:
-    """The +i eigenspace of the complexified automorphism."""
+    """The +i eigenspace of the complexified automorphism.
+
+    A structure that carries its eigenspace returns it; otherwise it is
+    computed and validated, and not stored on j.
+    """
+    if j._e is not None:
+        return j._e
     check = validate_aut(j)
     if not check:
         raise ValueError(f"invalid automorphism: {', '.join(check.violations)}")
@@ -273,14 +287,29 @@ def to_eigenspace(j: GCAut) -> IsotropicE:
     return e
 
 
+def _carrying(j: GCAut) -> GCAut:
+    """j itself if it carries its eigenspace, else a copy that does."""
+    if j._e is not None:
+        return j
+    copy = GCAut(j.j1, j.j2, j.j3, j.j4)
+    copy._e = to_eigenspace(j)
+    return copy
+
+
 def to_aut(e: IsotropicE) -> GCAut:
     """The real automorphism acting as +i on E and -i on the conjugate.
 
-    Realness of the result is asserted, not assumed.
+    The result carries e.  Realness of the result is asserted, not
+    assumed.
     """
     res = validate_eigenspace(e)
     if not res:
         raise ValueError(f"invalid eigenspace: {', '.join(res.violations)}")
+    return _aut_of(e)
+
+
+def _aut_of(e: IsotropicE) -> GCAut:
+    """to_aut for an eigenspace its caller has already validated."""
     n = e.n
     cols = [row[:] for row in e.e.basis.data]
     cols += [row[:] for row in e.e.conjugate().basis.data]
@@ -298,6 +327,7 @@ def to_aut(e: IsotropicE) -> GCAut:
     check = validate_aut(j)
     if not check:
         raise AssertionError(f"reconstructed automorphism invalid: {check.violations}")
+    j._e = e
     return j
 
 

@@ -20,9 +20,11 @@ from .core import (
     BiVector,
     GCAut,
     IsotropicE,
+    _aut_of,
+    _carrying,
     conjugate_by_basis,
     direct_sum,
-    to_aut,
+    is_isotropic,
     to_eigenspace,
     twisted_product,
     validate_aut,
@@ -36,7 +38,7 @@ from .spinor import (
     annihilator_subspace,
     standard_data_for_subspace,
 )
-from .transforms import beta_transform, classify_type, recover
+from .transforms import _recover, beta_transform, classify_type
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,19 @@ class InducedStructure:
 
 
 def _finish_induced(dim_target: int, rows) -> InducedStructure:
+    """Verdict on an induced eigenspace.
+
+    The checks of validate_eigenspace run here, once, so the structure is
+    built by _aut_of without validating the same value again.
+    """
     ew = Subspace.from_spanning(QI, 2 * dim_target, rows)
     if ew.dim != dim_target:
         raise AssertionError("induced subspace has wrong dimension")
+    if not is_isotropic(ew):
+        raise AssertionError("induced subspace is not isotropic")
     bad = ew.intersect(ew.conjugate())
     if bad.is_zero():
-        jw = to_aut(IsotropicE(dim_target, ew))
+        jw = _aut_of(IsotropicE(dim_target, ew))
         return InducedStructure(ew, True, jw, None)
     return InducedStructure(ew, False, None, tuple(bad.basis.data[0]))
 
@@ -115,6 +124,7 @@ def restrict_spinor(j: GCAut, w: Subspace):
     induced structure, exp(u|_W) ^ f_1|_W ... f_l|_W.
     """
     n = j.n
+    j = _carrying(j)
     e = to_eigenspace(j).e
     u, _ = standard_data_for_subspace(e)
 
@@ -316,11 +326,11 @@ def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
     types = classify_type(j)
     n = j.n
     if types.is_b_symplectic:
-        data = recover(j)
+        data = _recover(j, types)
         cand = (w.basis @ data.omega.m.transpose()).kernel()
         return cand if verify_split(j, w, cand) else None
     if types.is_b_complex:
-        data = recover(j)
+        data = _recover(j, types)
         jm = data.jmat
         jmt = jm.transpose()
         jw = (w.basis @ jmt).data

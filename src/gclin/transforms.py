@@ -129,7 +129,11 @@ class RecoveredData:
 
 def recover(j: GCAut) -> RecoveredData:
     """Undo a B-field transform of a complex or symplectic structure."""
-    types = classify_type(j)
+    return _recover(j, classify_type(j))
+
+
+def _recover(j: GCAut, types: StructureType) -> RecoveredData:
+    """recover, given the flags classify_type(j) has already returned."""
     half = QQ.coerce("1/2")
     if types.is_b_symplectic:
         omega = TwoForm(-j.j2.inverse())

@@ -1,5 +1,7 @@
 from random import Random
 
+from hypothesis import given, settings, strategies as st
+
 from gclin.classification import (
     build_graphnotsub_example,
     build_notquot_example,
@@ -16,6 +18,7 @@ from gclin.core import (
     direct_sum,
     dualize,
     symplectic_structure,
+    to_eigenspace,
 )
 from gclin.fields import QQ
 from gclin.linalg import Matrix, Subspace
@@ -27,7 +30,7 @@ from gclin.samples import (
     random_two_form,
 )
 from gclin.subspaces import induce_on_quotient, induce_on_subspace
-from gclin.transforms import b_transform, classify_type
+from gclin.transforms import b_transform, classify_type, recover
 
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
 OMEGA2 = TwoForm(Matrix(QQ, [[0, -1], [1, 0]]))
@@ -200,3 +203,46 @@ class TestEvenDimensions:
             j = random_gcs(rng, 4)
             assert canonical_s(j).dim % 2 == 0
             assert canonical_c(j)[0].dim % 2 == 0
+
+
+class TestEigenspaceOncePerCall:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([2, 4]), st.integers(min_value=0, max_value=10**6))
+    def test_decompose_reassembles(self, n, seed):
+        j = random_gcs(Random(seed), n)
+        assert reassemble(decompose(j)) == j
+
+    def test_decompose_computes_two_eigenspaces(self, kernel_eigenspaces):
+        rng = Random(11)
+        for _ in range(4):
+            j = random_gcs(rng, 4)
+            del kernel_eigenspaces[:]
+            decompose(j)
+            # the input and its B-moved copy
+            assert len(kernel_eigenspaces) == 2
+            assert kernel_eigenspaces[0] is j
+
+    def test_each_call_computes_once_and_stores_nothing_on_the_input(self, kernel_eigenspaces):
+        rng = Random(12)
+        for _ in range(4):
+            j = random_gcs(rng, 4)
+            w = random_subspace(rng, 4)
+            for op in (
+                decompose,
+                canonical_s,
+                canonical_c,
+                classify_type,
+                recover,
+                lambda j: induce_on_subspace(j, w),
+                lambda j: induce_on_quotient(j, w),
+            ):
+                del kernel_eigenspaces[:]
+                try:
+                    op(j)
+                except ValueError:
+                    assert op is recover  # a structure of mixed type
+                assert kernel_eigenspaces[0] is j
+                assert len(kernel_eigenspaces) == (2 if op is decompose else 1)
+                del kernel_eigenspaces[:]
+                to_eigenspace(j)
+                assert kernel_eigenspaces == [j]

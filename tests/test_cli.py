@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from gclin import cli
+from gclin.classification import canonical_omega
 from gclin.cli import main
 from gclin.core import TwoForm, complex_structure, symplectic_structure, to_eigenspace
 from gclin.fields import QQ
@@ -118,6 +119,43 @@ def test_wrong_shape_exits_2(write, capsys):
     payload["j"]["j1"] = [["1/1"]]
     code, out = run(capsys, "validate", write("bad.json", payload))
     assert code == 2
+
+
+def _refuse_spinor(*args):
+    raise RuntimeError("a spinor was built over the size limit")
+
+
+def test_spinor_verb_over_the_size_limit_exits_2_before_building(write, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "spinor_from_subspace", _refuse_spinor)
+    n = cli.MAX_SPINOR_N + 24
+    src = write("big.json", encode_aut(symplectic_structure(canonical_omega(n // 2))))
+    code, out = run(capsys, "convert", "--to", "spinor", src)
+    assert code == 2
+    limit = cli.MAX_SPINOR_N
+    assert json.loads(out) == {"error": f"spinor size limit: n = {n} exceeds MAX_SPINOR_N = {limit}"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["convert", "--to", "aut"], ["classify-type"]],
+    ids=["validate", "convert", "classify-type"],
+)
+def test_spinor_payload_over_the_size_limit_exits_2(write, capsys, monkeypatch, argv):
+    for name in ("is_pure", "annihilator_subspace", "mukai_pairing", "decode_gcs"):
+        monkeypatch.setattr(cli, name, _refuse_spinor)
+    n = cli.MAX_SPINOR_N + 2
+    src = write("spin.json", {"n": n, "repr": "spinor", "spinor": [{"coeff": "1", "indices": []}]})
+    code, out = run(capsys, *argv, src)
+    assert code == 2
+    assert f"MAX_SPINOR_N = {cli.MAX_SPINOR_N}" in json.loads(out)["error"]
+
+
+def test_spinor_size_limit_is_inclusive(write, capsys):
+    n = cli.MAX_SPINOR_N
+    src = write("edge.json", encode_aut(symplectic_structure(canonical_omega(n // 2))))
+    code, out = run(capsys, "convert", "--to", "spinor", src)
+    assert code == 0
+    assert len(json.loads(out)["spinor"]) == 2 ** (n // 2)
 
 
 def test_convert_round_trip_is_byte_identical(write, capsys, tmp_path):

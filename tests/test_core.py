@@ -211,6 +211,61 @@ class TestEigenspaceConversion:
             to_aut(e)
 
 
+structure_seeds = st.tuples(st.sampled_from([2, 4]), st.integers(min_value=0, max_value=10**6))
+
+
+def kernel_route(j):
+    """The eigenspace solved for on a copy that carries nothing."""
+    return to_eigenspace(GCAut(*j.blocks()))
+
+
+class TestCarriedEigenspace:
+    @settings(max_examples=30, deadline=None)
+    @given(structure_seeds)
+    def test_round_trip_carries_the_kernel_eigenspace(self, ns):
+        n, seed = ns
+        j = random_gcs(Random(seed), n)
+        e = to_eigenspace(j)
+        back = to_aut(e)
+        assert back == j
+        assert to_eigenspace(back) == kernel_route(back) == e
+
+    @settings(max_examples=30, deadline=None)
+    @given(structure_seeds)
+    def test_eigenspace_not_from_a_kernel_is_carried_exactly(self, ns):
+        n, seed = ns
+        e = IsotropicE(n, random_maximal_isotropic(Random(seed), n))
+        if not validate_eigenspace(e):
+            with pytest.raises(ValueError):
+                to_aut(e)
+            return
+        back = to_aut(e)
+        assert to_eigenspace(back) == kernel_route(back) == e
+
+    @settings(max_examples=30, deadline=None)
+    @given(structure_seeds, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=15))
+    def test_invalid_structure_still_raises(self, ns, which, entry):
+        n, seed = ns
+        carried = to_aut(to_eigenspace(random_gcs(Random(seed), n)))
+        blocks = list(carried.blocks())
+        m = blocks[which].copy()
+        m.data[entry // n % n][entry % n] += QQ.one
+        blocks[which] = m
+        with pytest.raises(ValueError, match="invalid automorphism"):
+            to_eigenspace(GCAut(*blocks))
+
+    def test_to_eigenspace_stores_nothing_on_its_argument(self, kernel_eigenspaces):
+        j = random_gcs(Random(5), 4)
+        assert to_eigenspace(j) == to_eigenspace(j)
+        assert kernel_eigenspaces == [j, j]
+
+    def test_to_aut_result_is_not_solved_again(self, kernel_eigenspaces):
+        e = to_eigenspace(random_gcs(Random(6), 4))
+        del kernel_eigenspaces[:]
+        assert to_eigenspace(to_aut(e)) is e
+        assert kernel_eigenspaces == []
+
+
 class TestDuality:
     def test_involution(self):
         rng = Random(4)

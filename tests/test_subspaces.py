@@ -7,6 +7,7 @@ from gclin.classification import (
     build_subnotquot_example,
 )
 from gclin.core import (
+    GCAut,
     TwoForm,
     complex_structure,
     direct_sum,
@@ -26,6 +27,7 @@ from gclin.samples import (
 )
 from gclin.spinor import annihilator_subspace, spinor_from_subspace
 from gclin.subspaces import (
+    _finish_induced,
     beta_between,
     find_split_complement,
     induce_on_quotient,
@@ -99,6 +101,24 @@ class TestInduceOnSubspace:
             w = random_subspace(rng, n)
             assert induce_on_subspace(j, w).ew.dim == w.dim
             assert induce_on_quotient(j, w).ew.dim == n - w.dim
+
+    def test_non_isotropic_induced_eigenspace_is_a_failed_check(self):
+        # e + i f meets its conjugate only in 0 but pairs with itself to -i
+        i = GaussianRational(0, 1)
+        with pytest.raises(AssertionError, match="not isotropic"):
+            _finish_induced(1, [[QI.one, i]])
+
+    def test_induced_structure_carries_the_induced_eigenspace(self, kernel_eigenspaces):
+        rng = Random(4)
+        for _ in range(10):
+            j = random_gcs(rng, 4)
+            w = random_subspace(rng, 4)
+            for ind in (induce_on_subspace(j, w), induce_on_quotient(j, w)):
+                if ind.is_gc:
+                    del kernel_eigenspaces[:]
+                    assert to_eigenspace(ind.jw).e == ind.ew
+                    assert kernel_eigenspaces == []
+                    assert to_eigenspace(GCAut(*ind.jw.blocks())).e == ind.ew
 
 
 class TestInduceOnQuotient:
