@@ -38,7 +38,7 @@ from .core import (
     validate_aut,
     validate_eigenspace,
 )
-from .fields import QQ
+from .fields import QI, QQ, I
 from .linalg import Matrix, Subspace
 from .multivector import Multivector
 from .relations import (
@@ -247,66 +247,64 @@ def _load_subspace(path: str, n: int) -> Subspace:
     return sub
 
 
+# Each subspace test returns (ok, witness, complement): the witness is
+# printed when ok is false, the complement subspace when it is not None.
+
+
+def _vector_verdict(witness):
+    """The verdict of a witness function: no witness vector means true."""
+    if witness is None:
+        return True, None, None
+    return False, encode_vector(witness), None
+
+
+def _subspace_lagrangian(j, w, args):
+    witness = generalized_isotropic_witness(j, w)
+    if witness is None:
+        witness = generalized_coisotropic_witness(j, w)
+    return _vector_verdict(witness)
+
+
+def _subspace_graph(j, w, args):
+    if not args.k:
+        raise CliError("--test graph needs --k with a structure on W")
+    ok = satisfies_graph_condition(j, w, _structure_to_aut(_load_gcs(args.k)))
+    return ok, "graph generator escapes the graph-plus-annihilator", None
+
+
+def _subspace_split(j, w, args):
+    if args.n:
+        n_comp = _load_subspace(args.n, j.n)
+        ok = verify_split(j, w, n_comp)
+        return ok, "carrier does not split along the given pair", n_comp if ok else None
+    try:
+        cand = find_split_complement(j, w)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    return cand is not None, "no splitting complement exists", cand
+
+
+_SUBSPACE_TESTS = {
+    "gc": lambda j, w, args: _vector_verdict(induce_on_subspace(j, w).witness),
+    "isotropic": lambda j, w, args: _vector_verdict(generalized_isotropic_witness(j, w)),
+    "coisotropic": lambda j, w, args: _vector_verdict(generalized_coisotropic_witness(j, w)),
+    "lagrangian": _subspace_lagrangian,
+    "graph": _subspace_graph,
+    "split": _subspace_split,
+}
+
+
 def _cmd_subspace(args) -> int:
     j = _load_aut(args.file)
     w = _load_subspace(args.w, j.n)
-    test = args.test
-    if test == "gc":
-        ind = induce_on_subspace(j, w)
-        out = {"result": ind.is_gc}
-        if not ind.is_gc:
-            out["witness"] = encode_vector(ind.witness)
-        _emit(out)
-        return 0 if ind.is_gc else 1
-    if test in ("isotropic", "coisotropic", "lagrangian"):
-        w_iso = generalized_isotropic_witness(j, w)
-        w_coiso = generalized_coisotropic_witness(j, w)
-        witness = None
-        if test == "isotropic":
-            ok, witness = w_iso is None, w_iso
-        elif test == "coisotropic":
-            ok, witness = w_coiso is None, w_coiso
-        else:
-            ok = w_iso is None and w_coiso is None
-            witness = w_iso if w_iso is not None else w_coiso
-        out = {"result": ok}
-        if not ok:
-            out["witness"] = encode_vector(witness)
-        _emit(out)
-        return 0 if ok else 1
-    if test == "graph":
-        if not args.k:
-            raise CliError("--test graph needs --k with a structure on W")
-        k = _structure_to_aut(_load_gcs(args.k))
-        ok = satisfies_graph_condition(j, w, k)
-        out = {"result": ok}
-        if not ok:
-            out["witness"] = "graph generator escapes the graph-plus-annihilator"
-        _emit(out)
-        return 0 if ok else 1
-    if test == "split":
-        if args.n:
-            n_comp = _load_subspace(args.n, j.n)
-            ok = verify_split(j, w, n_comp)
-            out = {"result": ok}
-            if ok:
-                out["complement"] = encode_subspace(n_comp)
-            else:
-                out["witness"] = "carrier does not split along the given pair"
-            _emit(out)
-            return 0 if ok else 1
-        try:
-            cand = find_split_complement(j, w)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        out = {"result": cand is not None}
-        if cand is not None:
-            out["complement"] = encode_subspace(cand)
-        else:
-            out["witness"] = "no splitting complement exists"
-        _emit(out)
-        return 0 if cand is not None else 1
-    raise CliError(f"unknown subspace test {test!r}")
+    ok, witness, complement = _SUBSPACE_TESTS[args.test](j, w, args)
+    out = {"result": ok}
+    if not ok:
+        out["witness"] = witness
+    if complement is not None:
+        out["complement"] = encode_subspace(complement)
+    _emit(out)
+    return 0 if ok else 1
 
 
 def _cmd_induce(args) -> int:
@@ -384,9 +382,7 @@ def _cmd_demo(args) -> int:
         if not ind.is_gc or quot.is_gc:
             raise AssertionError("fixture verdicts changed")
         # pi(p1 + i q2) in quotient coordinates (pi(p2), pi(q2))
-        from .fields import QI, GaussianRational
-
-        witness = [QI.zero, GaussianRational(0, 1), QI.zero, QI.zero]
+        witness = [QI.zero, I, QI.zero, QI.zero]
         bad = quot.ew.intersect(quot.ew.conjugate())
         if not bad.contains(witness):
             raise AssertionError("stated witness left the intersection")
@@ -548,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--test",
         required=True,
-        choices=["gc", "isotropic", "coisotropic", "lagrangian", "graph", "split"],
+        choices=list(_SUBSPACE_TESTS),
     )
     p.add_argument("--w", required=True, metavar="SUBSPACE_FILE")
     p.add_argument("--k", metavar="GCS_FILE")

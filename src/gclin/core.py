@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import QI, QQ, GaussianRational, rational_from_ints
+from .fields import QI, QQ, GaussianRational, I, rational_from_ints
 from .linalg import Matrix, Subspace, vec_dot
-from .multivector import Multivector, two_form_coeff, two_form_from_coeff
 
 _MINUS_HALF = rational_from_ints(-1, 2)
 
@@ -111,10 +110,6 @@ class TwoForm:
         w = Matrix(self.m.field, basis_rows, cols=self.m.cols)
         return TwoForm(w @ self.m @ w.transpose())
 
-    def to_multivector(self) -> Multivector:
-        # map matrix and coefficient matrix differ by a transpose
-        return two_form_from_coeff(self.m.transpose().to_gaussian())
-
     def __add__(self, other: "TwoForm") -> "TwoForm":
         return TwoForm(self.m + other.m)
 
@@ -139,18 +134,6 @@ class BiVector:
     @staticmethod
     def zero(n: int) -> "BiVector":
         return BiVector(Matrix.zero(QQ, n, n))
-
-
-def two_form_from_multivector(mv: Multivector) -> TwoForm:
-    coeff = two_form_coeff(mv)
-    if not coeff.is_real():
-        raise ValueError("two-form has non-real coefficients")
-    return TwoForm(coeff.transpose().real_part())
-
-
-def complex_two_form_map(mv: Multivector) -> Matrix:
-    """Map matrix of a possibly complex 2-form multivector."""
-    return two_form_coeff(mv).transpose()
 
 
 class GCAut:
@@ -314,12 +297,11 @@ def _aut_of(e: IsotropicE) -> GCAut:
     cols = [row[:] for row in e.e.basis.data]
     cols += [row[:] for row in e.e.conjugate().basis.data]
     p = Matrix(QI, cols, cols=2 * n).transpose()
-    i_scalar = GaussianRational(0, 1)
     d = Matrix.zero(QI, 2 * n, 2 * n)
     for k in range(n):
-        d.data[k][k] = i_scalar
+        d.data[k][k] = I
     for k in range(n, 2 * n):
-        d.data[k][k] = -i_scalar
+        d.data[k][k] = -I
     full = p @ d @ p.inverse()
     if not full.is_real():
         raise AssertionError("reconstructed automorphism is not real")
@@ -396,11 +378,7 @@ def direct_sum(a: GCAut, b: GCAut) -> GCAut:
 
 def direct_sum_eigenspace(a: IsotropicE, b: IsotropicE) -> IsotropicE:
     nu = _interleave(a.n, b.n, QI)
-    src = [row + [QI.zero] * (2 * b.n) for row in a.e.basis.data]
-    src += [[QI.zero] * (2 * a.n) + row for row in b.e.basis.data]
-    size = 2 * (a.n + b.n)
-    rows = (Matrix(QI, src, cols=size) @ nu.transpose()).data
-    return IsotropicE(a.n + b.n, Subspace.from_spanning(QI, size, rows))
+    return IsotropicE(a.n + b.n, a.e.direct_sum(b.e).image(nu))
 
 
 def twisted_product(a: GCAut, b: GCAut) -> GCAut:
@@ -410,30 +388,18 @@ def twisted_product(a: GCAut, b: GCAut) -> GCAut:
 
 def vector_summand(n: int) -> Subspace:
     """The copy of the complexified V inside V + V* (covector part zero)."""
-    rows = []
-    for i in range(n):
-        v = [QI.zero] * (2 * n)
-        v[i] = QI.one
-        rows.append(v)
-    return Subspace.from_spanning(QI, 2 * n, rows)
+    return Subspace.coordinate(QI, 2 * n, range(n))
 
 
 def covector_summand(n: int) -> Subspace:
-    rows = []
-    for i in range(n):
-        v = [QI.zero] * (2 * n)
-        v[n + i] = QI.one
-        rows.append(v)
-    return Subspace.from_spanning(QI, 2 * n, rows)
+    """The copy of the complexified V* inside V + V* (vector part zero)."""
+    return Subspace.coordinate(QI, 2 * n, range(n, 2 * n))
 
 
 def projection_matrix(n: int, which: str) -> Matrix:
-    """Coordinate projection of V + V* onto V ('vector') or V* ('covector')."""
-    m = Matrix.zero(QI, n, 2 * n)
-    off = 0 if which == "vector" else n
-    for i in range(n):
-        m.data[i][off + i] = QI.one
-    return m
+    """Coordinate projection of V + V* onto V ('vector') or V* ('covector');
+    its rows are the basis of the matching summand."""
+    return (vector_summand(n) if which == "vector" else covector_summand(n)).basis
 
 
 def conjugate_by_basis(j: GCAut, p: Matrix) -> GCAut:

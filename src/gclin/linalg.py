@@ -5,7 +5,10 @@ plain row-major lists of exact scalars are used throughout.  No floating
 point, no pivot tolerances: a pivot is any entry != 0.
 
 Subspaces are stored by a reduced row-echelon basis, which makes equality
-of subspaces a syntactic comparison of bases.
+of subspaces a syntactic comparison of bases.  Coordinate subspaces
+(spans of unit vectors), direct sums on complementary coordinate blocks
+and graphs of maps have bases already in that form, so ``coordinate``,
+``direct_sum`` and ``graph`` build them without elimination.
 
 Elimination, products and vector operations (dot products, matrix times
 vector, images, reduction modulo a subspace) all run on plain integers
@@ -332,11 +335,6 @@ class Matrix:
             right = _lift(field, right)
         return Matrix._wrap(field, _product_rows(field, left, right), other.cols)
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self @ other
-        return self.scale(other)
-
     def apply(self, v):
         """Matrix times column vector, returned as a plain list."""
         if len(v) != self.cols:
@@ -462,14 +460,28 @@ class Subspace:
         return Subspace(field, ambient_dim, basis, pivots)
 
     @staticmethod
+    def coordinate(field, ambient_dim, indices) -> "Subspace":
+        """The span of the unit vectors e_c for c in indices (ascending)."""
+        pivots = list(indices)
+        if any(not 0 <= a < b for a, b in zip(pivots, pivots[1:] + [ambient_dim])):
+            raise ValueError("coordinate indices must ascend within the ambient dimension")
+        zero, one = field.zero, field.one
+        rows = [[one if c == i else zero for c in range(ambient_dim)] for i in pivots]
+        return Subspace(field, ambient_dim, Matrix._wrap(field, rows, ambient_dim), pivots)
+
+    @staticmethod
     def zero(field, ambient_dim) -> "Subspace":
-        return Subspace(field, ambient_dim, Matrix(field, [], cols=ambient_dim), [])
+        return Subspace.coordinate(field, ambient_dim, [])
 
     @staticmethod
     def full(field, ambient_dim) -> "Subspace":
-        return Subspace(
-            field, ambient_dim, Matrix.identity(field, ambient_dim), list(range(ambient_dim))
-        )
+        return Subspace.coordinate(field, ambient_dim, range(ambient_dim))
+
+    @staticmethod
+    def graph(m: Matrix) -> "Subspace":
+        """The graph {(x, m x)} of the map m, inside F^cols + F^rows."""
+        rows = Matrix.from_blocks(m.field, [[Matrix.identity(m.field, m.cols), m.transpose()]])
+        return Subspace(m.field, m.cols + m.rows, rows, list(range(m.cols)))
 
     @property
     def dim(self) -> int:
@@ -518,6 +530,17 @@ class Subspace:
             raise ValueError("vector not in subspace")
         return [self.field.coerce(v[p]) for p in self.pivots]
 
+    def direct_sum(self, other: "Subspace") -> "Subspace":
+        """self + other inside F^(m + k), self on the first m coordinates
+        and other on the last k."""
+        if self.field is not other.field:
+            raise ValueError("direct sum of subspaces over different fields")
+        m, k, zero = self.ambient_dim, other.ambient_dim, self.field.zero
+        rows = [row + [zero] * k for row in self.basis.data]
+        rows += [[zero] * m + row for row in other.basis.data]
+        pivots = self.pivots + [m + p for p in other.pivots]
+        return Subspace(self.field, m + k, Matrix._wrap(self.field, rows, m + k), pivots)
+
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace._span(self.field, self.ambient_dim, self.basis.data + other.basis.data)
@@ -546,12 +569,7 @@ class Subspace:
     def complement(self) -> "Subspace":
         """Deterministic complement spanned by non-pivot coordinate vectors."""
         free = [c for c in range(self.ambient_dim) if c not in self.pivots]
-        vectors = []
-        for c in free:
-            v = [self.field.zero] * self.ambient_dim
-            v[c] = self.field.one
-            vectors.append(v)
-        return Subspace._span(self.field, self.ambient_dim, vectors)
+        return Subspace.coordinate(self.field, self.ambient_dim, free)
 
     def image(self, m: Matrix) -> "Subspace":
         """Image of this subspace under the linear map given by m."""

@@ -43,6 +43,7 @@ def mask_to_indices(mask: int):
 
 
 def indices_to_mask(indices) -> int:
+    """Bitmask of 0-based indices; an index given twice is a ValueError."""
     mask = 0
     for i in indices:
         bit = 1 << i
@@ -141,9 +142,6 @@ class Multivector:
                     terms.pop(mask, None)
         return Multivector(self.n, terms)
 
-    def __xor__(self, other):
-        return self.wedge(other)
-
     def contract(self, coords) -> "Multivector":
         """Interior product with the vector having the given coordinates."""
         if len(coords) != self.n:
@@ -168,11 +166,6 @@ class Multivector:
                 else:
                     terms.pop(new_mask, None)
         return Multivector(self.n, terms)
-
-    def grade_part(self, k: int) -> "Multivector":
-        return Multivector(
-            self.n, {m: c for m, c in self.terms.items() if bin(m).count("1") == k}
-        )
 
     def grades(self):
         return sorted({bin(m).count("1") for m in self.terms})
@@ -211,9 +204,6 @@ class Multivector:
             fact *= m
             out = out + power.scale(rational(1) / fact)
         return out
-
-    def coefficient(self, indices) -> GaussianRational:
-        return self.terms.get(indices_to_mask(indices), QI.zero)
 
     def top_coefficient(self) -> GaussianRational:
         return self.terms.get((1 << self.n) - 1, QI.zero)

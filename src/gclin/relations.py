@@ -35,44 +35,24 @@ class LinearRelation:
 
 
 def identity_relation(j: GCAut) -> LinearRelation:
-    n = j.n
-    rows = []
-    for i in range(n):
-        v = [QQ.zero] * (2 * n)
-        v[i] = QQ.one
-        v[n + i] = QQ.one
-        rows.append(v)
-    return LinearRelation(j, j, Subspace.from_spanning(QQ, 2 * n, rows))
+    """The graph of the identity map of j's carrier."""
+    return map_relation(Matrix.identity(QQ, j.n), j, j)
 
 
 def map_relation(mu: Matrix, a: GCAut, b: GCAut) -> LinearRelation:
     """The graph of the linear map mu as a relation from a to b."""
     if mu.cols != a.n or mu.rows != b.n:
         raise ValueError("map shape does not match the endpoint spaces")
-    rows = []
-    for i, mu_col in enumerate(mu.transpose().data):
-        unit = [QQ.one if x == i else QQ.zero for x in range(a.n)]
-        rows.append(unit + mu_col)
-    return LinearRelation(a, b, Subspace.from_spanning(QQ, a.n + b.n, rows))
+    return LinearRelation(a, b, Subspace.graph(mu))
 
 
 def compose_subspaces(phi: Subspace, gamma: Subspace, nv: int, nw: int, nz: int) -> Subspace:
     """Composition of plain relation subspaces (gamma: V to W, phi: W to Z)."""
     if gamma.ambient_dim != nv + nw or phi.ambient_dim != nw + nz:
         raise ValueError("relation ambient dimensions do not chain")
-    total = nv + nw + nz
-    first = [list(row) + [QQ.zero] * nz for row in gamma.basis.data]
-    for i in range(nz):
-        v = [QQ.zero] * total
-        v[nv + nw + i] = QQ.one
-        first.append(v)
-    second = [[QQ.zero] * nv + list(row) for row in phi.basis.data]
-    for i in range(nv):
-        v = [QQ.zero] * total
-        v[i] = QQ.one
-        second.append(v)
-    chained = Subspace.from_spanning(QQ, total, first).intersect(
-        Subspace.from_spanning(QQ, total, second)
+    # gamma + Z meets V + phi inside V + W + Z
+    chained = gamma.direct_sum(Subspace.full(QQ, nz)).intersect(
+        Subspace.full(QQ, nv).direct_sum(phi)
     )
     projected = [row[:nv] + row[nv + nw :] for row in chained.basis.data]
     return Subspace.from_spanning(QQ, nv + nz, projected)

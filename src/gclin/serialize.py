@@ -13,7 +13,7 @@ import re
 from .core import GCAut, IsotropicE
 from .fields import QI, QQ, GaussianRational, format_rational, rational
 from .linalg import Matrix, Subspace
-from .multivector import Multivector, mask_to_indices
+from .multivector import Multivector, indices_to_mask, mask_to_indices
 from .relations import LinearRelation
 from .spinor import StandardForm
 
@@ -88,10 +88,6 @@ def decode_subspace(data, field) -> Subspace:
     return Subspace.from_spanning(field, ambient, basis.data)
 
 
-def encode_two_form_matrix(m: Matrix) -> list:
-    return encode_matrix(m)
-
-
 def decode_two_form_matrix(data, n=None) -> Matrix:
     m = decode_matrix(data, QQ)
     if m.rows != m.cols or (n is not None and m.rows != n):
@@ -140,12 +136,10 @@ def decode_multivector(data, n: int) -> Multivector:
         indices = item["indices"]
         if any(not isinstance(i, int) or i < 1 or i > n for i in indices):
             raise PayloadError("term indices must lie in 1..n")
-        mask = 0
-        for i in indices:
-            bit = 1 << (i - 1)
-            if mask & bit:
-                raise PayloadError("repeated index in term")
-            mask |= bit
+        try:
+            mask = indices_to_mask([i - 1 for i in indices])
+        except ValueError as exc:
+            raise PayloadError(str(exc)) from None
         coeff = decode_gaussian(item["coeff"])
         if mask in terms:
             raise PayloadError("repeated term in multivector")

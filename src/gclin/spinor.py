@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import is_isotropic
+from .core import covector_summand, is_isotropic
 from .fields import QI, GaussianRational
 from .linalg import Matrix, Subspace, vec_dot
 from .multivector import Multivector
@@ -41,11 +41,7 @@ def annihilator_subspace(phi: Multivector) -> Subspace:
     if phi.is_zero():
         raise ValueError("zero spinor has no annihilator subspace")
     n = phi.n
-    images = []
-    for i in range(2 * n):
-        coords = [QI.zero] * (2 * n)
-        coords[i] = QI.one
-        images.append(clifford_act(coords, phi))
+    images = [clifford_act(unit, phi) for unit in Matrix.identity(QI, 2 * n).data]
     masks = sorted({m for img in images for m in img.terms})
     rows = [[img.terms.get(m, QI.zero) for img in images] for m in masks]
     return Matrix(QI, rows, cols=2 * n).kernel()
@@ -105,10 +101,16 @@ class StandardForm:
         return len(self.factors)
 
     def expand(self) -> Multivector:
-        out = self.u.exp().scale(self.c)
-        for f in self.factors:
-            out = out.wedge(f)
-        return out
+        """c * exp(u) ^ f_1 ^ ... ^ f_k."""
+        return spinor_product(self.u, self.factors).scale(self.c)
+
+
+def spinor_product(u: Multivector, factors) -> Multivector:
+    """exp(u) ^ f_1 ^ ... ^ f_k for a 2-form u and 1-forms f_i."""
+    out = u.exp()
+    for f in factors:
+        out = out.wedge(f)
+    return out
 
 
 def _covector_rows(factors, n):
@@ -123,8 +125,7 @@ def standard_data_for_subspace(e: Subspace):
     coordinates whose restriction to the vector part of e matches the
     covector parts of lifted basis vectors.
     """
-    two_n = e.ambient_dim
-    n = two_n // 2
+    n = e.ambient_dim // 2
     if e.dim != n:
         raise ValueError("subspace is not half-dimensional")
     if not is_isotropic(e):
@@ -132,10 +133,7 @@ def standard_data_for_subspace(e: Subspace):
     rows = e.basis.data
 
     # covector-only part: factors f_1..f_k
-    covector_block = Subspace.from_spanning(
-        QI, two_n, [[QI.zero] * n + [QI.one if j == i else QI.zero for j in range(n)] for i in range(n)]
-    )
-    phi_part = e.intersect(covector_block)
+    phi_part = e.intersect(covector_summand(n))
     factor_rows = [row[n:] for row in phi_part.basis.data]
     k = len(factor_rows)
 
@@ -180,10 +178,7 @@ def standard_data_for_subspace(e: Subspace):
 
 def spinor_from_subspace(e: Subspace) -> SpinorLine:
     """The unique spinor line killed by a maximally isotropic subspace."""
-    u, factors = standard_data_for_subspace(e)
-    phi = u.exp()
-    for f in factors:
-        phi = phi.wedge(f)
+    phi = spinor_product(*standard_data_for_subspace(e))
     if phi.is_zero():
         raise AssertionError("representative spinor vanished")
     return SpinorLine.of(phi)
@@ -197,9 +192,7 @@ def standard_form(phi: Multivector) -> StandardForm:
     if e.dim != phi.n:
         raise ValueError("spinor is not pure")
     u, factors = standard_data_for_subspace(e)
-    base = u.exp()
-    for f in factors:
-        base = base.wedge(f)
+    base = spinor_product(u, factors)
     mask, lead = base.leading_term()
     c = phi.terms.get(mask, QI.zero) / lead
     if not c or base.scale(c) != phi:
@@ -234,10 +227,10 @@ def mukai_pairing(alpha: Multivector, beta: Multivector) -> GaussianRational:
     return alpha.reversal().wedge(beta).top_coefficient()
 
 
-def check_mukai_formula(sf: StandardForm) -> bool:
-    """Vanishing of <phi, conj phi> matches (u - conj u)^p ^ f ^ conj f.
+def _mukai_sides(sf: StandardForm):
+    """(<phi, conj phi>, top coefficient of (u - conj u)^p ^ f ^ conj f).
 
-    p = n/2 - k; for k > n/2 the right side is taken to be zero.
+    p = n/2 - k; for k > n/2 the right side is None.
     """
     n = sf.n
     if n % 2:
@@ -246,40 +239,32 @@ def check_mukai_formula(sf: StandardForm) -> bool:
     lhs = mukai_pairing(phi, phi.conjugate())
     p = n // 2 - sf.k
     if p < 0:
-        rhs = Multivector.zero(n)
-    else:
-        diff = sf.u - sf.u.conjugate()
-        rhs = Multivector.scalar(n, 1)
-        for _ in range(p):
-            rhs = rhs.wedge(diff)
-        for f in sf.factors:
-            rhs = rhs.wedge(f)
-        for f in sf.factors:
-            rhs = rhs.wedge(f.conjugate())
-    return bool(lhs) == bool(rhs.top_coefficient())
-
-
-def mukai_formula_ratio(sf: StandardForm):
-    """Ratio of the two sides compared above, or None when both vanish."""
-    n = sf.n
-    if n % 2:
-        raise ValueError("the comparison needs an even-dimensional space")
-    phi = sf.expand()
-    lhs = mukai_pairing(phi, phi.conjugate())
-    p = n // 2 - sf.k
-    if p < 0:
-        if lhs:
-            raise AssertionError("pairing nonzero with overfull factor count")
-        return None
+        return lhs, None
     diff = sf.u - sf.u.conjugate()
     rhs = Multivector.scalar(n, 1)
     for _ in range(p):
         rhs = rhs.wedge(diff)
-    for f in sf.factors:
+    for f in (*sf.factors, *(f.conjugate() for f in sf.factors)):
         rhs = rhs.wedge(f)
-    for f in sf.factors:
-        rhs = rhs.wedge(f.conjugate())
-    bottom = rhs.top_coefficient()
+    return lhs, rhs.top_coefficient()
+
+
+def check_mukai_formula(sf: StandardForm) -> bool:
+    """Vanishing of <phi, conj phi> matches (u - conj u)^p ^ f ^ conj f.
+
+    p = n/2 - k; for k > n/2 the right side is taken to be zero.
+    """
+    lhs, rhs = _mukai_sides(sf)
+    return bool(lhs) == bool(rhs)
+
+
+def mukai_formula_ratio(sf: StandardForm):
+    """Ratio of the two sides compared above, or None when both vanish."""
+    lhs, bottom = _mukai_sides(sf)
+    if bottom is None:
+        if lhs:
+            raise AssertionError("pairing nonzero with overfull factor count")
+        return None
     if not bottom:
         if lhs:
             raise AssertionError("pairing nonzero while the product form vanishes")

@@ -36,6 +36,7 @@ from .spinor import (
     SpinorLine,
     StandardForm,
     annihilator_subspace,
+    spinor_product,
     standard_data_for_subspace,
 )
 from .transforms import _recover, beta_transform, classify_type
@@ -69,21 +70,26 @@ def _finish_induced(dim_target: int, rows) -> InducedStructure:
     return InducedStructure(ew, False, None, tuple(bad.basis.data[0]))
 
 
-def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
-    """Structure induced on W: restrict covectors of E over points of W."""
+def _cut(j: GCAut, w: Subspace, quotient: bool) -> Matrix:
+    """Basis of E cut by the window W_C + V_C* (or V_C + Ann(W)_C for the
+    quotient), the step shared by both induced structures."""
     n = j.n
     if w.ambient_dim != n or w.field is not QQ:
         raise ValueError("W must be a rational subspace of the carrier")
     e = to_eigenspace(j).e
-    w_c = w.to_gaussian().basis
-    allowed = [row + [QI.zero] * n for row in w_c.data]
-    for i in range(n):
-        vec = [QI.zero] * (2 * n)
-        vec[n + i] = QI.one
-        allowed.append(vec)
-    window = Subspace.from_spanning(QI, 2 * n, allowed)
-    cut = e.intersect(window).basis
-    restricted = cut.block(0, cut.rows, n, 2 * n) @ w_c.transpose()
+    full = Subspace.full(QI, n)
+    if quotient:
+        window = full.direct_sum(w.annihilator().to_gaussian())
+    else:
+        window = w.to_gaussian().direct_sum(full)
+    return e.intersect(window).basis
+
+
+def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
+    """Structure induced on W: restrict covectors of E over points of W."""
+    n = j.n
+    cut = _cut(j, w, quotient=False)
+    restricted = cut.block(0, cut.rows, n, 2 * n) @ w.basis.transpose()
     rows = [
         [vec[p] for p in w.pivots] + f_on_w for vec, f_on_w in zip(cut.data, restricted.data)
     ]
@@ -93,26 +99,13 @@ def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
 def induce_on_quotient(j: GCAut, w: Subspace) -> InducedStructure:
     """Structure induced on V/W: keep covectors annihilating W."""
     n = j.n
-    if w.ambient_dim != n or w.field is not QQ:
-        raise ValueError("W must be a rational subspace of the carrier")
-    e = to_eigenspace(j).e
-    ann_w = w.annihilator().to_gaussian()
-    allowed = []
-    for i in range(n):
-        vec = [QI.zero] * (2 * n)
-        vec[i] = QI.one
-        allowed.append(vec)
-    for row in ann_w.basis.data:
-        allowed.append([QI.zero] * n + list(row))
-    window = Subspace.from_spanning(QI, 2 * n, allowed)
-    cut = e.intersect(window)
+    cut = _cut(j, w, quotient=True)
     free = [c for c in range(n) if c not in w.pivots]
     w_c = w.to_gaussian()
     rows = []
-    for vec in cut.basis.data:
-        v, f = vec[:n], vec[n:]
-        v_red = w_c.reduce(v)
-        rows.append([v_red[c] for c in free] + [f[c] for c in free])
+    for vec in cut.data:
+        v_red = w_c.reduce(vec[:n])
+        rows.append([v_red[c] for c in free] + [vec[n + c] for c in free])
     return _finish_induced(n - w.dim, rows)
 
 
@@ -147,30 +140,16 @@ def restrict_spinor(j: GCAut, w: Subspace):
     factors = tuple(Multivector.covector(n, row) for row in factor_rows)
     sf = StandardForm(QI.one, u, factors)
 
-    m = w.dim
     wmat = w_ci.basis
     u_w = two_form_from_coeff(wmat @ two_form_coeff(u) @ wmat.transpose())
-    phi_w = u_w.exp()
     pulled = Matrix(QI, factor_rows[:l], cols=n) @ wmat.transpose()
-    for row in pulled.data:
-        phi_w = phi_w.wedge(Multivector.covector(m, row))
+    phi_w = spinor_product(u_w, [Multivector.covector(w.dim, row) for row in pulled.data])
     if phi_w.is_zero():
         raise AssertionError("restricted spinor vanished")
     line_w = SpinorLine.of(phi_w)
     if annihilator_subspace(line_w.rep) != induce_on_subspace(j, w).ew:
         raise AssertionError("restricted spinor does not represent the induced structure")
     return sf, l, line_w
-
-
-def _graph_subspace(w: Subspace) -> Subspace:
-    """Graph of the inclusion of W into V, inside W + V (W coordinates first)."""
-    m, n = w.dim, w.ambient_dim
-    rows = []
-    for a, wr in enumerate(w.basis.data):
-        row = [QQ.zero] * m + list(wr)
-        row[a] = QQ.one
-        rows.append(row)
-    return Subspace.from_spanning(QQ, m + n, rows)
 
 
 def generalized_isotropic_witness(j: GCAut, w: Subspace):
@@ -229,8 +208,9 @@ def satisfies_graph_condition(j: GCAut, w: Subspace, k: GCAut) -> bool:
         )
     )
 
+    # the graph of the inclusion of W into V, inside W + V
     tp = twisted_product(k, j)
-    by_graph = is_generalized_isotropic(tp, _graph_subspace(w))
+    by_graph = is_generalized_isotropic(tp, Subspace.graph(w.basis.transpose()))
     if by_blocks != by_graph:
         raise AssertionError("block and graph evaluations disagree")
     return by_graph
@@ -256,15 +236,6 @@ def beta_between(j: GCAut, j_alt: GCAut) -> BiVector:
     return beta
 
 
-def _stable_pair_span(w: Subspace, n_comp: Subspace) -> Subspace:
-    """W + Ann(N) inside V + V* (rational coordinates)."""
-    n = w.ambient_dim
-    rows = [list(wr) + [QQ.zero] * n for wr in w.basis.data]
-    for f in n_comp.annihilator().basis.data:
-        rows.append([QQ.zero] * n + list(f))
-    return Subspace.from_spanning(QQ, 2 * n, rows)
-
-
 def verify_split(j: GCAut, w: Subspace, n_comp: Subspace) -> bool:
     """V = W + N and W + Ann(N) stable under the automorphism."""
     n = j.n
@@ -272,18 +243,15 @@ def verify_split(j: GCAut, w: Subspace, n_comp: Subspace) -> bool:
         raise ValueError("subspaces must live in the carrier")
     if w.dim + n_comp.dim != n or not w.intersect(n_comp).is_zero():
         return False
-    span = _stable_pair_span(w, n_comp)
+    span = w.direct_sum(n_comp.annihilator())  # W + Ann(N) inside V + V*
     return all(span.contains(x) for x in (span.basis @ j.full().transpose()).data)
 
 
 def _induced_on_summand(j: GCAut, w: Subspace, n_comp: Subspace) -> GCAut:
     """psi (J restricted to W + Ann(N)) psi^-1 on W + W*."""
-    n = j.n
     m = w.dim
     ann_n = n_comp.annihilator()
-    basis_rows = [list(wr) + [QQ.zero] * n for wr in w.basis.data]
-    basis_rows += [[QQ.zero] * n + list(f) for f in ann_n.basis.data]
-    rows = Matrix(QQ, basis_rows, cols=2 * n)
+    rows = w.direct_sum(ann_n).basis
     basis = rows.transpose()
     images = []
     for img in (rows @ j.full().transpose()).data:

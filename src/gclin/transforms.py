@@ -25,10 +25,10 @@ from .core import (
     validate_aut,
     vector_summand,
 )
-from .fields import QI, QQ, GaussianRational
+from .fields import QI, QQ, I
 from .linalg import Matrix
 from .multivector import Multivector, two_form_from_coeff
-from .spinor import SpinorLine, annihilator_subspace
+from .spinor import SpinorLine, annihilator_subspace, spinor_product
 
 
 def _b_matrix(b: TwoForm) -> Matrix:
@@ -61,10 +61,6 @@ def beta_transform(j: GCAut, beta: BiVector) -> GCAut:
 
 def b_transform_eigenspace(e: IsotropicE, b: TwoForm) -> IsotropicE:
     return IsotropicE(e.n, e.e.image(_b_matrix(b).to_gaussian()))
-
-
-def beta_transform_eigenspace(e: IsotropicE, beta: BiVector) -> IsotropicE:
-    return IsotropicE(e.n, e.e.image(_beta_matrix(beta).to_gaussian()))
 
 
 @dataclass(frozen=True)
@@ -199,24 +195,11 @@ def assemble_sum_transform(
 
     n = s + c
     b_map = Matrix.from_blocks(QQ, [[b1, b2], [b3, b4]]).to_gaussian()
-    omega_big = Matrix.zero(QI, n, n)
-    for a in range(s):
-        for bcol in range(s):
-            omega_big.data[a][bcol] = QI.coerce(w.data[a][bcol])
-    i_scalar = GaussianRational(0, 1)
-    u_map = -b_map + omega_big.scale(i_scalar)
-    u = two_form_from_coeff(u_map.transpose())
-    anti = (jt.to_gaussian() + Matrix.identity(QI, c).scale(i_scalar)).kernel()
-    factors = []
-    for row in anti.basis.data:
-        coords = [QI.zero] * n
-        for idx, val in enumerate(row):
-            coords[s + idx] = val
-        factors.append(Multivector.covector(n, coords))
-    phi = u.exp()
-    for f in factors:
-        phi = phi.wedge(f)
-    line = SpinorLine.of(phi)
+    omega_big = Matrix.from_blocks(QQ, [[w, zsc], [zcs, zcc]]).to_gaussian()
+    u = two_form_from_coeff((-b_map + omega_big.scale(I)).transpose())
+    anti = (jt.to_gaussian() + Matrix.identity(QI, c).scale(I)).kernel()
+    factors = [Multivector.covector(n, [QI.zero] * s + row) for row in anti.basis.data]
+    line = SpinorLine.of(spinor_product(u, factors))
     if annihilator_subspace(line.rep) != to_eigenspace(aut).e:
         raise AssertionError("matrix form and spinor describe different structures")
     return aut, line
@@ -245,7 +228,7 @@ def analyze_t(omega: TwoForm, t: Matrix) -> StructureType:
         raise ValueError("T is not omega-symmetric")
     n = omega.n
     symplectic_t = t.is_zero()
-    shifted = t.to_gaussian() - Matrix.identity(QI, n).scale(GaussianRational(0, 1))
+    shifted = t.to_gaussian() - Matrix.identity(QI, n).scale(I)
     beta_symplectic_t = shifted.kernel().is_zero()
     beta_complex_t = (t @ t) == -Matrix.identity(QQ, n)
     assembled = b_transform(symplectic_structure(omega), TwoForm(omega.m @ t))

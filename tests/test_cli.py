@@ -72,6 +72,13 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+def test_repeated_index_in_multivector_term_exits_2(write, capsys):
+    payload = {"n": 2, "repr": "spinor", "spinor": [{"coeff": "1", "indices": [2, 1, 2]}]}
+    code, out = run(capsys, "validate", write("rep.json", payload))
+    assert code == 2
+    assert json.loads(out) == {"error": "repeated index in term"}
+
+
 @pytest.mark.parametrize(
     "text", ["1.5", " 3/4 ", "1e200000", "3/0", "+1", "3/-4", "1_000", "\u0663", ""]
 )

@@ -8,12 +8,14 @@ from gclin.core import (
     IsotropicE,
     TwoForm,
     complex_structure,
+    covector_summand,
     direct_sum,
     direct_sum_eigenspace,
     dualize,
     dualize_eigenspace,
     is_isotropic,
     pairing,
+    projection_matrix,
     quadratic_form,
     swap_matrix,
     symplectic_structure,
@@ -23,6 +25,7 @@ from gclin.core import (
     twisted_product,
     validate_aut,
     validate_eigenspace,
+    vector_summand,
 )
 from gclin.fields import QI, QQ, GaussianRational
 from gclin.linalg import Matrix, Subspace
@@ -375,3 +378,36 @@ class TestEvenDimension:
             for _ in range(50):
                 iso = random_maximal_isotropic(rng, n)
                 assert not iso.intersect(iso.conjugate()).is_zero()
+
+
+class TestCoordinateSummands:
+    """The summands and projections of V + V*, against the hand-built
+    unit vectors they were once assembled from."""
+
+    @staticmethod
+    def old_summand(n, offset):
+        rows = []
+        for i in range(n):
+            v = [QI.zero] * (2 * n)
+            v[offset + i] = QI.one
+            rows.append(v)
+        return Subspace.from_spanning(QI, 2 * n, rows)
+
+    @staticmethod
+    def old_projection(n, which):
+        m = Matrix.zero(QI, n, 2 * n)
+        off = 0 if which == "vector" else n
+        for i in range(n):
+            m.data[i][off + i] = QI.one
+        return m
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_summands_and_projections(self, n):
+        pairs = ((vector_summand(n), self.old_summand(n, 0)), (covector_summand(n), self.old_summand(n, n)))
+        for got, want in pairs:
+            assert got == want and got.pivots == want.pivots
+            assert got.basis.data == want.basis.data and got.basis.cols == want.basis.cols
+        for which in ("vector", "covector"):
+            got = projection_matrix(n, which)
+            want = self.old_projection(n, which)
+            assert got == want and got.field is QI and (got.rows, got.cols) == (n, 2 * n)

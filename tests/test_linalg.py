@@ -517,3 +517,96 @@ def test_zero_dimensional_vector_operations():
         assert z.image(Matrix.identity(field, 3)) == z
         assert Matrix.zero(field, 2, 0).apply([]) == [field.zero, field.zero]
         assert Matrix.zero(field, 0, 2).apply([1, 2]) == []
+
+
+def unit_rows(field, ambient, indices):
+    """The unit vectors e_c for c in indices, built entry by entry as the
+    callers of the coordinate builder once did; kept as an oracle."""
+    rows = []
+    for c in indices:
+        v = [field.zero] * ambient
+        v[c] = field.one
+        rows.append(v)
+    return rows
+
+
+def assert_same_subspace(got, want):
+    """Equal as subspaces, with the same basis rows and pivots."""
+    assert got == want
+    assert got.field is want.field and got.ambient_dim == want.ambient_dim
+    assert got.basis.data == want.basis.data and got.basis.cols == want.basis.cols
+    assert got.pivots == want.pivots
+
+
+@st.composite
+def index_subsets(draw, ambient):
+    """Any ascending subset of range(ambient), the empty one included."""
+    keep = draw(st.lists(st.booleans(), min_size=ambient, max_size=ambient))
+    return [c for c, k in enumerate(keep) if k]
+
+
+@FIELDS
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hyp_coordinate_equals_spanned_unit_rows(field, data):
+    ambient = data.draw(st.integers(min_value=0, max_value=8))
+    indices = data.draw(index_subsets(ambient))
+    got = Subspace.coordinate(field, ambient, indices)
+    assert_same_subspace(got, Subspace.from_spanning(field, ambient, unit_rows(field, ambient, indices)))
+    _assert_scalar_types(field, got.basis)
+
+
+@pytest.mark.parametrize("indices", [[1, 0], [0, 0], [3], [-1]])
+def test_coordinate_rejects_unordered_or_outside_indices(indices):
+    with pytest.raises(ValueError):
+        Subspace.coordinate(QQ, 3, indices)
+
+
+@FIELDS
+def test_zero_and_full_equal_their_old_form(field):
+    for n in range(5):
+        assert_same_subspace(Subspace.zero(field, n), Subspace(field, n, Matrix(field, [], cols=n), []))
+        assert_same_subspace(
+            Subspace.full(field, n), Subspace(field, n, Matrix.identity(field, n), list(range(n)))
+        )
+
+
+@FIELDS
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hyp_complement_equals_spanned_free_units(field, data):
+    s = data.draw(spanned_subspaces(field, data.draw(st.integers(min_value=0, max_value=8))))
+    free = [c for c in range(s.ambient_dim) if c not in s.pivots]
+    want = Subspace.from_spanning(field, s.ambient_dim, unit_rows(field, s.ambient_dim, free))
+    assert_same_subspace(s.complement(), want)
+
+
+@FIELDS
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hyp_direct_sum_equals_spanned_padded_rows(field, data):
+    a = data.draw(spanned_subspaces(field))
+    b = data.draw(spanned_subspaces(field))
+    m, k = a.ambient_dim, b.ambient_dim
+    rows = [row + [field.zero] * k for row in a.basis.data]
+    rows += [[field.zero] * m + row for row in b.basis.data]
+    assert_same_subspace(a.direct_sum(b), Subspace.from_spanning(field, m + k, rows))
+
+
+def test_direct_sum_rejects_mixed_fields():
+    with pytest.raises(ValueError):
+        Subspace.full(QQ, 2).direct_sum(Subspace.full(QI, 2))
+
+
+@FIELDS
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hyp_graph_equals_spanned_graph_rows(field, data):
+    rows = data.draw(st.integers(min_value=0, max_value=4))
+    cols = data.draw(st.integers(min_value=0, max_value=4))
+    m = Matrix(field, data.draw(matrix_rows(field, rows, cols)), cols=cols)
+    spanned = [
+        unit + [m.data[r][c] for r in range(rows)]
+        for c, unit in enumerate(unit_rows(field, cols, range(cols)))
+    ]
+    assert_same_subspace(Subspace.graph(m), Subspace.from_spanning(field, cols + rows, spanned))

@@ -243,6 +243,19 @@ class TestMukaiFormula:
         assert check_mukai_formula(sf)
         assert mukai_formula_ratio(sf) is None
 
+    def test_overfull_factor_count(self):
+        # k = 2 > n/2: the product side is absent and the pairing vanishes
+        sf = standard_form(mv(2, ((1, 2), 1)))
+        assert sf.k == 2
+        assert check_mukai_formula(sf)
+        assert mukai_formula_ratio(sf) is None
+
+    def test_odd_dimension_is_refused(self):
+        sf = standard_form(mv(1, ((1,), 1)))
+        for compare in (check_mukai_formula, mukai_formula_ratio):
+            with pytest.raises(ValueError):
+                compare(sf)
+
     def test_ratio_consistent_for_fixed_shape(self):
         rng = Random(9)
         seen = {}
