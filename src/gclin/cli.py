@@ -67,7 +67,9 @@ from .spinor import (
     is_pure,
     mukai_pairing,
     spinor_from_subspace,
+    spinor_with_standard_form,
     standard_form,
+    subspace_from_standard_form,
 )
 from .subspaces import (
     generalized_coisotropic_witness,
@@ -123,12 +125,16 @@ def _structure_to_aut(obj) -> GCAut:
     if isinstance(obj, Multivector):
         if obj.is_zero():
             raise CliError("invalid structure: zero spinor")
-        if obj.n % 2 or not is_pure(obj):
+        try:
+            sf = standard_form(obj) if obj.n % 2 == 0 else None
+        except ValueError:
+            sf = None
+        if sf is None:
             raise CliError("invalid structure: spinor is not pure")
         if not mukai_pairing(obj, obj.conjugate()):
             raise CliError("invalid structure: spinor pairs to zero with its conjugate")
         try:
-            return to_aut(IsotropicE(obj.n, annihilator_subspace(obj)))
+            return to_aut(IsotropicE(obj.n, subspace_from_standard_form(sf)))
         except ValueError as exc:
             raise CliError(f"invalid structure: {exc}") from None
     raise CliError("unsupported structure payload")
@@ -183,9 +189,9 @@ def _cmd_convert(args) -> int:
     elif args.to == "E":
         _emit(encode_eigenspace(to_eigenspace(j)))
     else:
-        line = spinor_from_subspace(to_eigenspace(j).e)
+        line, sf = spinor_with_standard_form(to_eigenspace(j).e)
         payload = encode_spinor(line.rep)
-        payload["standard_form"] = encode_standard_form(standard_form(line.rep))
+        payload["standard_form"] = encode_standard_form(sf)
         _emit(payload)
     return 0
 

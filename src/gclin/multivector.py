@@ -2,14 +2,19 @@
 
 A multivector is a finite sum of terms c * f_{i1} ^ ... ^ f_{ik} with
 exact Gaussian-rational coefficients.  Terms are keyed by bitmasks over
-the index set {0, ..., n-1}; only nonzero coefficients are stored.  The
-dense 2^n envelope keeps n small (tests stay at n <= 8).
+the index set {0, ..., n-1}; only nonzero coefficients are stored.  A
+form has up to 2^n terms, so the CLI refuses spinor work above n = 16.
+``wedge`` multiplies term by term (T_a * T_b scalar products).  ``exp``
+of a 2-form, and its wedge with 1-forms, instead run on integers
+(``exp_wedge_ints``): each coefficient of exp(u) is a Pfaffian, at most
+m products per even subset of the m coordinates u lives on, each 1-form
+costs one pass over the terms, and one scalar is built per output term.
 """
 
 from __future__ import annotations
 
-from .fields import QI, GaussianRational, rational
-from .linalg import Matrix
+from .fields import QI, GaussianRational, rational_from_ints
+from .linalg import Matrix, _gauss_int_row
 
 
 def _wedge_sign(a: int, b: int) -> int:
@@ -33,12 +38,10 @@ def _contract_sign(mask: int, i: int) -> int:
 
 def mask_to_indices(mask: int):
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -191,19 +194,8 @@ class Multivector:
         return Multivector(self.n, {m: c.conjugate() for m, c in self.terms.items()})
 
     def exp(self) -> "Multivector":
-        """Exponential of a 2-form (nilpotent, so the sum is finite)."""
-        if self.grades() not in ([], [2]):
-            raise ValueError("exp is defined for homogeneous 2-forms")
-        out = Multivector.scalar(self.n, 1)
-        power = Multivector.scalar(self.n, 1)
-        fact = 1
-        for m in range(1, self.n // 2 + 1):
-            power = power.wedge(self)
-            if power.is_zero():
-                break
-            fact *= m
-            out = out + power.scale(rational(1) / fact)
-        return out
+        """Exponential of a 2-form u: the coefficient of f_S is Pf(u_S)."""
+        return from_int_terms(self.n, *exp_wedge_ints(self))
 
     def top_coefficient(self) -> GaussianRational:
         return self.terms.get((1 << self.n) - 1, QI.zero)
@@ -239,6 +231,87 @@ class Multivector:
             idx = "^".join(f"f{i + 1}" for i in mask_to_indices(m)) or "1"
             bits.append(f"({self.terms[m]})*{idx}")
         return " + ".join(bits)
+
+
+def exp_wedge_ints(u: Multivector, factors=()):
+    """exp(u) ^ f_1 ^ ... ^ f_k on integers, for a 2-form u and 1-forms f_i.
+
+    Returns (terms, den): the coefficient of f_S is (re + i im) / den(S)
+    for terms[S] = (re, im), nonzero terms only.  The coefficient of f_S
+    in exp(u) is the Pfaffian Pf(u_S).  With D the common denominator of
+    u's coefficients, one pass over the even subsets S of u's support, in
+    increasing order, expands each Pf(D u_S) along the smallest index of
+    S: at most |S| integer products per subset.  Each f_i is then wedged
+    on in integer form, scaled by the common denominator d_i of its
+    coefficients, so den(S) = D^m d_1 ... d_k for |S| = 2m + k.
+    """
+    if u.grades() not in ([], [2]):
+        raise ValueError("exp is defined for homogeneous 2-forms")
+    res, ims, d_u = _gauss_int_row(list(u.terms.values()))
+    # the term u_ij f_i ^ f_j (i < j), keyed by f_i's bit
+    partners = {}
+    support = 0
+    for mask, a, b in zip(u.terms, res, ims):
+        low = mask & -mask
+        partners.setdefault(low, []).append((mask ^ low, a, b))
+        support |= mask
+    terms = {0: (1, 0)}
+    sub = 0
+    while True:
+        sub = (sub - support) & support
+        if not sub:
+            break
+        if sub.bit_count() & 1:
+            continue
+        low = sub & -sub
+        rest = sub ^ low
+        re = im = 0
+        for bit, a, b in partners.get(low, ()):
+            if rest & bit and rest ^ bit in terms:
+                pr, pi = terms[rest ^ bit]
+                tr, ti = a * pr - b * pi, a * pi + b * pr
+                # sign (-1)^(indices of S strictly between i and j)
+                if (rest & (bit - 1)).bit_count() & 1:
+                    re, im = re - tr, im - ti
+                else:
+                    re, im = re + tr, im + ti
+        if re or im:
+            terms[sub] = (re, im)
+    scale = 1
+    for f in factors:
+        if f.n != u.n or any(not m or m & (m - 1) for m in f.terms):
+            raise ValueError("factors must be 1-forms on the space of u")
+        res, ims, d = _gauss_int_row(list(f.terms.values()))
+        entries = list(zip(f.terms, res, ims))
+        wedged = {}
+        for mask, (pr, pi) in terms.items():
+            for bit, a, b in entries:
+                if mask & bit:
+                    continue
+                tr, ti = pr * a - pi * b, pr * b + pi * a
+                # f_mask ^ f_x: f_x moves past the indices of mask above x
+                if (mask & -(bit << 1)).bit_count() & 1:
+                    tr, ti = -tr, -ti
+                t = mask | bit
+                if t in wedged:
+                    tr, ti = tr + wedged[t][0], ti + wedged[t][1]
+                wedged[t] = (tr, ti)
+        terms = {m: v for m, v in wedged.items() if v[0] or v[1]}
+        scale *= d
+    k = len(factors)
+    return terms, lambda mask: d_u ** ((mask.bit_count() - k) // 2) * scale
+
+
+def from_int_terms(n: int, terms, den, c=1) -> Multivector:
+    """c times the form (terms, den) of exp_wedge_ints, one scalar per term."""
+    (cr,), (ci,), cd = _gauss_int_row([QI.coerce(c)])
+    out = {}
+    for mask, (re, im) in terms.items():
+        q = den(mask) * cd
+        out[mask] = GaussianRational.from_rationals(
+            rational_from_ints(re * cr - im * ci, q), rational_from_ints(re * ci + im * cr, q)
+        )
+    return Multivector(n, out)
 
 
 def two_form_from_coeff(matrix: Matrix) -> Multivector:

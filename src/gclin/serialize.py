@@ -134,7 +134,9 @@ def decode_multivector(data, n: int) -> Multivector:
         if not isinstance(item, dict) or "indices" not in item or "coeff" not in item:
             raise PayloadError("each term needs indices and coeff")
         indices = item["indices"]
-        if any(not isinstance(i, int) or i < 1 or i > n for i in indices):
+        if not isinstance(indices, list):
+            raise PayloadError("term indices must be a list")
+        if any(isinstance(i, bool) or not isinstance(i, int) or i < 1 or i > n for i in indices):
             raise PayloadError("term indices must lie in 1..n")
         try:
             mask = indices_to_mask([i - 1 for i in indices])
@@ -165,7 +167,7 @@ def decode_gcs(data):
     if not isinstance(data, dict):
         raise PayloadError("structure payload must be an object")
     n = data.get("n")
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise PayloadError("structure payload needs a nonnegative integer n")
     repr_tag = data.get("repr")
     if repr_tag == "aut":

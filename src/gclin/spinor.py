@@ -8,16 +8,33 @@ so that (v+f).(v+f).phi = f(v) phi: the Clifford square of a generator is
 the evaluation f(v), the negative of the quadratic form Q(v+f) = -f(v).
 A nonzero form is pure when its annihilator has the maximal dimension n,
 and every pure spinor factors as c exp(u) f_1 ^ ... ^ f_k.
+
+Each step works on data that already exists.  For a form of T terms:
+
+- ``standard_data_for_subspace`` reads (u, f_i) off the canonical RREF
+  basis of E: one (n-k)-square inverse and two products.
+- ``StandardForm.expand`` and ``spinor_product`` build c exp(u) ^ f_1
+  ^ ... ^ f_k on integers (``multivector.exp_wedge_ints``): Pfaffians of
+  u, at most m products per even subset of the m coordinates u lives on,
+  then one pass per factor, and one scalar per output term.
+- ``is_pure`` and ``standard_form`` read the candidate factorization off
+  the lowest-degree components and test it by reproducing the form:
+  O(n^2) lookups plus one expansion.
+- ``mukai_pairing`` is one pass over complementary masks, O(T).
+- ``annihilator_subspace`` is the route for an arbitrary form: a signed
+  permutation of masks per generator gives a (<= 2^n) x 2n matrix and one
+  kernel, O(2^n n^2).  The library calls it only in cross-checks and in
+  the CLI's ``selftest``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import covector_summand, is_isotropic
-from .fields import QI, GaussianRational
-from .linalg import Matrix, Subspace, vec_dot
-from .multivector import Multivector
+from .core import is_isotropic
+from .fields import QI, GaussianRational, rational_from_ints
+from .linalg import Matrix, Subspace, _gauss_int_row, vec_dot
+from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices
 
 
 def clifford_act(x, phi: Multivector) -> Multivector:
@@ -37,24 +54,43 @@ def clifford_square_scalar(x):
 
 
 def annihilator_subspace(phi: Multivector) -> Subspace:
-    """All x in the complexified V + V* with x . phi = 0."""
+    """All x in the complexified V + V* with x . phi = 0.
+
+    Each unit generator moves the terms of phi by a signed permutation of
+    masks: e_i sends a term containing i to mask ^ bit (contraction) and
+    f_i a term without i to mask | bit (wedge), both with the sign
+    (-1)^popcount(mask & (bit - 1)).  The kernel of the resulting
+    (masks x 2n) matrix is the annihilator.
+    """
     if phi.is_zero():
         raise ValueError("zero spinor has no annihilator subspace")
     n = phi.n
-    images = [clifford_act(unit, phi) for unit in Matrix.identity(QI, 2 * n).data]
-    masks = sorted({m for img in images for m in img.terms})
-    rows = [[img.terms.get(m, QI.zero) for img in images] for m in masks]
-    return Matrix(QI, rows, cols=2 * n).kernel()
+    contractions, wedges = [], []
+    for i in range(n):
+        bit = 1 << i
+        inner, outer = {}, {}
+        for mask, c in phi.terms.items():
+            if (mask & (bit - 1)).bit_count() & 1:
+                c = -c
+            if mask & bit:
+                inner[mask ^ bit] = c
+            else:
+                outer[mask | bit] = c
+        contractions.append(inner)
+        wedges.append(outer)
+    columns = contractions + wedges
+    zero = QI.zero
+    masks = sorted({m for col in columns for m in col})
+    rows = [[col.get(m, zero) for col in columns] for m in masks]
+    return Matrix._wrap(QI, rows, 2 * n).kernel()
 
 
 def is_pure(phi: Multivector) -> bool:
-    """Purity: the annihilator is maximally isotropic (dimension n)."""
+    """Purity: phi is the c exp(u) ^ f_1 ^ ... ^ f_k read off its
+    lowest-degree components (equivalently, its annihilator has dimension n)."""
     if phi.is_zero():
         raise ValueError("zero spinor")
-    pure = annihilator_subspace(phi).dim == phi.n
-    if pure and phi.parity() is None:
-        raise AssertionError("pure spinor with mixed parity")
-    return pure
+    return _read_standard_form(phi) is not None
 
 
 @dataclass(frozen=True)
@@ -102,15 +138,12 @@ class StandardForm:
 
     def expand(self) -> Multivector:
         """c * exp(u) ^ f_1 ^ ... ^ f_k."""
-        return spinor_product(self.u, self.factors).scale(self.c)
+        return from_int_terms(self.n, *exp_wedge_ints(self.u, self.factors), self.c)
 
 
 def spinor_product(u: Multivector, factors) -> Multivector:
     """exp(u) ^ f_1 ^ ... ^ f_k for a 2-form u and 1-forms f_i."""
-    out = u.exp()
-    for f in factors:
-        out = out.wedge(f)
-    return out
+    return from_int_terms(u.n, *exp_wedge_ints(u, factors))
 
 
 def _covector_rows(factors, n):
@@ -121,9 +154,13 @@ def standard_data_for_subspace(e: Subspace):
     """(u, factors) with annihilator(exp(u)^factors) = e.
 
     Requires e maximally isotropic; purity of the result encodes exactly
-    that.  The 2-form u is the unique one supported on the non-pivot dual
-    coordinates whose restriction to the vector part of e matches the
-    covector parts of lifted basis vectors.
+    that.  Read off the canonical RREF basis of e: rows whose pivot lies
+    in V are lifts (v_a, g_a) of the RREF basis of rho(E), and the other
+    rows are E intersect V* in RREF, whose covector parts are the factors.
+    The 2-form u is the unique one supported on the non-pivot (free) dual
+    coordinates of span(f_i) with u(v_a, v_b) = -g_a(v_b): with M the
+    vector parts on the free coordinates and G[a][b] = g_a(v_b),
+    u = -M^-1 G M^-T on those coordinates.
     """
     n = e.ambient_dim // 2
     if e.dim != n:
@@ -131,73 +168,106 @@ def standard_data_for_subspace(e: Subspace):
     if not is_isotropic(e):
         raise ValueError("subspace is not isotropic")
     rows = e.basis.data
-
-    # covector-only part: factors f_1..f_k
-    phi_part = e.intersect(covector_summand(n))
-    factor_rows = [row[n:] for row in phi_part.basis.data]
-    k = len(factor_rows)
-
-    # vector part rho(E) and lifts (v_a, g_a) in E
-    proj = Subspace.from_spanning(QI, n, [row[:n] for row in rows])
-    if proj.dim != n - k:
+    lifts = [row for row, p in zip(rows, e.pivots) if p < n]
+    factor_rows = [row[n:] for row, p in zip(rows, e.pivots) if p >= n]
+    fixed = {p - n for p in e.pivots if p >= n}
+    free = [c for c in range(n) if c not in fixed]
+    if len(lifts) != n - len(factor_rows):
         raise AssertionError("projection dimension violates maximal isotropy")
-    et = e.basis.transpose()
-    top = et.block(0, n, 0, e.dim)
-    combos = []
-    for v in proj.basis.data:
-        combo = top.solve(list(v))
-        if combo is None:
-            raise AssertionError("vector part is not attained")
-        combos.append(combo)
-    lifts = (Matrix(QI, combos, cols=e.dim) @ e.basis).data
-
-    # u lives on the free dual coordinates of span(f_i)
-    phi_span = Subspace.from_spanning(QI, n, factor_rows)
-    free = [c for c in range(n) if c not in phi_span.pivots]
-    pairs = [(free[a], free[b]) for a in range(len(free)) for b in range(a + 1, len(free))]
-    vecs = proj.basis.data
-    eqs = []
-    rhs = []
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            va, vb = vecs[a], vecs[b]
-            eqs.append([va[x] * vb[y] - va[y] * vb[x] for x, y in pairs])
-            rhs.append(-vec_dot(lifts[a][n:], vb))
     u_terms = {}
-    if pairs:
-        sol = Matrix(QI, eqs, cols=len(pairs)).solve(rhs)
-        if sol is None:
-            raise AssertionError("no compatible 2-form; subspace not isotropic?")
-        for (x, y), c in zip(pairs, sol):
-            if c:
-                u_terms[(1 << x) | (1 << y)] = c
+    if lifts:
+        vecs = Matrix._wrap(QI, [row[:n] for row in lifts], n)
+        gram = Matrix._wrap(QI, [row[n:] for row in lifts], n) @ vecs.transpose()
+        if not gram.is_skew():
+            raise AssertionError("lifts pair to a non-skew form; subspace not isotropic?")
+        try:
+            m_inv = Matrix._wrap(QI, [[row[c] for c in free] for row in lifts], len(free)).inverse()
+        except ValueError:
+            raise AssertionError("vector parts are not a basis on the free coordinates") from None
+        u_free = (m_inv @ gram @ m_inv.transpose()).data
+        for a, x in enumerate(free):
+            for b in range(a + 1, len(free)):
+                if u_free[a][b]:
+                    u_terms[(1 << x) | (1 << free[b])] = -u_free[a][b]
     u = Multivector(n, u_terms)
     factors = tuple(Multivector.covector(n, row) for row in factor_rows)
     return u, factors
 
 
+def spinor_with_standard_form(e: Subspace):
+    """(line, sf): the spinor line killed by e and the standard form of its
+    normalized representative, from one computation of (u, factors)."""
+    u, factors = standard_data_for_subspace(e)
+    terms, den = exp_wedge_ints(u, factors)
+    if not terms:
+        raise AssertionError("representative spinor vanished")
+    lead = min(terms, key=mask_to_indices)
+    re, im = terms[lead]
+    q = den(lead)
+    c = QI.one / GaussianRational(rational_from_ints(re, q), rational_from_ints(im, q))
+    return SpinorLine(from_int_terms(u.n, terms, den, c)), StandardForm(c, u, factors)
+
+
 def spinor_from_subspace(e: Subspace) -> SpinorLine:
     """The unique spinor line killed by a maximally isotropic subspace."""
-    phi = spinor_product(*standard_data_for_subspace(e))
-    if phi.is_zero():
-        raise AssertionError("representative spinor vanished")
-    return SpinorLine.of(phi)
+    return spinor_with_standard_form(e)[0]
+
+
+def _read_standard_form(phi: Multivector):
+    """The standard form phi has if it is pure, else None.
+
+    With k the lowest degree of phi and P the lex-first mask of that
+    degree, a pure phi = c exp(u) ^ f_1 ^ ... ^ f_k has f_i in RREF with
+    pivots P and u supported off P, so c = phi_P, c f_i[x] =
+    +-phi_{P - {p_i} + {x}} and c u_xy = +-phi_{P + {x, y}} for x, y off
+    P.  phi is pure exactly when this candidate reproduces it.
+    """
+    n = phi.n
+    k = min(m.bit_count() for m in phi.terms)
+    lowest = min((m for m in phi.terms if m.bit_count() == k), key=mask_to_indices)
+    get = phi.terms.get
+    c = get(lowest)
+    inv = QI.one / c
+    free = [x for x in range(n) if not lowest >> x & 1]
+    factors = []
+    for p in mask_to_indices(lowest):
+        row = [QI.zero] * n
+        row[p] = QI.one
+        rest = lowest ^ (1 << p)
+        for x in free:
+            coeff = get(rest | (1 << x))
+            if coeff:
+                # f_i[x] moves from column p past the pivots between p and x
+                between = rest & ((1 << max(p, x)) - (1 << min(p, x)))
+                row[x] = -coeff * inv if between.bit_count() & 1 else coeff * inv
+        factors.append(Multivector.covector(n, row))
+    u_terms = {}
+    for a, x in enumerate(free):
+        for y in free[a + 1 :]:
+            pair = (1 << x) | (1 << y)
+            coeff = get(lowest | pair)
+            if coeff:
+                # f_x ^ f_y ^ f_P: f_x and f_y move past the pivots below them
+                below = (lowest & ((1 << x) - 1)).bit_count() + (lowest & ((1 << y) - 1)).bit_count()
+                u_terms[pair] = -coeff * inv if below & 1 else coeff * inv
+    sf = StandardForm(c, Multivector(n, u_terms), tuple(factors))
+    if sf.expand() != phi:
+        return None
+    if phi.parity() is None:
+        raise AssertionError("pure spinor with mixed parity")
+    return sf
 
 
 def standard_form(phi: Multivector) -> StandardForm:
     """Factor a pure spinor exactly; raises on non-pure input."""
     if phi.is_zero():
         raise ValueError("zero spinor")
-    e = annihilator_subspace(phi)
-    if e.dim != phi.n:
+    sf = _read_standard_form(phi)
+    if sf is None:
         raise ValueError("spinor is not pure")
-    u, factors = standard_data_for_subspace(e)
-    base = spinor_product(u, factors)
-    mask, lead = base.leading_term()
-    c = phi.terms.get(mask, QI.zero) / lead
-    if not c or base.scale(c) != phi:
-        raise AssertionError("factorization failed to reproduce the spinor")
-    return StandardForm(c, u, factors)
+    if standard_data_for_subspace(subspace_from_standard_form(sf)) != (sf.u, sf.factors):
+        raise AssertionError("standard form differs from the one of its annihilator")
+    return sf
 
 
 def subspace_from_standard_form(sf: StandardForm) -> Subspace:
@@ -219,12 +289,29 @@ def subspace_from_standard_form(sf: StandardForm) -> Subspace:
 def mukai_pairing(alpha: Multivector, beta: Multivector) -> GaussianRational:
     """Top-degree coefficient of rev(alpha) ^ beta.
 
+    Only complementary masks meet in the top degree, and for a mask m of
+    degree r the reversal sign (-1)^(r(r-1)/2) times the sign of
+    f_m ^ f_(~m) is (-1)^(sum of the indices in m): one pass over alpha.
     Only the vanishing behaviour on conjugate pairs is contractual; the
     overall normalization is a fixed convention of this library.
     """
     if alpha.n != beta.n:
         raise ValueError("spinors on different spaces")
-    return alpha.reversal().wedge(beta).top_coefficient()
+    full = (1 << alpha.n) - 1
+    odd = sum(1 << i for i in range(1, alpha.n, 2))
+    masks = [m for m in alpha.terms if full ^ m in beta.terms]
+    ar, ai, ad = _gauss_int_row([alpha.terms[m] for m in masks])
+    br, bi, bd = _gauss_int_row([beta.terms[full ^ m] for m in masks])
+    re = im = 0
+    for m, w, x, y, z in zip(masks, ar, ai, br, bi):
+        tr, ti = w * y - x * z, w * z + x * y
+        if (m & odd).bit_count() & 1:
+            re, im = re - tr, im - ti
+        else:
+            re, im = re + tr, im + ti
+    return GaussianRational.from_rationals(
+        rational_from_ints(re, ad * bd), rational_from_ints(im, ad * bd)
+    )
 
 
 def _mukai_sides(sf: StandardForm):

@@ -1,4 +1,5 @@
 import json
+import time
 from random import Random
 
 import pytest
@@ -128,6 +129,21 @@ def test_wrong_shape_exits_2(write, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 2, "repr": "spinor", "spinor": [{"coeff": "1", "indices": 5}]}, "term indices must be a list"),
+        ({"n": 2, "repr": "spinor", "spinor": [{"coeff": "1", "indices": [True]}]}, "term indices must lie in 1..n"),
+        ({"n": True, "repr": "spinor", "spinor": [{"coeff": "1", "indices": []}]}, "nonnegative integer n"),
+    ],
+    ids=["indices-not-a-list", "boolean-index", "boolean-n"],
+)
+def test_malformed_payload_types_exit_2(write, capsys, payload, message):
+    code, out = run(capsys, "validate", write("bad.json", payload))
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
 def _refuse_spinor(*args):
     raise RuntimeError("a spinor was built over the size limit")
 
@@ -163,6 +179,25 @@ def test_spinor_size_limit_is_inclusive(write, capsys):
     code, out = run(capsys, "convert", "--to", "spinor", src)
     assert code == 0
     assert len(json.loads(out)["spinor"]) == 2 ** (n // 2)
+
+
+# Seconds each spinor verb may take at n = MAX_SPINOR_N on the Fraction
+# backend; measured at 1.5-3.5 s per verb on 2 shared CPUs.
+SPINOR_VERB_BUDGET = 10
+
+
+def test_spinor_verbs_at_the_size_limit_meet_their_budget(write, capsys, tmp_path):
+    src = write("j.json", encode_aut(random_gcs(Random(3), cli.MAX_SPINOR_N)))
+    spin_path = tmp_path / "spin.json"
+    for argv in (["convert", "--to", "spinor", src], ["validate", str(spin_path)], ["classify-type", str(spin_path)]):
+        started = time.perf_counter()
+        code, out = run(capsys, *argv)
+        elapsed = time.perf_counter() - started
+        assert code == 0, out
+        assert elapsed < SPINOR_VERB_BUDGET, f"{argv[0]} took {elapsed:.1f}s"
+        if argv[0] == "convert":
+            spin_path.write_text(out)
+    assert json.loads(spin_path.read_text())["n"] == cli.MAX_SPINOR_N
 
 
 def test_convert_round_trip_is_byte_identical(write, capsys, tmp_path):

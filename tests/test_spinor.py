@@ -1,6 +1,7 @@
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gclin.core import (
     TwoForm,
@@ -10,7 +11,7 @@ from gclin.core import (
     vector_summand,
 )
 from gclin.fields import QI, QQ, GaussianRational
-from gclin.linalg import Matrix, Subspace
+from gclin.linalg import Matrix, Subspace, vec_dot
 from gclin.multivector import Multivector, two_form_from_coeff
 from gclin.samples import random_gcs, random_maximal_isotropic, random_two_form
 from gclin.spinor import (
@@ -23,6 +24,7 @@ from gclin.spinor import (
     mukai_formula_ratio,
     mukai_pairing,
     spinor_from_subspace,
+    standard_data_for_subspace,
     standard_form,
     subspace_from_standard_form,
 )
@@ -305,3 +307,161 @@ def _random_multivector(rng, n):
         if rng.random() < 0.3:
             terms[mask] = GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
     return Multivector(n, terms)
+
+
+# -- earlier routes of the spinor layer (solves, wedge powers, generic
+# Clifford action, full wedge), kept as independent oracles --
+
+
+def oracle_standard_data(e):
+    """(u, factors) by one Q(i) solve per basis vector of rho(E) and a
+    C(n-k, 2)-square system for u."""
+    n = e.ambient_dim // 2
+    rows = e.basis.data
+    factor_rows = [row[n:] for row in e.intersect(covector_summand(n)).basis.data]
+    proj = Subspace.from_spanning(QI, n, [row[:n] for row in rows])
+    top = e.basis.transpose().block(0, n, 0, e.dim)
+    combos = [top.solve(list(v)) for v in proj.basis.data]
+    lifts = (Matrix(QI, combos, cols=e.dim) @ e.basis).data
+    pivots = Subspace.from_spanning(QI, n, factor_rows).pivots
+    free = [c for c in range(n) if c not in pivots]
+    pairs = [(free[a], free[b]) for a in range(len(free)) for b in range(a + 1, len(free))]
+    vecs = proj.basis.data
+    eqs, rhs = [], []
+    for a in range(len(vecs)):
+        for b in range(a + 1, len(vecs)):
+            va, vb = vecs[a], vecs[b]
+            eqs.append([va[x] * vb[y] - va[y] * vb[x] for x, y in pairs])
+            rhs.append(-vec_dot(lifts[a][n:], vb))
+    terms = {}
+    if pairs:
+        sol = Matrix(QI, eqs, cols=len(pairs)).solve(rhs)
+        terms = {(1 << x) | (1 << y): c for (x, y), c in zip(pairs, sol)}
+    return Multivector(n, terms), tuple(Multivector.covector(n, row) for row in factor_rows)
+
+
+def oracle_exp(u):
+    """exp(u) by repeated dense wedge powers."""
+    out = power = Multivector.scalar(u.n, 1)
+    fact = 1
+    for m in range(1, u.n // 2 + 1):
+        power = power.wedge(u)
+        fact *= m
+        out = out + power.scale(GaussianRational(f"1/{fact}"))
+    return out
+
+
+def oracle_annihilator(phi):
+    """Kernel of the matrix whose columns are clifford_act of unit vectors."""
+    n = phi.n
+    images = [clifford_act(unit, phi) for unit in Matrix.identity(QI, 2 * n).data]
+    masks = sorted({m for img in images for m in img.terms})
+    rows = [[img.terms.get(m, QI.zero) for img in images] for m in masks]
+    return Matrix(QI, rows, cols=2 * n).kernel()
+
+
+def oracle_mukai(alpha, beta):
+    return alpha.reversal().wedge(beta).top_coefficient()
+
+
+def _gaussian(rng):
+    return GaussianRational(
+        f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}", f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
+    )
+
+
+def _pure(rng, n):
+    """A nonzero pure spinor: the spinor of a random maximally isotropic
+    subspace, or c exp(u) ^ f_1 ^ ... ^ f_k for random c, u and k <= n
+    covectors, built by wedge powers and wedges."""
+    while True:
+        if rng.random() < 0.5:
+            phi = spinor_from_subspace(random_maximal_isotropic(rng, n)).rep
+        else:
+            u = Multivector(n, {
+                (1 << i) | (1 << j): _gaussian(rng)
+                for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
+            })
+            phi = oracle_exp(u)
+            for _ in range(rng.randint(0, n)):
+                coords = [_gaussian(rng) if rng.random() < 0.6 else 0 for _ in range(n)]
+                phi = phi.wedge(Multivector.covector(n, coords))
+        phi = phi.scale(_gaussian(rng))
+        if phi:
+            return phi
+
+
+def _maximal_isotropic(rng, n):
+    if rng.random() < 0.5:
+        return random_maximal_isotropic(rng, n)
+    return oracle_annihilator(_pure(rng, n))
+
+
+even_sizes = st.sampled_from([2, 4, 6])
+seeds = st.integers(min_value=0, max_value=10**6)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(even_sizes, seeds)
+    def test_standard_data_matches_solve_route(self, n, seed):
+        e = _maximal_isotropic(Random(seed), n)
+        assert standard_data_for_subspace(e) == oracle_standard_data(e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=7), seeds, st.floats(0.1, 1.0))
+    def test_exp_matches_wedge_powers(self, n, seed, density):
+        rng = Random(seed)
+        terms = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    terms[(1 << i) | (1 << j)] = _gaussian(rng)
+        u = Multivector(n, terms)
+        assert u.exp() == oracle_exp(u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(even_sizes, seeds, st.booleans())
+    def test_annihilator_matches_clifford_route(self, n, seed, pure):
+        rng = Random(seed)
+        phi = _pure(rng, n) if pure else _random_multivector(rng, n)
+        assume(phi)
+        assert annihilator_subspace(phi) == oracle_annihilator(phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=6), seeds)
+    def test_mukai_matches_full_wedge(self, n, seed):
+        rng = Random(seed)
+        alpha, beta = _random_multivector(rng, n), _random_multivector(rng, n)
+        assert mukai_pairing(alpha, beta) == oracle_mukai(alpha, beta)
+        assert mukai_pairing(alpha, alpha.conjugate()) == oracle_mukai(alpha, alpha.conjugate())
+
+    @settings(max_examples=40, deadline=None)
+    @given(even_sizes, seeds)
+    def test_standard_form_of_an_expansion_is_itself(self, n, seed):
+        rng = Random(seed)
+        u, factors = standard_data_for_subspace(_maximal_isotropic(rng, n))
+        c = _gaussian(rng)
+        assume(c)
+        sf = StandardForm(c, u, factors)
+        assert standard_form(sf.expand()) == sf
+
+    @settings(max_examples=60, deadline=None)
+    @given(even_sizes, seeds, st.integers(min_value=1, max_value=2))
+    def test_is_pure_agrees_with_annihilator_dimension(self, n, seed, summands):
+        rng = Random(seed)
+        phi = _pure(rng, n)
+        if summands == 2:
+            phi = phi + _pure(rng, n)
+        assume(phi)
+        assert is_pure(phi) == (oracle_annihilator(phi).dim == n)
+
+    def test_sums_of_pure_spinors_give_both_verdicts(self):
+        rng = Random(12)
+        verdicts = set()
+        for n in (2, 4, 6):
+            for _ in range(6):
+                phi = _pure(rng, n) + _pure(rng, n)
+                if phi:
+                    verdicts.add((is_pure(phi), oracle_annihilator(phi).dim == n))
+        assert verdicts == {(True, True), (False, False)}
