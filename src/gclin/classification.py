@@ -75,8 +75,7 @@ def canonical_c(j: GCAut):
     e = to_eigenspace(j).e
     inside = e.intersect(vector_summand(n))
     c_c = inside.sum(inside.conjugate())
-    c_rows = [row[:n] for row in c_c.basis.data]
-    c = Subspace.from_spanning(QI, n, c_rows).real_form()
+    c = Subspace.from_spanning(QI, n, c_c.basis.block(0, c_c.dim, 0, n)).real_form()
     jc_cols = []
     for img in (c.basis @ j.j1.transpose()).data:
         if not c.contains(img):
@@ -117,7 +116,7 @@ class Decomposition:
 
 def reassemble(d: Decomposition) -> GCAut:
     ds = direct_sum(symplectic_structure(d.omega), complex_structure(d.jw))
-    p = Matrix(QQ, d.s.basis.data + d.w.basis.data, cols=d.s.ambient_dim).transpose()
+    p = Matrix.from_blocks(QQ, [[d.s.basis], [d.w.basis]]).transpose()
     return b_transform(conjugate_by_basis(ds, p), d.b)
 
 
@@ -132,8 +131,7 @@ def decompose(j: GCAut) -> Decomposition:
 
     moved = _carrying(b_transform(j, b_r))
     s, ind_s = _canonical_s(moved)
-    s_mat = Matrix(QQ, s.basis.data, cols=n)
-    omega_s = TwoForm(s_mat @ omega_map @ s_mat.transpose())
+    omega_s = TwoForm(s.basis @ omega_map @ s.basis.transpose())
     if not omega_s.m.is_invertible():
         raise AssertionError("real 2-form degenerates on the symplectic part")
 
@@ -155,7 +153,7 @@ def decompose(j: GCAut) -> Decomposition:
     else:
         jw_mat, b_w = Matrix.zero(QQ, 0, 0), TwoForm(Matrix.zero(QQ, 0, 0))
 
-    p = Matrix(QQ, s.basis.data + w.basis.data, cols=n).transpose()
+    p = Matrix.from_blocks(QQ, [[s.basis], [w.basis]]).transpose()
     p_inv = p.inverse()
     zk = Matrix.zero(QQ, s.dim, s.dim)
     zsw = Matrix.zero(QQ, s.dim, w.dim)
@@ -172,11 +170,11 @@ def decompose(j: GCAut) -> Decomposition:
 
 def canonical_omega(n: int) -> TwoForm:
     """Form with value +1 on (e_i, f_i) pairs, coordinates (e..., f...)."""
-    m = Matrix.zero(QQ, 2 * n, 2 * n)
+    entries = {}
     for i in range(n):
-        m.data[n + i][i] = QQ.one
-        m.data[i][n + i] = -QQ.one
-    return TwoForm(m)
+        entries[n + i, i] = 1
+        entries[i, n + i] = -1
+    return TwoForm(Matrix.from_entries(QQ, 2 * n, 2 * n, entries))
 
 
 def build_symplectic_with_t(a: Matrix, b: Matrix, c: Matrix):
@@ -250,12 +248,10 @@ def build_notquot_example():
     )
     one_plus_t2 = Matrix.identity(QQ, 8) + t @ t
     ker = one_plus_t2.kernel()
-    image = Subspace.from_spanning(QQ, 8, one_plus_t2.transpose().data)
+    image = Subspace.from_spanning(QQ, 8, one_plus_t2.transpose())
     if ker.intersect(image).is_zero():
         raise AssertionError("fixture kernel misses the image")
-    omega_on_ker = TwoForm(
-        Matrix(QQ, ker.basis.data, cols=8) @ omega.m @ Matrix(QQ, ker.basis.data, cols=8).transpose()
-    )
+    omega_on_ker = TwoForm(ker.basis @ omega.m @ ker.basis.transpose())
     if omega_on_ker.m.is_invertible():
         raise AssertionError("form is nondegenerate on the canonical part")
     return structure, omega, t
@@ -272,5 +268,5 @@ def build_graphnotsub_example():
     z = Matrix.zero(QQ, 2, 2)
     structure, _, t = build_symplectic_with_t(rot, z, z)
     w = Subspace.from_spanning(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    t_on_w = Matrix(QQ, [[t.data[r][c] for c in range(2)] for r in range(2)])
+    t_on_w = t.block(0, 2, 0, 2)
     return structure, w, complex_structure(t_on_w)

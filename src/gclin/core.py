@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import QI, QQ, GaussianRational, I, rational_from_ints
+from .fields import QI, QQ, I, rational_from_ints
 from .linalg import Matrix, Subspace, vec_dot
 
 _MINUS_HALF = rational_from_ints(-1, 2)
@@ -258,12 +258,8 @@ def to_eigenspace(j: GCAut) -> IsotropicE:
     check = validate_aut(j)
     if not check:
         raise ValueError(f"invalid automorphism: {', '.join(check.violations)}")
-    zero, minus_one = QQ.zero, -QQ.one
-    shifted = [
-        [GaussianRational.from_rationals(x, minus_one if r == c else zero) for c, x in enumerate(row)]
-        for r, row in enumerate(j.full().data)
-    ]
-    e = IsotropicE(j.n, Matrix(QI, shifted, cols=2 * j.n).kernel())
+    shifted = j.full().to_gaussian() - Matrix.identity(QI, 2 * j.n).scale(I)
+    e = IsotropicE(j.n, shifted.kernel())
     res = validate_eigenspace(e)
     if not res:
         raise AssertionError(f"eigenspace failed validation: {res.violations}")
@@ -294,14 +290,8 @@ def to_aut(e: IsotropicE) -> GCAut:
 def _aut_of(e: IsotropicE) -> GCAut:
     """to_aut for an eigenspace its caller has already validated."""
     n = e.n
-    cols = [row[:] for row in e.e.basis.data]
-    cols += [row[:] for row in e.e.conjugate().basis.data]
-    p = Matrix(QI, cols, cols=2 * n).transpose()
-    d = Matrix.zero(QI, 2 * n, 2 * n)
-    for k in range(n):
-        d.data[k][k] = I
-    for k in range(n, 2 * n):
-        d.data[k][k] = -I
+    p = Matrix.from_blocks(QI, [[e.e.basis], [e.e.conjugate().basis]]).transpose()
+    d = Matrix.from_entries(QI, 2 * n, 2 * n, {(k, k): I if k < n else -I for k in range(2 * n)})
     full = p @ d @ p.inverse()
     if not full.is_real():
         raise AssertionError("reconstructed automorphism is not real")
@@ -349,15 +339,15 @@ def twist(j: GCAut) -> GCAut:
 def _interleave(n_a: int, n_b: int, field) -> Matrix:
     """Reordering (u, u*, v, v*) -> (u, v, u*, v*) as a permutation matrix."""
     size = 2 * (n_a + n_b)
-    m = Matrix.zero(field, size, size)
+    ones = {}
     # positions in the source vector
     for k in range(n_a):
-        m.data[k][k] = field.one  # u
-        m.data[n_a + n_b + k][n_a + k] = field.one  # u*
+        ones[k, k] = 1  # u
+        ones[n_a + n_b + k, n_a + k] = 1  # u*
     for k in range(n_b):
-        m.data[n_a + k][2 * n_a + k] = field.one  # v
-        m.data[n_a + n_b + n_a + k][2 * n_a + n_b + k] = field.one  # v*
-    return m
+        ones[n_a + k, 2 * n_a + k] = 1  # v
+        ones[n_a + n_b + n_a + k, 2 * n_a + n_b + k] = 1  # v*
+    return Matrix.from_entries(field, size, size, ones)
 
 
 def direct_sum(a: GCAut, b: GCAut) -> GCAut:

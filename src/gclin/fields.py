@@ -1,11 +1,9 @@
 """Exact scalars: rationals and Gaussian rationals.
 
-Real scalars are exact rationals: ``gmpy2.mpq`` when available, otherwise
-``fractions.Fraction``; both expose the same numerator/denominator
-interface and hash identically.  The acceptance suite's runtime budgets
-are met on the ``Fraction`` fallback, because the elimination and product
-kernels in ``linalg`` work on plain integers and build one rational per
-result entry, through ``rational_from_ints``.  Complex scalars are
+Real scalars are ``fractions.Fraction``.  The acceptance suite's runtime
+budgets are met with it because ``linalg`` stores matrices as rows of
+plain integers and builds scalars only where a caller reads entries, one
+per entry, through ``rational_from_ints``.  Complex scalars are
 ``GaussianRational`` pairs, closed under field operations and
 conjugation.  Everything here is immutable and hashable.
 """
@@ -14,18 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover
-    _ratio = Fraction
-
-_RATIO = type(_ratio(0))
-RATIONAL_TYPES = (Fraction, int, _RATIO)
+_ratio = Fraction
 
 
 def rational(x):
     """Coerce ints, strings like '3/4' and Fraction-likes to a rational."""
-    if type(x) is _RATIO:
+    if type(x) is Fraction:
         return x
     if isinstance(x, (int, Fraction)):
         return _ratio(x)
@@ -38,7 +30,7 @@ def rational(x):
 
 
 def rational_from_ints(num, den=1):
-    """The reduced rational num/den (den != 0) of the backend's type."""
+    """The reduced rational num/den (den != 0)."""
     return _ratio(num, den)
 
 
@@ -61,7 +53,7 @@ class GaussianRational:
 
     @staticmethod
     def from_rationals(re, im) -> "GaussianRational":
-        """re + im*i from two rationals already of the backend's type.
+        """re + im*i from two rationals that are already Fractions.
 
         Skips the coercion of ``__init__``: for results of arithmetic on
         parts, and for kernels that build parts with ``rational_from_ints``.
@@ -118,7 +110,7 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
+        if isinstance(other, (Fraction, int)):
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented

@@ -1,29 +1,41 @@
 """Exact dense linear algebra over Q and Q(i).
 
-Matrices are small and dense (ambient dimensions stay in the low tens), so
-plain row-major lists of exact scalars are used throughout.  No floating
-point, no pivot tolerances: a pivot is any entry != 0.
+Matrices are small and dense (ambient dimensions stay in the low tens).
+No floating point, no pivot tolerances: a pivot is any entry != 0.
+
+Storage.  A matrix is a list of rows of plain integers over one positive
+denominator: a Q row is ``(ints, den)`` and stands for ints / den, a Q(i)
+row is ``(re, im, den)`` and stands for (re + i*im) / den.  Every stored
+row is canonical, ``den > 0`` and ``gcd(den, *ints) == 1`` (over Q(i) the
+gcd runs over both parts), so equal matrices have equal rows and
+``==``/``hash`` compare integers.  Stored rows are never changed in
+place, so matrices share them freely.
 
 Subspaces are stored by a reduced row-echelon basis, which makes equality
-of subspaces a syntactic comparison of bases.  Coordinate subspaces
-(spans of unit vectors), direct sums on complementary coordinate blocks
-and graphs of maps have bases already in that form, so ``coordinate``,
-``direct_sum`` and ``graph`` build them without elimination.
+of subspaces a comparison of bases.  Coordinate subspaces (spans of unit
+vectors), direct sums on complementary coordinate blocks, graphs of maps
+and conjugates have bases already in that form, so ``coordinate``,
+``direct_sum``, ``graph`` and ``conjugate`` build them without
+elimination.
 
-Elimination, products and vector operations (dot products, matrix times
-vector, images, reduction modulo a subspace) all run on plain integers
-through one product kernel and one elimination kernel: each row (or
-column) is scaled by the common denominator of its entries, so a Q row
-becomes a row of Z and a Q(i) row a pair of rows of Z (real and imaginary
-parts).  Exact scalars are built only once per result entry.
+Every operation (elimination, products, sums, transposes, blocks,
+reduction modulo a subspace, membership) reads and returns integer rows.
+Exact scalars (``Fraction`` and ``GaussianRational``) appear only at the
+edge: ``Matrix(field, rows)`` and ``Subspace.from_spanning`` convert them
+in, and ``Matrix.data`` builds them out when read, as a read-only tuple
+of row tuples that is not kept, as do the vector-valued ``apply``,
+``solve``, ``reduce`` and ``vec_dot``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .fields import QI, QQ, GaussianRational, rational_from_ints
+from .fields import QI, QQ, GaussianRational, rational, rational_from_ints
+
+_EXACT = (Fraction, int)
 
 
 def vec_dot(x, y):
@@ -31,31 +43,16 @@ def vec_dot(x, y):
     if len(x) != len(y):
         raise ValueError("dot product needs equal lengths")
     field = QI if _has_gaussian(x) or _has_gaussian(y) else QQ
-    return _product_rows(field, _lift(field, [x]), _lift(field, [y]))[0][0]
-
-
-def vec_is_zero(x):
-    return all(not bool(a) for a in x)
+    return (Matrix(field, [x]) @ Matrix(field, [[b] for b in y], cols=1)).data[0][0]
 
 
 def _has_gaussian(v):
     return any(type(x) is GaussianRational for x in v)
 
 
-def _lift(field, rows):
-    """Rows the integer kernel reads over field: over Q(i) every entry must
-    be Gaussian, and rational or int entries get imaginary part 0."""
-    if field is QQ:
-        return rows
-    zero = QQ.zero
-    return [
-        [x if type(x) is GaussianRational else GaussianRational.from_rationals(x, zero) for x in row]
-        for row in rows
-    ]
-
-
 def _int_row(row):
-    """(ints, den): the rational row equals ints / den."""
+    """(ints, den): the rational row equals ints / den, canonical since
+    every entry is a reduced fraction or an int."""
     dens = [x.denominator for x in row]
     den = lcm(*dens)
     if den == 1:
@@ -71,6 +68,88 @@ def _gauss_int_row(row):
         return re, im, re_den
     den = lcm(re_den, im_den)
     return [x * (den // re_den) for x in re], [x * (den // im_den) for x in im], den
+
+
+def _row_of(field, row):
+    """The stored row of a sequence of scalars; entries that are not yet
+    exact scalars of the field are coerced first."""
+    if all(type(x) is int for x in row):
+        # ints over 1 are canonical as they stand
+        return (list(row), 1) if field is QQ else (list(row), [0] * len(row), 1)
+    if field is QQ:
+        if not all(type(x) in _EXACT for x in row):
+            row = [rational(x) for x in row]
+        return _int_row(row)
+    if not all(type(x) is GaussianRational for x in row):
+        # exact rationals need no coercion, only an imaginary part
+        row = [GaussianRational.from_rationals(x, 0) if type(x) in _EXACT else QI.coerce(x) for x in row]
+    return _gauss_int_row(row)
+
+
+def _canon(den, *parts):
+    """The canonical row of the integer lists parts over den != 0: (ints,
+    den) over Q and (re, im, den) over Q(i)."""
+    if den == 1:
+        return (*parts, 1)
+    g = gcd(den, *parts[0]) if len(parts) == 1 else gcd(den, *parts[0], *parts[1])
+    if den < 0:
+        g = -g
+    if g == 1:
+        return (*parts, den)
+    return (*[[x // g for x in p] for p in parts], den // g)
+
+
+def _zero_row(field, ncols):
+    zeros = [0] * ncols
+    return (zeros, 1) if field is QQ else (zeros, zeros, 1)
+
+
+def _is_zero_row(row):
+    return not any(map(any, row[:-1]))
+
+
+def _scalars(field, row):
+    """The entries of a stored row as exact scalars."""
+    if field is QQ:
+        ints, den = row
+        zero = QQ.zero
+        return tuple([rational_from_ints(x, den) if x else zero for x in ints])
+    re, im, den = row
+    zero = QI.zero
+    return tuple(
+        [
+            GaussianRational.from_rationals(rational_from_ints(x, den), rational_from_ints(y, den))
+            if x or y
+            else zero
+            for x, y in zip(re, im)
+        ]
+    )
+
+
+def _scaled(rows, den):
+    """The integer parts of stored rows brought to the common denominator den."""
+    out = []
+    for row in rows:
+        f = den // row[-1]
+        out.append(row[:-1] if f == 1 else tuple([x * f for x in part] for part in row[:-1]))
+    return out
+
+
+def _join(pieces):
+    """One stored row from pieces laid side by side; canonical because the
+    pieces are and the denominator is the lcm of theirs."""
+    den = lcm(*[p[-1] for p in pieces])
+    if len(pieces[0]) == 2:
+        ints = []
+        for p, d in pieces:
+            ints += p if d == den or not any(p) else [x * (den // d) for x in p]
+        return ints, den
+    re, im = [], []
+    for pr, pi, d in pieces:
+        f = den // d
+        re += pr if f == 1 or not any(pr) else [x * f for x in pr]
+        im += pi if f == 1 or not any(pi) else [y * f for y in pi]
+    return re, im, den
 
 
 def _primitive(ints):
@@ -168,241 +247,278 @@ def _rref_zi(ar, ai, ncols):
     return pivots, (dr, di)
 
 
-def _rref_rows(field, data, ncols):
-    """Canonical RREF rows (all of them, zero rows last) and pivot columns."""
-    zero = field.zero
-    if field is QI:
-        split = [_gauss_int_row(row) for row in data]
-        ar = [re for re, _, _ in split]
-        ai = [im for _, im, _ in split]
-        pivots, (dr, di) = _rref_zi(ar, ai, ncols)
-        # x + y*i over the last pivot D: (x + y*i) * conj(D) / |D|^2
-        norm = dr * dr + di * di
-        out = [
-            [
-                GaussianRational.from_rationals(
-                    rational_from_ints(x * dr + y * di, norm),
-                    rational_from_ints(y * dr - x * di, norm),
-                )
-                if x or y
-                else zero
-                for x, y in zip(ar[r], ai[r])
-            ]
-            for r in range(len(pivots))
-        ]
-    else:
-        a = [_primitive(_int_row(row)[0]) for row in data]
-        pivots, d = _rref_z(a, ncols)
-        out = [
-            [rational_from_ints(x, d) if x else zero for x in a[r]]
-            for r in range(len(pivots))
-        ]
-    out += [[zero] * ncols for _ in range(len(data) - len(pivots))]
-    return out, pivots
-
-
-def _product_rows(field, rows, cols):
-    """Entry (r, c) is rows[r] . cols[c], from integer dot products, one
-    scalar per entry; left @ right is (left's rows, right's columns)."""
-    zero = field.zero
+def _product(field, a, b, ncols):
+    """Stored rows of a @ b, for stored rows a and b of field."""
+    if not b:
+        return [_zero_row(field, ncols)] * len(a)
+    den = lcm(*(row[-1] for row in b))
+    if field is QQ:
+        cols = list(zip(*[ints for (ints,) in _scaled(b, den)]))
+        return [_canon(d * den, [sum(map(mul, ints, col)) for col in cols]) for ints, d in a]
+    scaled = _scaled(b, den)
+    bre = list(zip(*[re for re, _ in scaled]))
+    bim = list(zip(*[im for _, im in scaled]))
     out = []
-    if field is QI:
-        cols = [_gauss_int_row(col) for col in cols]
-        for ar, ai, ad in map(_gauss_int_row, rows):
-            line = []
-            for br, bi, bd in cols:
-                sr = sum(map(mul, ar, br)) - sum(map(mul, ai, bi))
-                si = sum(map(mul, ar, bi)) + sum(map(mul, ai, br))
-                if sr or si:
-                    den = ad * bd
-                    line.append(
-                        GaussianRational.from_rationals(
-                            rational_from_ints(sr, den), rational_from_ints(si, den)
-                        )
-                    )
-                else:
-                    line.append(zero)
-            out.append(line)
-        return out
-    cols = [_int_row(col) for col in cols]
-    for a, ad in map(_int_row, rows):
-        line = []
-        for b, bd in cols:
-            s = sum(map(mul, a, b))
-            line.append(rational_from_ints(s, ad * bd) if s else zero)
-        out.append(line)
+    for ar, ai, d in a:
+        re = [sum(map(mul, ar, cr)) - sum(map(mul, ai, ci)) for cr, ci in zip(bre, bim)]
+        im = [sum(map(mul, ar, ci)) + sum(map(mul, ai, cr)) for cr, ci in zip(bre, bim)]
+        out.append(_canon(d * den, re, im))
     return out
 
 
 class Matrix:
-    """Dense matrix over a fixed field tag (QQ or QI)."""
+    """Dense matrix over a fixed field tag (QQ or QI), stored as canonical
+    integer rows (see the module docstring)."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "_z")
 
     def __init__(self, field, data, cols=None):
-        self.field = field
-        self.data = [[field.coerce(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-            if any(len(r) != self.cols for r in self.data):
+        z = [_row_of(field, row) for row in data]
+        if z:
+            cols = len(z[0][0])
+            if any(len(row[0]) != cols for row in z):
                 raise ValueError("ragged rows")
-        else:
-            if cols is None:
-                cols = 0
-            self.cols = cols
+        elif cols is None:
+            cols = 0
+        self.field = field
+        self._z = z
+        self.rows = len(z)
+        self.cols = cols
 
     @staticmethod
-    def _wrap(field, data, cols) -> "Matrix":
-        """A matrix over data whose entries are already scalars of field."""
+    def _of(field, z, cols) -> "Matrix":
+        """A matrix over already canonical stored rows."""
         m = object.__new__(Matrix)
         m.field = field
-        m.data = data
-        m.rows = len(data)
+        m._z = z
+        m.rows = len(z)
         m.cols = cols
         return m
 
+    @property
+    def data(self):
+        """The entries as exact scalars: a tuple of row tuples, built anew
+        on each read (no second copy is kept) and read-only."""
+        field = self.field
+        return tuple([_scalars(field, row) for row in self._z])
+
     @staticmethod
     def zero(field, rows, cols) -> "Matrix":
-        return Matrix._wrap(field, [[field.zero] * cols for _ in range(rows)], cols)
+        return Matrix._of(field, [_zero_row(field, cols)] * rows, cols)
+
+    @staticmethod
+    def from_entries(field, rows, cols, entries) -> "Matrix":
+        """The rows x cols matrix with the scalars {(r, c): x} of entries
+        and zeros elsewhere."""
+        zero = 0 if all(type(x) is int for x in entries.values()) else field.zero
+        dense = [[zero] * cols for _ in range(rows)]
+        for (r, c), x in entries.items():
+            dense[r][c] = x
+        return Matrix(field, dense, cols=cols)
 
     @staticmethod
     def identity(field, n) -> "Matrix":
-        m = Matrix.zero(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        return Matrix.from_entries(field, n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def from_blocks(field, blocks) -> "Matrix":
         """Assemble from a 2D grid of matrices with compatible shapes."""
-        data = []
+        z = []
+        cols = None
         for brow in blocks:
             if not brow:
                 continue
-            height = brow[0].rows
-            for r in range(height):
-                data.append([x for blk in brow for x in blk.data[r]])
-        total_cols = sum(b.cols for b in blocks[0]) if blocks and blocks[0] else 0
-        if any(blk.field is not field for brow in blocks for blk in brow):
-            return Matrix(field, data, cols=total_cols)
-        cols = len(data[0]) if data else total_cols
-        if any(len(row) != cols for row in data):
-            raise ValueError("ragged rows")
-        return Matrix._wrap(field, data, cols)
+            width = sum(blk.cols for blk in brow)
+            cols = width if cols is None else cols
+            if width != cols or any(blk.rows != brow[0].rows for blk in brow):
+                raise ValueError("ragged rows")
+            pieces = [blk._rows_over(field) for blk in brow]
+            z += pieces[0] if len(pieces) == 1 else map(_join, zip(*pieces))
+        return Matrix._of(field, z, cols or 0)
+
+    def _rows_over(self, field):
+        """The stored rows of self read over field (Q rows lift to Q(i))."""
+        if self.field is field:
+            return self._z
+        if field is QQ:
+            raise TypeError("a Q(i) matrix has no rows over Q")
+        return self.to_gaussian()._z
 
     def block(self, r0, r1, c0, c1) -> "Matrix":
-        return Matrix._wrap(self.field, [row[c0:c1] for row in self.data[r0:r1]], c1 - c0)
+        z = [_canon(row[-1], *[p[c0:c1] for p in row[:-1]]) for row in self._z[r0:r1]]
+        return Matrix._of(self.field, z, c1 - c0)
 
-    def copy(self) -> "Matrix":
-        return Matrix._wrap(self.field, [row[:] for row in self.data], self.cols)
+    def select_columns(self, columns) -> "Matrix":
+        """The matrix of the given columns of self, in the given order."""
+        columns = list(columns)
+        z = [_canon(row[-1], *[[p[c] for c in columns] for p in row[:-1]]) for row in self._z]
+        return Matrix._of(self.field, z, len(columns))
 
     def transpose(self) -> "Matrix":
         if not self.rows:
             return Matrix.zero(self.field, self.cols, 0)
-        return Matrix._wrap(self.field, [list(col) for col in zip(*self.data)], self.rows)
+        den = lcm(*(row[-1] for row in self._z))
+        scaled = _scaled(self._z, den)
+        # per part, the columns of the scaled rows; then one row per column
+        columns = [zip(*[parts[k] for parts in scaled]) for k in range(len(scaled[0]))]
+        z = [_canon(den, *map(list, col)) for col in zip(*columns)]
+        return Matrix._of(self.field, z, self.rows)
 
     def conjugate(self) -> "Matrix":
-        conj = self.field.conj
-        data = [[conj(x) for x in row] for row in self.data]
-        return Matrix._wrap(self.field, data, self.cols)
+        if self.field is QQ:
+            return self
+        return Matrix._of(QI, [(re, [-y for y in im], d) for re, im, d in self._z], self.cols)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in addition")
-        data = [[a + b for a, b in zip(x, y)] for x, y in zip(self.data, other.data)]
-        if other.field is self.field:
-            return Matrix._wrap(self.field, data, self.cols)
-        return Matrix(self.field, data, cols=self.cols)
+        field = self.field if other.field is self.field else QI
+        z = []
+        for x, y in zip(self._rows_over(field), other._rows_over(field)):
+            den = lcm(x[-1], y[-1])
+            px, py = _scaled([x, y], den)
+            z.append(_canon(den, *[[u + v for u, v in zip(p, q)] for p, q in zip(px, py)]))
+        return Matrix._of(field, z, self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix._wrap(self.field, [[-x for x in row] for row in self.data], self.cols)
+        z = [(*[[-x for x in p] for p in row[:-1]], row[-1]) for row in self._z]
+        return Matrix._of(self.field, z, self.cols)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        return Matrix._wrap(self.field, [[c * x for x in row] for row in self.data], self.cols)
+        if self.field is QQ:
+            cn, cd = c.numerator, c.denominator
+            z = [_canon(d * cd, [x * cn for x in ints]) for ints, d in self._z]
+        else:
+            (cr,), (ci,), cd = _gauss_int_row([c])
+            z = [
+                _canon(
+                    d * cd,
+                    [x * cr - y * ci for x, y in zip(re, im)],
+                    [x * ci + y * cr for x, y in zip(re, im)],
+                )
+                for re, im, d in self._z
+            ]
+        return Matrix._of(self.field, z, self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         field = self.field if other.field is self.field else QI
-        left = self.data if self.field is field else _lift(field, self.data)
-        right = list(zip(*other.data)) if other.rows else [()] * other.cols
-        if other.field is not field:
-            right = _lift(field, right)
-        return Matrix._wrap(field, _product_rows(field, left, right), other.cols)
+        z = _product(field, self._rows_over(field), other._rows_over(field), other.cols)
+        return Matrix._of(field, z, other.cols)
 
     def apply(self, v):
         """Matrix times column vector, returned as a plain list."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         field = QI if self.field is QI or _has_gaussian(v) else QQ
-        rows = self.data if self.field is field else _lift(field, self.data)
-        return [line[0] for line in _product_rows(field, rows, _lift(field, [v]))]
+        column = Matrix(field, [[x] for x in v], cols=1)
+        return [row[0] for row in (self @ column).data]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        if self.rows != other.rows or self.cols != other.cols:
+            return False
+        if self.field is other.field:
+            return self._z == other._z
+        return self._rows_over(QI) == other._rows_over(QI)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        # the real parts and denominators: equal across fields when equal
+        return hash((self.rows, self.cols, tuple((tuple(row[0]), row[-1]) for row in self._z)))
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(row) for row in self.data)
+        return all(map(_is_zero_row, self._z))
 
     def is_skew(self) -> bool:
         return self.rows == self.cols and (self.transpose() == -self)
 
     def rref(self):
-        """Reduced row-echelon form; returns (rref matrix, pivot column list)."""
-        out, pivots = _rref_rows(self.field, self.data, self.cols)
-        return Matrix._wrap(self.field, out, self.cols), pivots
+        """Reduced row-echelon form; returns (rref matrix, pivot column list).
+
+        The elimination runs on the rows' integers alone (scaling a row
+        keeps the row space); pivot row r comes out as a[r] / d, d the
+        last Bareiss pivot, and is made canonical.
+        """
+        field, n = self.field, self.cols
+        if field is QQ:
+            a = [_primitive(ints) for ints, _ in self._z]
+            pivots, d = _rref_z(a, n)
+            z = [_canon(d, a[r]) for r in range(len(pivots))]
+        else:
+            ar, ai = [], []
+            for re, im, _ in self._z:
+                g = gcd(*re, *im)
+                ar.append([x // g for x in re] if g > 1 else re)
+                ai.append([y // g for y in im] if g > 1 else im)
+            pivots, (dr, di) = _rref_zi(ar, ai, n)
+            if di:
+                # (x + y*i) / D = (x + y*i) * conj(D) / |D|^2
+                z = [
+                    _canon(
+                        dr * dr + di * di,
+                        [x * dr + y * di for x, y in zip(ar[r], ai[r])],
+                        [y * dr - x * di for x, y in zip(ar[r], ai[r])],
+                    )
+                    for r in range(len(pivots))
+                ]
+            else:
+                z = [_canon(dr, ar[r], ai[r]) for r in range(len(pivots))]
+        z += [_zero_row(field, n)] * (self.rows - len(pivots))
+        return Matrix._of(field, z, n), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> "Subspace":
-        """Right kernel {x : self @ x = 0} as a subspace of F^cols."""
+        """Right kernel {x : self @ x = 0} as a subspace of F^cols.
+
+        With the RREF pivot rows brought to their common denominator L,
+        the kernel vector of free column c scaled by L has L at c and minus
+        the row's integer at c in each pivot row's column.
+        """
+        field, n = self.field, self.cols
         red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for c in free:
-            v = [self.field.zero] * self.cols
-            v[c] = self.field.one
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.data[r][c]
-            basis.append(v)
-        return Subspace._span(self.field, self.cols, basis)
+        rows = red._z[: len(pivots)]
+        den = lcm(*(row[-1] for row in rows))
+        scaled = _scaled(rows, den)
+        kernel_rows = []
+        for c in range(n):
+            if c in pivots:
+                continue
+            v = [[0] * n for _ in range(1 if field is QQ else 2)]
+            v[0][c] = den
+            for parts, pc in zip(scaled, pivots):
+                for part, p in zip(v, parts):
+                    part[pc] = -p[c]
+            kernel_rows.append((*v, 1))
+        return Subspace._span(field, n, kernel_rows)
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        aug = Matrix.from_blocks(
-            self.field, [[self, Matrix(self.field, [[v] for v in b], cols=1)]]
-        )
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        field, n = self.field, self.cols
+        rhs = Matrix(field, [[v] for v in b], cols=1)
+        red, pivots = Matrix.from_blocks(field, [[self, rhs]]).rref()
+        if n in pivots:
             return None
-        x = [self.field.zero] * self.cols
+        x = [field.zero] * n
+        column = red.select_columns([n]).data
         for r, c in enumerate(pivots):
-            x[c] = red.data[r][self.cols]
+            x[c] = column[r][0]
         return x
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        aug = Matrix.from_blocks(self.field, [[self, Matrix.identity(self.field, n)]])
-        red, pivots = aug.rref()
+        red, pivots = Matrix.from_blocks(self.field, [[self, Matrix.identity(self.field, n)]]).rref()
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return red.block(0, n, n, 2 * n)
@@ -414,20 +530,21 @@ class Matrix:
         """Lift a rational matrix to Q(i) (identity on Q(i) matrices)."""
         if self.field is QI:
             return self
-        return Matrix._wrap(QI, _lift(QI, self.data), self.cols)
+        zeros = [0] * self.cols
+        return Matrix._of(QI, [(ints, zeros, d) for ints, d in self._z], self.cols)
 
     def real_part(self) -> "Matrix":
         if self.field is QQ:
             return self
-        return Matrix._wrap(QQ, [[x.re for x in row] for row in self.data], self.cols)
+        return Matrix._of(QQ, [_canon(d, re) for re, _, d in self._z], self.cols)
 
     def imag_part(self) -> "Matrix":
         if self.field is QQ:
             return Matrix.zero(QQ, self.rows, self.cols)
-        return Matrix._wrap(QQ, [[x.im for x in row] for row in self.data], self.cols)
+        return Matrix._of(QQ, [_canon(d, im) for _, im, d in self._z], self.cols)
 
     def is_real(self) -> bool:
-        return self.field is QQ or self.imag_part().is_zero()
+        return self.field is QQ or not any(any(im) for _, im, _ in self._z)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -447,16 +564,20 @@ class Subspace:
 
     @staticmethod
     def from_spanning(field, ambient_dim, vectors) -> "Subspace":
-        m = Matrix(field, [list(v) for v in vectors], cols=ambient_dim)
+        """The span of vectors: rows of scalars, or the rows of a Matrix."""
+        if isinstance(vectors, Matrix):
+            m = vectors
+        else:
+            m = Matrix(field, [list(v) for v in vectors], cols=ambient_dim)
         if m.cols != ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return Subspace._span(field, ambient_dim, m.data)
+        return Subspace._span(field, ambient_dim, m._rows_over(field))
 
     @staticmethod
     def _span(field, ambient_dim, rows) -> "Subspace":
-        """The span of rows whose entries are already scalars of field."""
-        red, pivots = Matrix._wrap(field, rows, ambient_dim).rref()
-        basis = Matrix._wrap(field, red.data[: len(pivots)], ambient_dim)
+        """The span of canonical stored rows of field."""
+        red, pivots = Matrix._of(field, rows, ambient_dim).rref()
+        basis = Matrix._of(field, red._z[: len(pivots)], ambient_dim)
         return Subspace(field, ambient_dim, basis, pivots)
 
     @staticmethod
@@ -465,9 +586,9 @@ class Subspace:
         pivots = list(indices)
         if any(not 0 <= a < b for a, b in zip(pivots, pivots[1:] + [ambient_dim])):
             raise ValueError("coordinate indices must ascend within the ambient dimension")
-        zero, one = field.zero, field.one
-        rows = [[one if c == i else zero for c in range(ambient_dim)] for i in pivots]
-        return Subspace(field, ambient_dim, Matrix._wrap(field, rows, ambient_dim), pivots)
+        units = {(k, c): 1 for k, c in enumerate(pivots)}
+        basis = Matrix.from_entries(field, len(pivots), ambient_dim, units)
+        return Subspace(field, ambient_dim, basis, pivots)
 
     @staticmethod
     def zero(field, ambient_dim) -> "Subspace":
@@ -488,7 +609,7 @@ class Subspace:
         return self.basis.rows
 
     def basis_rows(self):
-        return [row[:] for row in self.basis.data]
+        return [list(row) for row in self.basis.data]
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -505,24 +626,67 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
 
-    def reduce(self, v):
-        """Remainder of v after subtracting its projection onto the basis.
+    def _remainder(self, row):
+        """The stored row of a vector minus its projection onto the basis,
+        as integer parts over a positive (unreduced) denominator.
 
-        The basis is in RREF, so the projection is v[pivots] @ basis and
-        the remainder the one product [1, -v[pivots]] @ [v; basis].
+        The basis is in RREF, so the projection of v is sum_p v[p] * b_p;
+        with L the lcm of the denominators d_p involved, the remainder times
+        L * den(v) is v*L - sum_p v[p] * (L / d_p) * b_p, all in integers.
         """
-        field = self.field
-        v = [field.coerce(x) for x in v]
+        pivots, basis = self.pivots, self.basis._z
+        if self.field is QQ:
+            ints, den = row
+            terms = [(ints[p], b) for p, b in zip(pivots, basis) if ints[p]]
+            if not terms:
+                return row
+            big = lcm(*(b[1] for _, b in terms))
+            acc = [x * big for x in ints]
+            for f, (b, d) in terms:
+                f *= big // d
+                acc = [x - f * y for x, y in zip(acc, b)]
+            return acc, den * big
+        re, im, den = row
+        terms = [(re[p], im[p], b) for p, b in zip(pivots, basis) if re[p] or im[p]]
+        if not terms:
+            return row
+        big = lcm(*(b[2] for _, _, b in terms))
+        ar, ai = [x * big for x in re], [y * big for y in im]
+        for fr, fi, (br, bi, d) in terms:
+            s = big // d
+            fr, fi = fr * s, fi * s
+            # subtract (fr + fi*i) * (u + v*i)
+            ar, ai = (
+                [x - fr * u + fi * v for x, u, v in zip(ar, br, bi)],
+                [y - fr * v - fi * u for y, u, v in zip(ai, br, bi)],
+            )
+        return ar, ai, den * big
+
+    def _row(self, v):
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        lead = [field.one] + [-v[p] for p in self.pivots]
-        return _product_rows(field, [lead], list(zip(v, *self.basis.data)))[0]
+        return _row_of(self.field, v)
+
+    def reduce(self, v):
+        """Remainder of v after subtracting its projection onto the basis."""
+        *parts, den = self._remainder(self._row(v))
+        return list(_scalars(self.field, _canon(den, *parts)))
 
     def contains(self, v) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return _is_zero_row(self._remainder(self._row(v)))
+
+    def first_outside(self, m: Matrix):
+        """Index of the first row of m that lies outside the subspace, or
+        None when every row lies inside."""
+        if m.cols != self.ambient_dim:
+            raise ValueError("vector length mismatch")
+        for k, row in enumerate(m._rows_over(self.field)):
+            if not _is_zero_row(self._remainder(row)):
+                return k
+        return None
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.data)
+        return self.first_outside(other.basis) is None
 
     def coordinates(self, v):
         """Coefficients of v in the RREF basis; v must lie in the subspace."""
@@ -535,33 +699,37 @@ class Subspace:
         and other on the last k."""
         if self.field is not other.field:
             raise ValueError("direct sum of subspaces over different fields")
-        m, k, zero = self.ambient_dim, other.ambient_dim, self.field.zero
-        rows = [row + [zero] * k for row in self.basis.data]
-        rows += [[zero] * m + row for row in other.basis.data]
+        m, k, field = self.ambient_dim, other.ambient_dim, self.field
+        left = Matrix.zero(field, self.dim, k)
+        right = Matrix.zero(field, other.dim, m)
+        rows = Matrix.from_blocks(field, [[self.basis, left], [right, other.basis]])
         pivots = self.pivots + [m + p for p in other.pivots]
-        return Subspace(self.field, m + k, Matrix._wrap(self.field, rows, m + k), pivots)
+        return Subspace(field, m + k, rows, pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace._span(self.field, self.ambient_dim, self.basis.data + other.basis.data)
+        return Subspace._span(self.field, self.ambient_dim, self.basis._z + other.basis._z)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        # (lam, mu) with lam^T A = mu^T B <=> A^T lam - B^T mu = 0
-        at = self.basis.transpose()
-        bt = other.basis.transpose()
-        combos = Matrix.from_blocks(self.field, [[at, -bt]]).kernel().basis
-        lam = combos.block(0, combos.rows, 0, self.dim)
-        return Subspace._span(self.field, self.ambient_dim, (lam @ self.basis).data)
+        # Zassenhaus: the RREF of [[A, A], [B, 0]] has rows [0, c] exactly
+        # for c in an RREF basis of the intersection, after the rows of A + B
+        field, n, a, b = self.field, self.ambient_dim, self.basis, other.basis
+        zero = Matrix.zero(field, other.dim, n)
+        red, pivots = Matrix.from_blocks(field, [[a, a], [b, zero]]).rref()
+        k = len([p for p in pivots if p < n])
+        basis = red.block(k, len(pivots), n, 2 * n)
+        return Subspace(field, n, basis, [p - n for p in pivots[k:]])
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace (in dual coordinates)."""
         return self.basis.kernel()
 
     def conjugate(self) -> "Subspace":
-        return Subspace._span(self.field, self.ambient_dim, self.basis.conjugate().data)
+        """The conjugate subspace; conjugating an RREF basis keeps it RREF."""
+        return Subspace(self.field, self.ambient_dim, self.basis.conjugate(), list(self.pivots))
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -576,7 +744,7 @@ class Subspace:
         if m.cols != self.ambient_dim:
             raise ValueError("map domain mismatch")
         product = self.basis @ m.transpose()
-        return Subspace._span(product.field, m.rows, product.data)
+        return Subspace._span(product.field, m.rows, product._z)
 
     def to_gaussian(self) -> "Subspace":
         if self.field is QI:
@@ -590,9 +758,9 @@ class Subspace:
         if not self.is_real():
             raise ValueError("subspace is not conjugation stable")
         spanning = []
-        for row in self.basis.data:
-            spanning.append([x.re for x in row])
-            spanning.append([x.im for x in row])
+        for re, im, d in self.basis._z:
+            spanning.append(_canon(d, re))
+            spanning.append(_canon(d, im))
         real = Subspace._span(QQ, self.ambient_dim, spanning)
         if real.dim != self.dim:
             raise ValueError("real form has wrong dimension")

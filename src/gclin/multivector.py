@@ -204,7 +204,8 @@ class Multivector:
         """(mask, coeff) with the lexicographically first sorted index tuple."""
         if not self.terms:
             raise ValueError("zero multivector has no leading term")
-        best = min(self.terms, key=lambda m: tuple(mask_to_indices(m)))
+        # index lists compare lexicographically, like the tuples they hold
+        best = min(self.terms, key=mask_to_indices)
         return best, self.terms[best]
 
     def normalized(self) -> "Multivector":
@@ -227,8 +228,8 @@ class Multivector:
         if not self.terms:
             return "Multivector(0)"
         bits = []
-        for m in sorted(self.terms, key=lambda m: tuple(mask_to_indices(m))):
-            idx = "^".join(f"f{i + 1}" for i in mask_to_indices(m)) or "1"
+        for indices, m in sorted((mask_to_indices(m), m) for m in self.terms):
+            idx = "^".join(f"f{i + 1}" for i in indices) or "1"
             bits.append(f"({self.terms[m]})*{idx}")
         return " + ".join(bits)
 
@@ -320,10 +321,11 @@ def two_form_from_coeff(matrix: Matrix) -> Multivector:
     Only the upper triangle is read; the matrix is expected skew.
     """
     n = matrix.rows
+    data = matrix.data
     terms = {}
     for i in range(n):
         for j in range(i + 1, n):
-            c = QI.coerce(matrix.data[i][j])
+            c = QI.coerce(data[i][j])
             if c:
                 terms[(1 << i) | (1 << j)] = c
     return Multivector(n, terms)
@@ -333,10 +335,9 @@ def two_form_coeff(mv: Multivector) -> Matrix:
     """Full antisymmetric coefficient matrix of a 2-form."""
     if mv.grades() not in ([], [2]):
         raise ValueError("not a homogeneous 2-form")
-    n = mv.n
-    m = Matrix.zero(QI, n, n)
+    entries = {}
     for mask, c in mv.terms.items():
         i, j = mask_to_indices(mask)
-        m.data[i][j] = c
-        m.data[j][i] = -c
-    return m
+        entries[i, j] = c
+        entries[j, i] = -c
+    return Matrix.from_entries(QI, mv.n, mv.n, entries)

@@ -54,8 +54,8 @@ def compose_subspaces(phi: Subspace, gamma: Subspace, nv: int, nw: int, nz: int)
     chained = gamma.direct_sum(Subspace.full(QQ, nz)).intersect(
         Subspace.full(QQ, nv).direct_sum(phi)
     )
-    projected = [row[:nv] + row[nv + nw :] for row in chained.basis.data]
-    return Subspace.from_spanning(QQ, nv + nz, projected)
+    kept = list(range(nv)) + list(range(nv + nw, nv + nw + nz))
+    return Subspace.from_spanning(QQ, nv + nz, chained.basis.select_columns(kept))
 
 
 def compose(phi: LinearRelation, gamma: LinearRelation) -> LinearRelation:
@@ -116,11 +116,8 @@ def annihilator_composition_identity(phi: LinearRelation, gamma: LinearRelation)
     lhs = compose(phi, gamma).graph.annihilator()
     ann_gamma = gamma.graph.annihilator()
     ann_phi = phi.graph.annihilator()
-    flipped = Subspace.from_spanning(
-        QQ,
-        nw + nz,
-        [[-x for x in row[:nw]] + row[nw:] for row in ann_phi.basis.data],
-    )
+    signs = {(c, c): -1 if c < nw else 1 for c in range(nw + nz)}
+    flipped = ann_phi.image(Matrix.from_entries(QQ, nw + nz, nw + nz, signs))
     rhs = compose_subspaces(flipped, ann_gamma, nv, nw, nz)
     return lhs == rhs
 

@@ -37,13 +37,13 @@ def random_invertible(rng: Random, n: int) -> Matrix:
 
 
 def random_skew(rng: Random, n: int) -> Matrix:
-    m = Matrix.zero(QQ, n, n)
+    entries = {}
     for i in range(n):
         for j in range(i + 1, n):
-            v = QQ.coerce(rng.randint(-2, 2))
-            m.data[i][j] = v
-            m.data[j][i] = -v
-    return m
+            v = rng.randint(-2, 2)
+            entries[i, j] = v
+            entries[j, i] = -v
+    return Matrix.from_entries(QQ, n, n, entries)
 
 
 def random_two_form(rng: Random, n: int) -> TwoForm:
@@ -56,11 +56,11 @@ def random_bivector(rng: Random, n: int) -> BiVector:
 
 def _rotation_blocks(m: int) -> Matrix:
     half = m // 2
-    j0 = Matrix.zero(QQ, m, m)
+    entries = {}
     for i in range(half):
-        j0.data[i][half + i] = -QQ.one
-        j0.data[half + i][i] = QQ.one
-    return j0
+        entries[i, half + i] = -1
+        entries[half + i, i] = 1
+    return Matrix.from_entries(QQ, m, m, entries)
 
 
 def random_symplectic_form(rng: Random, m: int) -> TwoForm:
@@ -114,13 +114,13 @@ def random_subspace(rng: Random, n: int, dim=None) -> Subspace:
 
 
 def random_gaussian_skew(rng: Random, n: int) -> Matrix:
-    m = Matrix.zero(QI, n, n)
+    entries = {}
     for i in range(n):
         for j in range(i + 1, n):
             v = GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
-            m.data[i][j] = v
-            m.data[j][i] = -v
-    return m
+            entries[i, j] = v
+            entries[j, i] = -v
+    return Matrix.from_entries(QI, n, n, entries)
 
 
 def random_maximal_isotropic(rng: Random, n: int) -> Subspace:
@@ -133,15 +133,16 @@ def random_maximal_isotropic(rng: Random, n: int) -> Subspace:
     """
     b = random_gaussian_skew(rng, n)
     beta = random_gaussian_skew(rng, n)
+    b_rows, beta_rows = b.data, beta.data
     rows = []
     for i in range(n):
         if rng.random() < 0.5:
             # swapped: start at f_i; B fixes it, beta adds its column
-            v = [beta.data[r][i] for r in range(n)]
+            v = [row[i] for row in beta_rows]
             f = [QI.one if r == i else QI.zero for r in range(n)]
         else:
             # start at e_i; B adds its column, then beta acts on that
-            bcol = [b.data[r][i] for r in range(n)]
+            bcol = [row[i] for row in b_rows]
             v = [
                 (QI.one if r == i else QI.zero) + beta_r
                 for r, beta_r in enumerate(beta.apply(bcol))

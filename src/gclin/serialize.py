@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .core import GCAut, IsotropicE
-from .fields import QI, QQ, GaussianRational, format_rational, rational
+from .fields import QI, QQ, GaussianRational, format_rational, rational, rational_from_ints
 from .linalg import Matrix, Subspace
 from .multivector import Multivector, indices_to_mask, mask_to_indices
 from .relations import LinearRelation
@@ -26,18 +26,26 @@ def encode_rational(x) -> str:
     return format_rational(x)
 
 
-_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def decode_rational(data):
-    """A JSON integer, or a string "p" or "p/q" of ASCII digits with q != 0."""
+    """A JSON integer, or a string "p" or "p/q" of ASCII digits with q != 0.
+
+    The digits the grammar matched become the rational directly; nothing
+    parses the string a second time.
+    """
     if isinstance(data, bool) or not isinstance(data, (str, int)):
         raise PayloadError(f"expected a rational string, got {data!r}")
-    if isinstance(data, str) and not _RATIONAL_LITERAL.fullmatch(data):
-        raise PayloadError(f"bad rational {data!r}: expected an integer or 'p/q'")
-    try:
+    if isinstance(data, int):
         return rational(data)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    match = _RATIONAL_LITERAL.fullmatch(data)
+    if not match:
+        raise PayloadError(f"bad rational {data!r}: expected an integer or 'p/q'")
+    num, den = match.groups()
+    try:
+        return rational_from_ints(int(num), int(den) if den else 1)
+    except (ValueError, ZeroDivisionError) as exc:
         raise PayloadError(f"bad rational {data!r}: {exc}") from None
 
 
@@ -85,7 +93,7 @@ def decode_subspace(data, field) -> Subspace:
     basis = decode_matrix(data.get("basis", []), field, cols=ambient)
     if basis.rows and basis.cols != ambient:
         raise PayloadError("basis width does not match ambient_dim")
-    return Subspace.from_spanning(field, ambient, basis.data)
+    return Subspace.from_spanning(field, ambient, basis)
 
 
 def decode_two_form_matrix(data, n=None) -> Matrix:
@@ -115,15 +123,12 @@ def encode_eigenspace(e: IsotropicE) -> dict:
 
 
 def encode_multivector(mv: Multivector) -> list:
-    out = []
-    for mask in sorted(mv.terms, key=lambda m: tuple(mask_to_indices(m))):
-        out.append(
-            {
-                "coeff": encode_gaussian(mv.terms[mask]),
-                "indices": [i + 1 for i in mask_to_indices(mask)],
-            }
-        )
-    return out
+    # distinct masks have distinct index tuples, so the sort never reaches the mask
+    keyed = sorted((mask_to_indices(m), m) for m in mv.terms)
+    return [
+        {"coeff": encode_gaussian(mv.terms[mask]), "indices": [i + 1 for i in indices]}
+        for indices, mask in keyed
+    ]
 
 
 def decode_multivector(data, n: int) -> Multivector:

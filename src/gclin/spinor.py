@@ -82,7 +82,7 @@ def annihilator_subspace(phi: Multivector) -> Subspace:
     zero = QI.zero
     masks = sorted({m for col in columns for m in col})
     rows = [[col.get(m, zero) for col in columns] for m in masks]
-    return Matrix._wrap(QI, rows, 2 * n).kernel()
+    return Matrix(QI, rows, cols=2 * n).kernel()
 
 
 def is_pure(phi: Multivector) -> bool:
@@ -167,21 +167,21 @@ def standard_data_for_subspace(e: Subspace):
         raise ValueError("subspace is not half-dimensional")
     if not is_isotropic(e):
         raise ValueError("subspace is not isotropic")
-    rows = e.basis.data
-    lifts = [row for row, p in zip(rows, e.pivots) if p < n]
-    factor_rows = [row[n:] for row, p in zip(rows, e.pivots) if p >= n]
+    # pivots ascend, so the lifts are the first rows
+    lifts = len([p for p in e.pivots if p < n])
+    factor_rows = e.basis.block(lifts, e.dim, n, 2 * n).data
     fixed = {p - n for p in e.pivots if p >= n}
     free = [c for c in range(n) if c not in fixed]
-    if len(lifts) != n - len(factor_rows):
+    if lifts != n - len(factor_rows):
         raise AssertionError("projection dimension violates maximal isotropy")
     u_terms = {}
     if lifts:
-        vecs = Matrix._wrap(QI, [row[:n] for row in lifts], n)
-        gram = Matrix._wrap(QI, [row[n:] for row in lifts], n) @ vecs.transpose()
+        vecs = e.basis.block(0, lifts, 0, n)
+        gram = e.basis.block(0, lifts, n, 2 * n) @ vecs.transpose()
         if not gram.is_skew():
             raise AssertionError("lifts pair to a non-skew form; subspace not isotropic?")
         try:
-            m_inv = Matrix._wrap(QI, [[row[c] for c in free] for row in lifts], len(free)).inverse()
+            m_inv = vecs.select_columns(free).inverse()
         except ValueError:
             raise AssertionError("vector parts are not a basis on the free coordinates") from None
         u_free = (m_inv @ gram @ m_inv.transpose()).data

@@ -52,7 +52,7 @@ class InducedStructure:
     witness: Optional[tuple]
 
 
-def _finish_induced(dim_target: int, rows) -> InducedStructure:
+def _finish_induced(dim_target: int, rows: Matrix) -> InducedStructure:
     """Verdict on an induced eigenspace.
 
     The checks of validate_eigenspace run here, once, so the structure is
@@ -90,9 +90,7 @@ def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
     n = j.n
     cut = _cut(j, w, quotient=False)
     restricted = cut.block(0, cut.rows, n, 2 * n) @ w.basis.transpose()
-    rows = [
-        [vec[p] for p in w.pivots] + f_on_w for vec, f_on_w in zip(cut.data, restricted.data)
-    ]
+    rows = Matrix.from_blocks(QI, [[cut.select_columns(w.pivots), restricted]])
     return _finish_induced(w.dim, rows)
 
 
@@ -101,11 +99,11 @@ def induce_on_quotient(j: GCAut, w: Subspace) -> InducedStructure:
     n = j.n
     cut = _cut(j, w, quotient=True)
     free = [c for c in range(n) if c not in w.pivots]
-    w_c = w.to_gaussian()
-    rows = []
-    for vec in cut.data:
-        v_red = w_c.reduce(vec[:n])
-        rows.append([v_red[c] for c in free] + [vec[n + c] for c in free])
+    # the vector parts reduced modulo W, on the free coordinates:
+    # x[free] - x[pivots] @ basis[free], the basis being in RREF
+    vecs = cut.block(0, cut.rows, 0, n)
+    reduced = vecs.select_columns(free) - vecs.select_columns(w.pivots) @ w.basis.select_columns(free)
+    rows = Matrix.from_blocks(QI, [[reduced, cut.select_columns([n + c for c in free])]])
     return _finish_induced(n - w.dim, rows)
 
 
@@ -121,8 +119,7 @@ def restrict_spinor(j: GCAut, w: Subspace):
     e = to_eigenspace(j).e
     u, _ = standard_data_for_subspace(e)
 
-    proj_rows = [row[:n] for row in e.basis.data]
-    rho_e = Subspace.from_spanning(QI, n, proj_rows)
+    rho_e = Subspace.from_spanning(QI, n, e.basis.block(0, e.dim, 0, n))
     phi_span = rho_e.annihilator()
     w_ci = w.to_gaussian()
     deep = rho_e.sum(w_ci).annihilator()
@@ -152,28 +149,28 @@ def restrict_spinor(j: GCAut, w: Subspace):
     return sf, l, line_w
 
 
+def _first_escape(w: Subspace, ann: Subspace, gens: Matrix, to_v: Matrix, to_dual: Matrix):
+    """Index of the first generator g (a row of gens) whose image under J,
+    with vector part g @ to_v^T and covector part g @ to_dual^T, leaves
+    W + Ann(W); None when every image stays inside."""
+    found = [
+        w.first_outside(gens @ to_v.transpose()),
+        ann.first_outside(gens @ to_dual.transpose()),
+    ]
+    return min((k for k in found if k is not None), default=None)
+
+
 def generalized_isotropic_witness(j: GCAut, w: Subspace):
     """None if J(W) lies inside W + Ann(W); else an escaping generator."""
-    ann = w.annihilator()
-    n = j.n
-    j1w = (w.basis @ j.j1.transpose()).data
-    j3w = (w.basis @ j.j3.transpose()).data
-    for wr, x, f in zip(w.basis.data, j1w, j3w):
-        if not w.contains(x) or not ann.contains(f):
-            return list(wr) + [QQ.zero] * n
-    return None
+    k = _first_escape(w, w.annihilator(), w.basis, j.j1, j.j3)
+    return None if k is None else list(w.basis.data[k]) + [QQ.zero] * j.n
 
 
 def generalized_coisotropic_witness(j: GCAut, w: Subspace):
     """None if J(Ann(W)) lies inside W + Ann(W); else an escaping generator."""
     ann = w.annihilator()
-    n = j.n
-    j2f = (ann.basis @ j.j2.transpose()).data
-    j4f = (ann.basis @ j.j4.transpose()).data
-    for f, x, g in zip(ann.basis.data, j2f, j4f):
-        if not w.contains(x) or not ann.contains(g):
-            return [QQ.zero] * n + list(f)
-    return None
+    k = _first_escape(w, ann, ann.basis, j.j2, j.j4)
+    return None if k is None else [QQ.zero] * j.n + list(ann.basis.data[k])
 
 
 def is_generalized_isotropic(j: GCAut, w: Subspace) -> bool:
@@ -202,7 +199,7 @@ def satisfies_graph_condition(j: GCAut, w: Subspace, k: GCAut) -> bool:
     j1w = (w.basis @ j.j1.transpose()).data
     j3_on_w = (w.basis @ j.j3.transpose() @ w.basis.transpose()).data
     by_blocks = all(
-        w.contains(x) and w.coordinates(x) == k1_col and restricted == k3_col
+        w.contains(x) and w.coordinates(x) == list(k1_col) and restricted == k3_col
         for x, restricted, k1_col, k3_col in zip(
             j1w, j3_on_w, k.j1.transpose().data, k.j3.transpose().data
         )
@@ -244,7 +241,7 @@ def verify_split(j: GCAut, w: Subspace, n_comp: Subspace) -> bool:
     if w.dim + n_comp.dim != n or not w.intersect(n_comp).is_zero():
         return False
     span = w.direct_sum(n_comp.annihilator())  # W + Ann(N) inside V + V*
-    return all(span.contains(x) for x in (span.basis @ j.full().transpose()).data)
+    return span.first_outside(span.basis @ j.full().transpose()) is None
 
 
 def _induced_on_summand(j: GCAut, w: Subspace, n_comp: Subspace) -> GCAut:
@@ -278,7 +275,7 @@ def split_induced(j: GCAut, w: Subspace, n_comp: Subspace):
             raise AssertionError(f"summand structure invalid: {check.violations}")
     if jw != induce_on_subspace(j, w).jw:
         raise AssertionError("split structure disagrees with the induced one")
-    p = Matrix(QQ, w.basis.data + n_comp.basis.data, cols=j.n).transpose()
+    p = Matrix.from_blocks(QQ, [[w.basis], [n_comp.basis]]).transpose()
     if conjugate_by_basis(direct_sum(jw, jn), p) != j:
         raise AssertionError("summand structures do not reassemble the ambient one")
     return jw, jn
@@ -301,14 +298,12 @@ def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
         data = _recover(j, types)
         jm = data.jmat
         jmt = jm.transpose()
-        jw = (w.basis @ jmt).data
-        if not all(w.contains(x) for x in jw):
+        jw = w.basis @ jmt
+        if w.first_outside(jw) is not None:
             return None
         comp0 = w.complement()
-        q = Matrix(QQ, w.basis.data + comp0.basis.data, cols=n).transpose()
-        sel = Matrix.zero(QQ, n, n)
-        for i in range(w.dim):
-            sel.data[i][i] = QQ.one
+        q = Matrix.from_blocks(QQ, [[w.basis], [comp0.basis]]).transpose()
+        sel = Matrix.from_entries(QQ, n, n, {(i, i): 1 for i in range(w.dim)})
         sigma0 = q @ sel @ q.inverse()
         sigma = sigma0
         power = Matrix.identity(QQ, n)
@@ -320,7 +315,7 @@ def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
         if n1.dim + w.dim != n:
             raise AssertionError("equivariant projection has wrong rank")
         m, qdim = w.dim, n1.dim
-        j_on_w = [w.coordinates(x) for x in jw]
+        j_on_w = [w.coordinates(x) for x in jw.data]
         j_on_n = [n1.coordinates(x) for x in (n1.basis @ jmt).data]
         # B(x, y) = (b x) . y over the bases of W and N1
         bw = w.basis @ data.b.m.transpose()
@@ -353,7 +348,7 @@ def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
         # N1 + h^T W, with h the m x q solution
         h = Matrix(QQ, [sol[x * qdim : (x + 1) * qdim] for x in range(m)], cols=qdim)
         corrected = n1.basis + h.transpose() @ w.basis
-        cand = Subspace.from_spanning(QQ, n, corrected.data)
+        cand = Subspace.from_spanning(QQ, n, corrected)
         if not verify_split(j, w, cand):
             raise AssertionError("solved complement failed the splitting check")
         return cand

@@ -198,7 +198,7 @@ def assemble_sum_transform(
     omega_big = Matrix.from_blocks(QQ, [[w, zsc], [zcs, zcc]]).to_gaussian()
     u = two_form_from_coeff((-b_map + omega_big.scale(I)).transpose())
     anti = (jt.to_gaussian() + Matrix.identity(QI, c).scale(I)).kernel()
-    factors = [Multivector.covector(n, [QI.zero] * s + row) for row in anti.basis.data]
+    factors = [Multivector.covector(n, [QI.zero] * s + list(row)) for row in anti.basis.data]
     line = SpinorLine.of(spinor_product(u, factors))
     if annihilator_subspace(line.rep) != to_eigenspace(aut).e:
         raise AssertionError("matrix form and spinor describe different structures")

@@ -102,9 +102,9 @@ def test_criterion_02_equation_set_equivalence():
         if trial % 2:
             blocks = list(j.blocks())
             which = rng.randrange(4)
-            m = blocks[which].copy()
-            m.data[rng.randrange(n)][rng.randrange(n)] += QQ.coerce(rng.choice((1, -1)))
-            blocks[which] = m
+            r, c = rng.randrange(n), rng.randrange(n)
+            bump = Matrix.from_entries(QQ, n, n, {(r, c): rng.choice((1, -1))})
+            blocks[which] = blocks[which] + bump
             j = GCAut(*blocks)
         full = j.full()
         s = swap_matrix(QQ, j.n)

@@ -166,9 +166,8 @@ class TestValidation:
             if trial % 2:
                 blocks = list(j.blocks())
                 which = rng.randrange(4)
-                m = blocks[which].copy()
-                m.data[rng.randrange(4)][rng.randrange(4)] += QQ.one
-                blocks[which] = m
+                r, c = rng.randrange(4), rng.randrange(4)
+                blocks[which] = blocks[which] + Matrix.from_entries(QQ, 4, 4, {(r, c): 1})
                 j = GCAut(*blocks)
             full = j.full()
             square_ok = full @ full == -Matrix.identity(QQ, 8)
@@ -251,9 +250,8 @@ class TestCarriedEigenspace:
         n, seed = ns
         carried = to_aut(to_eigenspace(random_gcs(Random(seed), n)))
         blocks = list(carried.blocks())
-        m = blocks[which].copy()
-        m.data[entry // n % n][entry % n] += QQ.one
-        blocks[which] = m
+        bump = Matrix.from_entries(QQ, n, n, {(entry // n % n, entry % n): 1})
+        blocks[which] = blocks[which] + bump
         with pytest.raises(ValueError, match="invalid automorphism"):
             to_eigenspace(GCAut(*blocks))
 
@@ -395,11 +393,9 @@ class TestCoordinateSummands:
 
     @staticmethod
     def old_projection(n, which):
-        m = Matrix.zero(QI, n, 2 * n)
         off = 0 if which == "vector" else n
-        for i in range(n):
-            m.data[i][off + i] = QI.one
-        return m
+        rows = [[QI.one if c == off + i else QI.zero for c in range(2 * n)] for i in range(n)]
+        return Matrix(QI, rows, cols=2 * n)
 
     @pytest.mark.parametrize("n", range(6))
     def test_summands_and_projections(self, n):

@@ -1,8 +1,10 @@
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from gclin.fields import QI, QQ, GaussianRational
 from gclin.linalg import Matrix, Subspace, vec_dot
@@ -64,6 +66,11 @@ def oracle_product(field, a, b, cols):
     return out
 
 
+def as_view(rows):
+    """Rows of scalars in the read-only form of ``Matrix.data``."""
+    return tuple(tuple(row) for row in rows)
+
+
 def rank_by_minors(rows, cols_count):
     """Largest k with a nonzero k x k minor."""
     m = len(rows)
@@ -86,8 +93,8 @@ def test_rref_identity():
 def test_rref_dependent_rows():
     m = Matrix(QQ, [[1, 2], [2, 4]])
     red, pivots = m.rref()
-    assert red.data[0] == [QQ.one, QQ.coerce(2)]
-    assert red.data[1] == [QQ.zero, QQ.zero]
+    assert red.data[0] == (QQ.one, QQ.coerce(2))
+    assert red.data[1] == (QQ.zero, QQ.zero)
     assert len(pivots) == 1
 
 
@@ -123,7 +130,7 @@ def test_kernel_gaussian_example():
     ker = m.kernel()
     assert ker.dim == 1
     assert ker.contains([-i, QI.one])
-    assert ker.basis.data[0] == [QI.one, i]
+    assert ker.basis.data[0] == (QI.one, i)
 
 
 def test_kernel_dimension_rule():
@@ -278,7 +285,7 @@ def test_hyp_rref_matches_oracle(field, data):
     red, pivots = Matrix(field, rows, cols=cols).rref()
     expected, expected_pivots = oracle_rref(field, rows, cols)
     assert pivots == expected_pivots
-    assert red.data == expected
+    assert red.data == as_view(expected)
     assert (red.rows, red.cols) == (len(rows), cols)
     _assert_scalar_types(field, red)
 
@@ -293,7 +300,7 @@ def test_hyp_product_matches_oracle(field, data):
     a = data.draw(matrix_rows(field, rows, inner))
     b = data.draw(matrix_rows(field, inner, cols))
     prod = Matrix(field, a, cols=inner) @ Matrix(field, b, cols=cols)
-    assert prod.data == oracle_product(field, a, b, cols)
+    assert prod.data == as_view(oracle_product(field, a, b, cols))
     assert (prod.rows, prod.cols) == (rows, cols)
     _assert_scalar_types(field, prod)
 
@@ -308,7 +315,7 @@ def test_gaussian_rref_with_non_real_pivots():
     ]
     red, pivots = Matrix(QI, rows).rref()
     expected, expected_pivots = oracle_rref(QI, rows, 4)
-    assert (red.data, pivots) == (expected, expected_pivots)
+    assert (red.data, pivots) == (as_view(expected), expected_pivots)
     assert pivots == [0, 1, 2]
 
 
@@ -588,8 +595,8 @@ def test_hyp_direct_sum_equals_spanned_padded_rows(field, data):
     a = data.draw(spanned_subspaces(field))
     b = data.draw(spanned_subspaces(field))
     m, k = a.ambient_dim, b.ambient_dim
-    rows = [row + [field.zero] * k for row in a.basis.data]
-    rows += [[field.zero] * m + row for row in b.basis.data]
+    rows = [list(row) + [field.zero] * k for row in a.basis.data]
+    rows += [[field.zero] * m + list(row) for row in b.basis.data]
     assert_same_subspace(a.direct_sum(b), Subspace.from_spanning(field, m + k, rows))
 
 
@@ -610,3 +617,167 @@ def test_hyp_graph_equals_spanned_graph_rows(field, data):
         for c, unit in enumerate(unit_rows(field, cols, range(cols)))
     ]
     assert_same_subspace(Subspace.graph(m), Subspace.from_spanning(field, cols + rows, spanned))
+
+
+# -- integer storage against a per-entry Gauss-Jordan oracle -------------------
+
+
+def oracle_basis(field, rows, cols):
+    """The nonzero rows of the oracle RREF: the canonical basis of the span."""
+    red, pivots = oracle_rref(field, rows, cols)
+    return as_view(red[: len(pivots)])
+
+
+def oracle_kernel(field, rows, cols):
+    """Null-space vectors read off the oracle RREF, one per free column."""
+    red, pivots = oracle_rref(field, rows, cols)
+    out = []
+    for c in range(cols):
+        if c in pivots:
+            continue
+        v = [field.zero] * cols
+        v[c] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][c]
+        out.append(v)
+    return out
+
+
+def assert_canonical(m):
+    """Every stored row has a positive denominator coprime to its integers."""
+    for row in m._z:
+        *parts, den = row
+        assert den > 0
+        assert all(type(x) is int for part in parts for x in part)
+        assert all(len(part) == m.cols for part in parts)
+        assert gcd(den, *(x for part in parts for x in part)) == 1
+    assert len(m._z) == m.rows
+
+
+def as_fractions(field, m):
+    """The entries of m rebuilt as plain Fractions (pairs over Q(i))."""
+    if field is QQ:
+        return [[Fraction(x) for x in row] for row in m.data]
+    return [[(Fraction(x.re), Fraction(x.im)) for x in row] for row in m.data]
+
+
+@FIELDS
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_hyp_storage_kernel_solve_inverse_match_oracle(field, data):
+    rows = data.draw(matrix_rows(field))
+    cols = len(rows[0]) if rows else data.draw(st.integers(min_value=0, max_value=4))
+    m = Matrix(field, rows, cols=cols)
+    assert_canonical(m)
+    red, _ = m.rref()
+    assert_canonical(red)
+
+    ker = m.kernel()
+    assert_canonical(ker.basis)
+    assert ker.basis.data == oracle_basis(field, oracle_kernel(field, rows, cols), cols)
+
+    b = data.draw(st.lists(_field_entries(QQ), min_size=len(rows), max_size=len(rows)))
+    aug = [list(row) + [x] for row, x in zip(rows, b)]
+    aug_red, aug_pivots = oracle_rref(field, aug, cols + 1)
+    x = m.solve(b)
+    if cols in aug_pivots:
+        assert x is None
+    else:
+        want = [field.zero] * cols
+        for r, c in enumerate(aug_pivots):
+            want[c] = aug_red[r][cols]
+        assert x == want
+
+    if len(rows) == cols and len(oracle_rref(field, rows, cols)[1]) == cols:
+        unit = [[field.one if r == c else field.zero for c in range(cols)] for r in range(cols)]
+        inv_red, _ = oracle_rref(field, [list(r) + u for r, u in zip(rows, unit)], 2 * cols)
+        inv = m.inverse()
+        assert_canonical(inv)
+        assert inv.data == as_view([row[cols:] for row in inv_red])
+    elif len(rows) == cols:
+        with pytest.raises(ValueError):
+            m.inverse()
+
+
+@FIELDS
+@seed(20261019)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_hyp_storage_sum_intersect_product_match_oracle(field, data):
+    a = data.draw(spanned_subspaces(field))
+    b = data.draw(spanned_subspaces(field, a.ambient_dim))
+    n = a.ambient_dim
+    for s in (a, b):
+        assert_canonical(s.basis)
+
+    total = a.sum(b)
+    assert_canonical(total.basis)
+    assert total.basis.data == oracle_basis(field, list(a.basis.data) + list(b.basis.data), n)
+
+    # (lam, mu) with lam A = mu B, as in the definition of the intersection
+    stacked = [list(ra) + [-x for x in rb] for ra, rb in zip(transposed(a), transposed(b))]
+    combos = oracle_kernel(field, stacked, a.dim + b.dim) if a.dim and b.dim else []
+    meet = [
+        [oracle_dot(lam[: a.dim], [row[c] for row in a.basis.data]) for c in range(n)] for lam in combos
+    ]
+    got = a.intersect(b)
+    assert_canonical(got.basis)
+    assert got.basis.data == oracle_basis(field, meet, n)
+
+    height = data.draw(st.integers(min_value=0, max_value=4))
+    left = data.draw(matrix_rows(field, height, a.dim))
+    prod = Matrix(field, left, cols=a.dim) @ a.basis
+    assert_canonical(prod)
+    assert prod.data == as_view(oracle_product(field, left, a.basis.data, n))
+
+    v = data.draw(probe_vectors(a))
+    assert a.reduce(v) == oracle_reduce(a, v)
+    assert a.contains(v) == (not any(oracle_reduce(a, v)))
+
+
+def transposed(s):
+    """The columns of s's basis as lists (no rows when s has none)."""
+    return [list(col) for col in zip(*s.basis.data)] if s.dim else [[] for _ in range(s.ambient_dim)]
+
+
+@FIELDS
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hyp_storage_equality_and_hash_match_entries(field, data):
+    rows = data.draw(matrix_rows(field))
+    cols = len(rows[0]) if rows else data.draw(st.integers(min_value=0, max_value=4))
+    m = Matrix(field, rows, cols=cols)
+    # the same values in other scalar types, or with one entry moved
+    twin_rows = [[field.coerce(x) if data.draw(st.booleans()) else x for x in row] for row in rows]
+    if rows and cols and data.draw(st.booleans()):
+        r, c = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, cols - 1))
+        twin_rows[r][c] = field.coerce(twin_rows[r][c]) + data.draw(st.sampled_from([1, Fraction(1, 2)]))
+    twin = Matrix(field, twin_rows, cols=cols)
+    same = as_fractions(field, m) == as_fractions(field, twin)
+    assert (m == twin) == same and (m != twin) == (not same)
+    if same:
+        assert hash(m) == hash(twin)
+    for derived in (m.transpose(), -m, m.scale(Fraction(-2, 3)), m + twin, m.conjugate(), m.to_gaussian()):
+        assert_canonical(derived)
+    assert m.transpose().transpose() == m
+    assert m + (-m) == Matrix.zero(field, m.rows, cols)
+    if field is QI and m.is_real():
+        real = m.real_part()
+        assert real == m and hash(real) == hash(m) and real.to_gaussian() == m
+
+
+@FIELDS
+def test_data_view_is_read_only(field):
+    m = Matrix(field, [[1, 2], [3, 4]])
+    before = m.data
+    with pytest.raises(TypeError):
+        m.data[0][0] = field.coerce(7)
+    with pytest.raises(TypeError):
+        m.data[1] = (field.zero, field.zero)
+    with pytest.raises(AttributeError):
+        m.data = ((field.zero,),)
+    assert m.data == before
+    assert m == Matrix(field, [[1, 2], [3, 4]])
+    assert m @ Matrix.identity(field, 2) == m

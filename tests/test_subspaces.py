@@ -197,7 +197,7 @@ class TestRestrictSpinor:
             wmat = Matrix(QQ, w.basis.data, cols=4)
             b_w = TwoForm(wmat @ b.m @ wmat.transpose())
             lifted = [
-                row[:2] + [x + y for x, y in zip(row[2:], b_w.m.to_gaussian().apply(row[:2]))]
+                list(row[:2]) + [x + y for x, y in zip(row[2:], b_w.m.to_gaussian().apply(row[:2]))]
                 for row in ew_before.basis.data
             ]
             assert ew_after == Subspace.from_spanning(QI, 4, lifted)
