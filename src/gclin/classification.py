@@ -76,12 +76,11 @@ def canonical_c(j: GCAut):
     inside = e.intersect(vector_summand(n))
     c_c = inside.sum(inside.conjugate())
     c = Subspace.from_spanning(QI, n, c_c.basis.block(0, c_c.dim, 0, n)).real_form()
-    jc_cols = []
-    for img in (c.basis @ j.j1.transpose()).data:
-        if not c.contains(img):
-            raise AssertionError("canonical subspace is not stable under the (1,1) block")
-        jc_cols.append(c.coordinates(img))
-    jc = Matrix(QQ, jc_cols, cols=c.dim).transpose()
+    images = c.basis.mul_t(j.j1)
+    if c.first_outside(images) is not None:
+        raise AssertionError("canonical subspace is not stable under the (1,1) block")
+    # coordinates in the RREF basis are the entries at its pivot columns
+    jc = images.select_columns(c.pivots).transpose()
     if c.dim and jc @ jc != -Matrix.identity(QQ, c.dim):
         raise AssertionError("restricted block is not a complex structure")
     quot = induce_on_quotient(j, c)
@@ -131,11 +130,11 @@ def decompose(j: GCAut) -> Decomposition:
 
     moved = _carrying(b_transform(j, b_r))
     s, ind_s = _canonical_s(moved)
-    omega_s = TwoForm(s.basis @ omega_map @ s.basis.transpose())
+    omega_s = TwoForm((s.basis @ omega_map).mul_t(s.basis))
     if not omega_s.m.is_invertible():
         raise AssertionError("real 2-form degenerates on the symplectic part")
 
-    w = (s.basis @ omega_map.transpose()).kernel()
+    w = s.basis.mul_t(omega_map).kernel()
     if s.dim + w.dim != n or not s.intersect(w).is_zero():
         raise AssertionError("orthogonal complement does not complete the carrier")
 
@@ -155,10 +154,7 @@ def decompose(j: GCAut) -> Decomposition:
 
     p = Matrix.from_blocks(QQ, [[s.basis], [w.basis]]).transpose()
     p_inv = p.inverse()
-    zk = Matrix.zero(QQ, s.dim, s.dim)
-    zsw = Matrix.zero(QQ, s.dim, w.dim)
-    zws = Matrix.zero(QQ, w.dim, s.dim)
-    b_inner = Matrix.from_blocks(QQ, [[zk, zsw], [zws, b_w.m]])
+    b_inner = Matrix.block_diagonal(QQ, [Matrix.zero(QQ, s.dim, s.dim), b_w.m])
     b_push = p_inv.transpose() @ b_inner @ p_inv
     total = TwoForm(b_push - b_r.m)
 
@@ -251,7 +247,7 @@ def build_notquot_example():
     image = Subspace.from_spanning(QQ, 8, one_plus_t2.transpose())
     if ker.intersect(image).is_zero():
         raise AssertionError("fixture kernel misses the image")
-    omega_on_ker = TwoForm(ker.basis @ omega.m @ ker.basis.transpose())
+    omega_on_ker = TwoForm((ker.basis @ omega.m).mul_t(ker.basis))
     if omega_on_ker.m.is_invertible():
         raise AssertionError("form is nondegenerate on the canonical part")
     return structure, omega, t

@@ -67,7 +67,7 @@ def is_isotropic(e: Subspace) -> bool:
     """
     n = e.ambient_dim // 2
     x = e.basis
-    a = x.block(0, x.rows, n, 2 * n) @ x.block(0, x.rows, 0, n).transpose()
+    a = x.block(0, x.rows, n, 2 * n).mul_t(x.block(0, x.rows, 0, n))
     return (a + a.transpose()).is_zero()
 
 
@@ -108,7 +108,7 @@ class TwoForm:
     def restrict(self, basis_rows) -> "TwoForm":
         """Pullback along the inclusion of the span of the given basis."""
         w = Matrix(self.m.field, basis_rows, cols=self.m.cols)
-        return TwoForm(w @ self.m @ w.transpose())
+        return TwoForm((w @ self.m).mul_t(w))
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
         return TwoForm(self.m + other.m)
@@ -352,18 +352,7 @@ def _interleave(n_a: int, n_b: int, field) -> Matrix:
 
 def direct_sum(a: GCAut, b: GCAut) -> GCAut:
     """Structure on U + V with coordinates (u, v, u*, v*)."""
-
-    def byblock(x: Matrix, y: Matrix) -> Matrix:
-        za = Matrix.zero(QQ, x.rows, y.cols)
-        zb = Matrix.zero(QQ, y.rows, x.cols)
-        return Matrix.from_blocks(QQ, [[x, za], [zb, y]])
-
-    return GCAut(
-        byblock(a.j1, b.j1),
-        byblock(a.j2, b.j2),
-        byblock(a.j3, b.j3),
-        byblock(a.j4, b.j4),
-    )
+    return GCAut(*(Matrix.block_diagonal(QQ, [x, y]) for x, y in zip(a.blocks(), b.blocks())))
 
 
 def direct_sum_eigenspace(a: IsotropicE, b: IsotropicE) -> IsotropicE:
@@ -396,11 +385,12 @@ def conjugate_by_basis(j: GCAut, p: Matrix) -> GCAut:
     """Transport j through the invertible map p: source -> target.
 
     Covectors move by the inverse transpose, so the conjugation is by
-    diag(p, (p^T)^-1).
+    diag(p, (p^-1)^T), whose inverse is diag(p^-1, p^T): one inversion.
     """
-    if not p.is_invertible():
-        raise ValueError("change of basis must be invertible")
-    n = p.rows
-    z = Matrix.zero(QQ, n, n)
-    big = Matrix.from_blocks(QQ, [[p, z], [z, p.transpose().inverse()]])
-    return GCAut.from_full(big @ j.full() @ big.inverse())
+    try:
+        p_inv = p.inverse()
+    except ValueError:
+        raise ValueError("change of basis must be invertible") from None
+    big = Matrix.block_diagonal(QQ, [p, p_inv.transpose()])
+    big_inv = Matrix.block_diagonal(QQ, [p_inv, p.transpose()])
+    return GCAut.from_full(big @ j.full() @ big_inv)

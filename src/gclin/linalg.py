@@ -16,7 +16,17 @@ of subspaces a comparison of bases.  Coordinate subspaces (spans of unit
 vectors), direct sums on complementary coordinate blocks, graphs of maps
 and conjugates have bases already in that form, so ``coordinate``,
 ``direct_sum``, ``graph`` and ``conjugate`` build them without
-elimination.
+elimination.  The annihilator is read off the stored RREF basis and its
+pivots, as ``kernel`` reads it off a fresh RREF (``_null_space``), so it
+costs one elimination, of the null-space rows, and none of the basis.
+
+Two operations skip work that the general route would repeat.
+``a.mul_t(b)`` is ``a @ b.transpose()``: the rows of b, brought to one
+denominator, are the columns of the product as they stand, where a
+transpose would rescale them into columns only for ``@`` to read them
+back.  ``Matrix.block_diagonal(field, blocks)`` pads each stored row with
+zeros, which keeps it canonical, where ``from_blocks`` with
+``Matrix.zero`` blocks would rejoin every row over a common denominator.
 
 Every operation (elimination, products, sums, transposes, blocks,
 reduction modulo a subspace, membership) reads and returns integer rows.
@@ -43,7 +53,7 @@ def vec_dot(x, y):
     if len(x) != len(y):
         raise ValueError("dot product needs equal lengths")
     field = QI if _has_gaussian(x) or _has_gaussian(y) else QQ
-    return (Matrix(field, [x]) @ Matrix(field, [[b] for b in y], cols=1)).data[0][0]
+    return Matrix(field, [x]).mul_t(Matrix(field, [y])).data[0][0]
 
 
 def _has_gaussian(v):
@@ -247,23 +257,51 @@ def _rref_zi(ar, ai, ncols):
     return pivots, (dr, di)
 
 
+def _against(field, a, cols, den):
+    """Stored rows whose entry c is row r of a dotted with cols[c], for
+    stored rows a of field and columns given as integer parts ((ints,) over
+    Q, (re, im) over Q(i)) over the common denominator den."""
+    if field is QQ:
+        return [_canon(d * den, [sum(map(mul, ints, col)) for (col,) in cols]) for ints, d in a]
+    out = []
+    for ar, ai, d in a:
+        re = [sum(map(mul, ar, cr)) - sum(map(mul, ai, ci)) for cr, ci in cols]
+        im = [sum(map(mul, ar, ci)) + sum(map(mul, ai, cr)) for cr, ci in cols]
+        out.append(_canon(d * den, re, im))
+    return out
+
+
 def _product(field, a, b, ncols):
     """Stored rows of a @ b, for stored rows a and b of field."""
     if not b:
         return [_zero_row(field, ncols)] * len(a)
     den = lcm(*(row[-1] for row in b))
-    if field is QQ:
-        cols = list(zip(*[ints for (ints,) in _scaled(b, den)]))
-        return [_canon(d * den, [sum(map(mul, ints, col)) for col in cols]) for ints, d in a]
-    scaled = _scaled(b, den)
-    bre = list(zip(*[re for re, _ in scaled]))
-    bim = list(zip(*[im for _, im in scaled]))
-    out = []
-    for ar, ai, d in a:
-        re = [sum(map(mul, ar, cr)) - sum(map(mul, ai, ci)) for cr, ci in zip(bre, bim)]
-        im = [sum(map(mul, ar, ci)) + sum(map(mul, ai, cr)) for cr, ci in zip(bre, bim)]
-        out.append(_canon(d * den, re, im))
-    return out
+    # per part, the columns of the scaled rows; then the parts of each column
+    cols = list(zip(*[zip(*part) for part in zip(*_scaled(b, den))]))
+    return _against(field, a, cols, den)
+
+
+def _null_space(field, n, rows, pivots) -> "Subspace":
+    """The null space in F^n of RREF rows with the given pivot columns.
+
+    With the rows brought to their common denominator L, the null vector
+    of free column c scaled by L has L at c and minus the row's integer at
+    c in each pivot row's column; one elimination puts those in RREF.
+    """
+    den = lcm(*(row[-1] for row in rows))
+    scaled = _scaled(rows, den)
+    taken = set(pivots)
+    null_rows = []
+    for c in range(n):
+        if c in taken:
+            continue
+        v = [[0] * n for _ in range(1 if field is QQ else 2)]
+        v[0][c] = den
+        for parts, pc in zip(scaled, pivots):
+            for part, p in zip(v, parts):
+                part[pc] = -p[c]
+        null_rows.append((*v, 1))
+    return Subspace._span(field, n, null_rows)
 
 
 class Matrix:
@@ -335,6 +373,23 @@ class Matrix:
             pieces = [blk._rows_over(field) for blk in brow]
             z += pieces[0] if len(pieces) == 1 else map(_join, zip(*pieces))
         return Matrix._of(field, z, cols or 0)
+
+    @staticmethod
+    def block_diagonal(field, blocks) -> "Matrix":
+        """diag(blocks): each block's stored rows padded with zeros on both
+        sides, which keeps them canonical, so nothing is rescaled."""
+        width = sum(blk.cols for blk in blocks)
+        z = []
+        left = 0
+        for blk in blocks:
+            pad_l, pad_r = [0] * left, [0] * (width - left - blk.cols)
+            rows = blk._rows_over(field)
+            if field is QQ:
+                z += [(pad_l + ints + pad_r, d) for ints, d in rows]
+            else:
+                z += [(pad_l + re + pad_r, pad_l + im + pad_r, d) for re, im, d in rows]
+            left += blk.cols
+        return Matrix._of(field, z, width)
 
     def _rows_over(self, field):
         """The stored rows of self read over field (Q rows lift to Q(i))."""
@@ -411,13 +466,23 @@ class Matrix:
         z = _product(field, self._rows_over(field), other._rows_over(field), other.cols)
         return Matrix._of(field, z, other.cols)
 
+    def mul_t(self, other) -> "Matrix":
+        """self @ other.transpose(), taking other's stored rows as the
+        columns instead of building the transpose."""
+        if self.cols != other.cols:
+            raise ValueError("shape mismatch in product")
+        field = self.field if other.field is self.field else QI
+        rows = other._rows_over(field)
+        den = lcm(*(row[-1] for row in rows))
+        z = _against(field, self._rows_over(field), _scaled(rows, den), den)
+        return Matrix._of(field, z, other.rows)
+
     def apply(self, v):
         """Matrix times column vector, returned as a plain list."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         field = QI if self.field is QI or _has_gaussian(v) else QQ
-        column = Matrix(field, [[x] for x in v], cols=1)
-        return [row[0] for row in (self @ column).data]
+        return [row[0] for row in self.mul_t(Matrix(field, [v])).data]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -476,28 +541,10 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel(self) -> "Subspace":
-        """Right kernel {x : self @ x = 0} as a subspace of F^cols.
-
-        With the RREF pivot rows brought to their common denominator L,
-        the kernel vector of free column c scaled by L has L at c and minus
-        the row's integer at c in each pivot row's column.
-        """
-        field, n = self.field, self.cols
+        """Right kernel {x : self @ x = 0} as a subspace of F^cols, read
+        off the RREF (see ``_null_space``)."""
         red, pivots = self.rref()
-        rows = red._z[: len(pivots)]
-        den = lcm(*(row[-1] for row in rows))
-        scaled = _scaled(rows, den)
-        kernel_rows = []
-        for c in range(n):
-            if c in pivots:
-                continue
-            v = [[0] * n for _ in range(1 if field is QQ else 2)]
-            v[0][c] = den
-            for parts, pc in zip(scaled, pivots):
-                for part, p in zip(v, parts):
-                    part[pc] = -p[c]
-            kernel_rows.append((*v, 1))
-        return Subspace._span(field, n, kernel_rows)
+        return _null_space(self.field, self.cols, red._z[: len(pivots)], pivots)
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -699,12 +746,10 @@ class Subspace:
         and other on the last k."""
         if self.field is not other.field:
             raise ValueError("direct sum of subspaces over different fields")
-        m, k, field = self.ambient_dim, other.ambient_dim, self.field
-        left = Matrix.zero(field, self.dim, k)
-        right = Matrix.zero(field, other.dim, m)
-        rows = Matrix.from_blocks(field, [[self.basis, left], [right, other.basis]])
+        m, field = self.ambient_dim, self.field
+        rows = Matrix.block_diagonal(field, [self.basis, other.basis])
         pivots = self.pivots + [m + p for p in other.pivots]
-        return Subspace(field, m + k, rows, pivots)
+        return Subspace(field, m + other.ambient_dim, rows, pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -724,8 +769,10 @@ class Subspace:
         return Subspace(field, n, basis, [p - n for p in pivots[k:]])
 
     def annihilator(self) -> "Subspace":
-        """Functionals vanishing on this subspace (in dual coordinates)."""
-        return self.basis.kernel()
+        """Functionals vanishing on this subspace (in dual coordinates): the
+        null space of the stored RREF basis, which needs no second
+        elimination of that basis."""
+        return _null_space(self.field, self.ambient_dim, self.basis._z, self.pivots)
 
     def conjugate(self) -> "Subspace":
         """The conjugate subspace; conjugating an RREF basis keeps it RREF."""
@@ -743,7 +790,7 @@ class Subspace:
         """Image of this subspace under the linear map given by m."""
         if m.cols != self.ambient_dim:
             raise ValueError("map domain mismatch")
-        product = self.basis @ m.transpose()
+        product = self.basis.mul_t(m)
         return Subspace._span(product.field, m.rows, product._z)
 
     def to_gaussian(self) -> "Subspace":

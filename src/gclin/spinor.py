@@ -177,14 +177,14 @@ def standard_data_for_subspace(e: Subspace):
     u_terms = {}
     if lifts:
         vecs = e.basis.block(0, lifts, 0, n)
-        gram = e.basis.block(0, lifts, n, 2 * n) @ vecs.transpose()
+        gram = e.basis.block(0, lifts, n, 2 * n).mul_t(vecs)
         if not gram.is_skew():
             raise AssertionError("lifts pair to a non-skew form; subspace not isotropic?")
         try:
             m_inv = vecs.select_columns(free).inverse()
         except ValueError:
             raise AssertionError("vector parts are not a basis on the free coordinates") from None
-        u_free = (m_inv @ gram @ m_inv.transpose()).data
+        u_free = (m_inv @ gram).mul_t(m_inv).data
         for a, x in enumerate(free):
             for b in range(a + 1, len(free)):
                 if u_free[a][b]:

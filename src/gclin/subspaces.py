@@ -89,7 +89,7 @@ def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
     """Structure induced on W: restrict covectors of E over points of W."""
     n = j.n
     cut = _cut(j, w, quotient=False)
-    restricted = cut.block(0, cut.rows, n, 2 * n) @ w.basis.transpose()
+    restricted = cut.block(0, cut.rows, n, 2 * n).mul_t(w.basis)
     rows = Matrix.from_blocks(QI, [[cut.select_columns(w.pivots), restricted]])
     return _finish_induced(w.dim, rows)
 
@@ -138,8 +138,8 @@ def restrict_spinor(j: GCAut, w: Subspace):
     sf = StandardForm(QI.one, u, factors)
 
     wmat = w_ci.basis
-    u_w = two_form_from_coeff(wmat @ two_form_coeff(u) @ wmat.transpose())
-    pulled = Matrix(QI, factor_rows[:l], cols=n) @ wmat.transpose()
+    u_w = two_form_from_coeff((wmat @ two_form_coeff(u)).mul_t(wmat))
+    pulled = Matrix(QI, factor_rows[:l], cols=n).mul_t(wmat)
     phi_w = spinor_product(u_w, [Multivector.covector(w.dim, row) for row in pulled.data])
     if phi_w.is_zero():
         raise AssertionError("restricted spinor vanished")
@@ -153,10 +153,7 @@ def _first_escape(w: Subspace, ann: Subspace, gens: Matrix, to_v: Matrix, to_dua
     """Index of the first generator g (a row of gens) whose image under J,
     with vector part g @ to_v^T and covector part g @ to_dual^T, leaves
     W + Ann(W); None when every image stays inside."""
-    found = [
-        w.first_outside(gens @ to_v.transpose()),
-        ann.first_outside(gens @ to_dual.transpose()),
-    ]
+    found = [w.first_outside(gens.mul_t(to_v)), ann.first_outside(gens.mul_t(to_dual))]
     return min((k for k in found if k is not None), default=None)
 
 
@@ -184,7 +181,12 @@ def is_generalized_coisotropic(j: GCAut, w: Subspace) -> bool:
 
 
 def is_generalized_lagrangian(j: GCAut, w: Subspace) -> bool:
-    return is_generalized_isotropic(j, w) and is_generalized_coisotropic(j, w)
+    """Both tests above, on one annihilator of W."""
+    ann = w.annihilator()
+    return (
+        _first_escape(w, ann, w.basis, j.j1, j.j3) is None
+        and _first_escape(w, ann, ann.basis, j.j2, j.j4) is None
+    )
 
 
 def satisfies_graph_condition(j: GCAut, w: Subspace, k: GCAut) -> bool:
@@ -196,13 +198,13 @@ def satisfies_graph_condition(j: GCAut, w: Subspace, k: GCAut) -> bool:
     """
     if k.n != w.dim:
         raise ValueError("structure on W has wrong dimension")
-    j1w = (w.basis @ j.j1.transpose()).data
-    j3_on_w = (w.basis @ j.j3.transpose() @ w.basis.transpose()).data
-    by_blocks = all(
-        w.contains(x) and w.coordinates(x) == list(k1_col) and restricted == k3_col
-        for x, restricted, k1_col, k3_col in zip(
-            j1w, j3_on_w, k.j1.transpose().data, k.j3.transpose().data
-        )
+    # the images J1 w of the basis rows, and their coordinates in the RREF
+    # basis, which are their entries at its pivot columns
+    j1w = w.basis.mul_t(j.j1)
+    by_blocks = (
+        w.first_outside(j1w) is None
+        and j1w.select_columns(w.pivots) == k.j1.transpose()
+        and w.basis.mul_t(j.j3).mul_t(w.basis) == k.j3.transpose()
     )
 
     # the graph of the inclusion of W into V, inside W + V
@@ -241,7 +243,7 @@ def verify_split(j: GCAut, w: Subspace, n_comp: Subspace) -> bool:
     if w.dim + n_comp.dim != n or not w.intersect(n_comp).is_zero():
         return False
     span = w.direct_sum(n_comp.annihilator())  # W + Ann(N) inside V + V*
-    return span.first_outside(span.basis @ j.full().transpose()) is None
+    return span.first_outside(span.basis.mul_t(j.full())) is None
 
 
 def _induced_on_summand(j: GCAut, w: Subspace, n_comp: Subspace) -> GCAut:
@@ -251,15 +253,14 @@ def _induced_on_summand(j: GCAut, w: Subspace, n_comp: Subspace) -> GCAut:
     rows = w.direct_sum(ann_n).basis
     basis = rows.transpose()
     images = []
-    for img in (rows @ j.full().transpose()).data:
+    for img in rows.mul_t(j.full()).data:
         combo = basis.solve(img)
         if combo is None:
             raise ValueError("subspace pair is not stable under the structure")
         images.append(combo)
     inner = Matrix(QQ, images, cols=2 * m).transpose()
-    gram = w.basis @ ann_n.basis.transpose()
-    z = Matrix.zero(QQ, m, m)
-    psi = Matrix.from_blocks(QQ, [[Matrix.identity(QQ, m), z], [z, gram]])
+    gram = w.basis.mul_t(ann_n.basis)
+    psi = Matrix.block_diagonal(QQ, [Matrix.identity(QQ, m), gram])
     return GCAut.from_full(psi @ inner @ psi.inverse())
 
 
@@ -292,13 +293,12 @@ def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
     n = j.n
     if types.is_b_symplectic:
         data = _recover(j, types)
-        cand = (w.basis @ data.omega.m.transpose()).kernel()
+        cand = w.basis.mul_t(data.omega.m).kernel()
         return cand if verify_split(j, w, cand) else None
     if types.is_b_complex:
         data = _recover(j, types)
         jm = data.jmat
-        jmt = jm.transpose()
-        jw = w.basis @ jmt
+        jw = w.basis.mul_t(jm)
         if w.first_outside(jw) is not None:
             return None
         comp0 = w.complement()
@@ -315,12 +315,13 @@ def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
         if n1.dim + w.dim != n:
             raise AssertionError("equivariant projection has wrong rank")
         m, qdim = w.dim, n1.dim
-        j_on_w = [w.coordinates(x) for x in jw.data]
-        j_on_n = [n1.coordinates(x) for x in (n1.basis @ jmt).data]
+        # jw lies in W, so its coordinates are its entries at W's pivots
+        j_on_w = jw.select_columns(w.pivots).data
+        j_on_n = [n1.coordinates(x) for x in n1.basis.mul_t(jm).data]
         # B(x, y) = (b x) . y over the bases of W and N1
-        bw = w.basis @ data.b.m.transpose()
-        b_ww = (bw @ w.basis.transpose()).data
-        b_wn = (bw @ n1.basis.transpose()).data
+        bw = w.basis.mul_t(data.b.m)
+        b_ww = bw.mul_t(w.basis).data
+        b_wn = bw.mul_t(n1.basis).data
         # unknown h: N1 -> W as an m x q matrix, flattened row-major
         eqs = []
         rhs = []

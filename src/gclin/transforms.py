@@ -195,7 +195,7 @@ def assemble_sum_transform(
 
     n = s + c
     b_map = Matrix.from_blocks(QQ, [[b1, b2], [b3, b4]]).to_gaussian()
-    omega_big = Matrix.from_blocks(QQ, [[w, zsc], [zcs, zcc]]).to_gaussian()
+    omega_big = Matrix.block_diagonal(QQ, [w, zcc]).to_gaussian()
     u = two_form_from_coeff((-b_map + omega_big.scale(I)).transpose())
     anti = (jt.to_gaussian() + Matrix.identity(QI, c).scale(I)).kernel()
     factors = [Multivector.covector(n, [QI.zero] * s + list(row)) for row in anti.basis.data]

@@ -781,3 +781,98 @@ def test_data_view_is_read_only(field):
     assert m.data == before
     assert m == Matrix(field, [[1, 2], [3, 4]])
     assert m @ Matrix.identity(field, 2) == m
+
+
+# -- products against a transpose, block diagonals, annihilators ------------
+
+SIZES = pytest.mark.parametrize("n", [2, 4, 6])
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def seeded_matrix(rng, field, rows, cols):
+    """A rows x cols matrix of small fractions (Gaussian over Q(i)) drawn
+    from rng; about a third of the rows are combinations of two earlier
+    ones, so ranks fall short of full, and some entries are zero."""
+
+    def entry():
+        if rng.random() < 0.25:
+            return field.zero
+        x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if field is QQ:
+            return x
+        return GaussianRational(x, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    data = []
+    for r in range(rows):
+        if r >= 2 and rng.random() < 0.35:
+            p, q = rng.sample(data, 2)
+            s, t = Fraction(rng.randint(-2, 2)), Fraction(1, rng.randint(1, 3))
+            data.append([s * x + t * y for x, y in zip(p, q)])
+        else:
+            data.append([entry() for _ in range(cols)])
+    return Matrix(field, data, cols=cols)
+
+
+@FIELDS
+@SIZES
+@settings(max_examples=40, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_mul_t_equals_product_with_transpose(field, n, seed_value):
+    rng = Random(seed_value)
+    a = seeded_matrix(rng, field, rng.randint(0, n), n)
+    # the right factor over either field: a Q factor lifts to Q(i)
+    b = seeded_matrix(rng, rng.choice([QQ, field]), rng.randint(0, n), n)
+    got = a.mul_t(b)
+    assert got == a @ b.transpose()
+    assert (got.rows, got.cols) == (a.rows, b.rows)
+    assert_canonical(got)
+    assert got.data == as_view(oracle_product(got.field, a.data, transposed_rows(b), b.rows))
+    assert b.mul_t(a) == got.transpose()
+    with pytest.raises(ValueError):
+        a.mul_t(Matrix.zero(field, 1, n + 1))
+
+
+def transposed_rows(m):
+    """The columns of m's rows as lists, as oracle_product reads b."""
+    return [list(col) for col in zip(*m.data)] if m.rows else [[] for _ in range(m.cols)]
+
+
+@FIELDS
+@SIZES
+@settings(max_examples=40, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_block_diagonal_equals_blocks_with_zeros(field, n, seed_value):
+    rng = Random(seed_value)
+    # shapes of one to three blocks, any of them possibly empty
+    shapes = [(rng.randint(0, n), rng.randint(0, n)) for _ in range(rng.randint(1, 3))]
+    blocks = [seeded_matrix(rng, rng.choice([QQ, field]), r, c) for r, c in shapes]
+    got = Matrix.block_diagonal(field, blocks)
+    grid = [
+        [blk if i == j else Matrix.zero(field, blk.rows, o.cols) for j, o in enumerate(blocks)]
+        for i, blk in enumerate(blocks)
+    ]
+    assert got == Matrix.from_blocks(field, grid)
+    assert (got.rows, got.cols) == tuple(map(sum, zip(*shapes)))
+    assert got.field is field
+    assert_canonical(got)
+
+
+def test_block_diagonal_rejects_q_i_blocks_over_q():
+    with pytest.raises(TypeError):
+        Matrix.block_diagonal(QQ, [Matrix.identity(QI, 1)])
+
+
+@FIELDS
+@SIZES
+@settings(max_examples=40, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_annihilator_equals_kernel_of_basis(field, n, seed_value):
+    rng = Random(seed_value)
+    s = Subspace.from_spanning(field, n, seeded_matrix(rng, field, rng.randint(0, n + 1), n))
+    ann = s.annihilator()
+    assert ann == s.basis.kernel()
+    assert ann.dim == s.ambient_dim - s.dim
+    assert ann.pivots == s.basis.kernel().pivots
+    assert_canonical(ann.basis)
+    assert s.basis.mul_t(ann.basis).is_zero()
+    assert ann.annihilator() == s

@@ -1,12 +1,14 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gclin.core import (
     TwoForm,
     complex_structure,
     conjugate_by_basis,
     symplectic_structure,
+    twist,
     twisted_product,
 )
 from gclin.fields import QQ
@@ -235,3 +237,144 @@ def _iso_relation(rng, a):
     mu = random_invertible(rng, a.n)
     b = conjugate_by_basis(a, mu)
     return map_relation(mu, a, b), b
+
+
+# -- theorem-level properties over seeded composable canonical pairs --------
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+SIZES = pytest.mark.parametrize("n", [2, 4])
+
+
+def graph_pair(rng, n):
+    """Graphs of isomorphisms a -> b -> c, with their maps mu1, mu2."""
+    a = random_gcs(rng, n)
+    mu1, mu2 = random_invertible(rng, n), random_invertible(rng, n)
+    b = conjugate_by_basis(a, mu1)
+    c = conjugate_by_basis(b, mu2)
+    return map_relation(mu1, a, b), map_relation(mu2, b, c), mu1, mu2
+
+
+def complex_subspace_pair(rng, n):
+    """Relations a -> b -> c between complex structures, each the span of a
+    few random vectors and their images under diag(J_source, J_target).
+
+    Such a span is generalized Lagrangian for the twisted product (the
+    twist fixes a complex structure), of any even dimension from 0 to
+    2n, so most of these relations are not graphs.
+    """
+    a = complex_structure(random_complex_matrix(rng, n))
+    b = conjugate_by_basis(a, random_invertible(rng, n))
+    c = conjugate_by_basis(b, random_invertible(rng, n))
+
+    def relation(x, y):
+        rows = [[rng.randint(-2, 2) for _ in range(2 * n)] for _ in range(rng.randint(0, n))]
+        vecs = Matrix(QQ, rows, cols=2 * n)
+        moved = vecs.mul_t(Matrix.block_diagonal(QQ, [x.j1, y.j1]))
+        span = Subspace.from_spanning(QQ, 2 * n, vecs).sum(Subspace.from_spanning(QQ, 2 * n, moved))
+        return LinearRelation(x, y, span)
+
+    return relation(a, b), relation(b, c)
+
+
+class TestTheorems:
+    @SIZES
+    @settings(max_examples=12, deadline=None)
+    @given(seed_value=seeds)
+    def test_composite_of_canonical_graphs_is_the_canonical_graph(self, n, seed_value):
+        gamma, phi, mu1, mu2 = graph_pair(Random(seed_value), n)
+        assert is_canonical(gamma) and is_canonical(phi)
+        composed = compose(phi, gamma)
+        assert is_canonical(composed)
+        assert composed.graph == Subspace.graph(mu2 @ mu1)
+        assert conjugate_by_basis(gamma.source, mu2 @ mu1) == phi.target
+
+    @SIZES
+    @settings(max_examples=12, deadline=None)
+    @given(seed_value=seeds)
+    def test_composite_of_canonical_non_graphs_is_canonical(self, n, seed_value):
+        gamma, phi = complex_subspace_pair(Random(seed_value), n)
+        assert is_canonical(gamma) and is_canonical(phi)
+        assert is_canonical(compose(phi, gamma))
+
+    @SIZES
+    @settings(max_examples=12, deadline=None)
+    @given(seed_value=seeds)
+    def test_annihilator_composition_identity_holds(self, n, seed_value):
+        rng = Random(seed_value)
+        gamma, phi, _, _ = graph_pair(rng, n)
+        assert annihilator_composition_identity(phi, gamma)
+        gamma, phi = complex_subspace_pair(rng, n)
+        assert annihilator_composition_identity(phi, gamma)
+
+    @SIZES
+    @settings(max_examples=12, deadline=None)
+    @given(seed_value=seeds)
+    def test_graph_iso_test_agrees_with_conjugation(self, n, seed_value):
+        rng = Random(seed_value)
+        gamma, _, mu1, _ = graph_pair(rng, n)
+        a, b = gamma.source, gamma.target
+        # twisting the target keeps a valid structure; it is the same one
+        # exactly when b has no off-diagonal blocks
+        for target in (b, twist(b)):
+            assert graph_iso_test(mu1, a, target) == (conjugate_by_basis(a, mu1) == target)
+
+    def test_graph_iso_test_gives_both_verdicts(self):
+        rng = Random(31)
+        verdicts = set()
+        for n in (2, 4):
+            for _ in range(4):
+                gamma, _, mu1, _ = graph_pair(rng, n)
+                a, b = gamma.source, gamma.target
+                for target in (b, twist(b)):
+                    verdict = graph_iso_test(mu1, a, target)
+                    assert verdict == (conjugate_by_basis(a, mu1) == target)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+# -- eliminations on the relation path ---------------------------------------
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The shapes of the matrices Matrix.rref runs on, in call order."""
+    calls = []
+    rref = Matrix.rref
+
+    def counting(self):
+        calls.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    return calls
+
+
+def test_annihilator_runs_one_elimination(eliminations):
+    rng = Random(32)
+    cases = [Subspace.zero(QQ, 4), Subspace.full(QQ, 4)]
+    cases += [random_subspace(rng, 6, 3), random_subspace(rng, 4)]
+    for s in cases:
+        eliminations.clear()
+        ann = s.annihilator()
+        assert len(eliminations) == 1
+        assert ann.dim == s.ambient_dim - s.dim
+
+
+def test_twisted_product_runs_no_elimination(eliminations):
+    rng = Random(33)
+    a, b = random_gcs(rng, 2), random_gcs(rng, 4)
+    eliminations.clear()
+    tp = twisted_product(a, b)
+    assert eliminations == []
+    assert tp.n == 6
+
+
+def test_is_canonical_eliminations_on_a_fixed_relation(eliminations):
+    # the graph of an isomorphism of structures on R^2: one elimination,
+    # the annihilator of the graph, shared by both witness loops
+    a = symplectic_structure(OMEGA2)
+    b = conjugate_by_basis(a, ROT)
+    rel = map_relation(ROT, a, b)
+    eliminations.clear()
+    assert is_canonical(rel)
+    assert len(eliminations) <= 1
