@@ -11,10 +11,9 @@ its conjugate).  ``decompose`` realizes the factorization exactly and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     GCAut,
+    Record,
     TwoForm,
     _carrying,
     complex_structure,
@@ -27,8 +26,6 @@ from .core import (
 )
 from .fields import QI, QQ
 from .linalg import Matrix, Subspace
-from .multivector import two_form_coeff
-from .spinor import standard_data_for_subspace
 from .subspaces import (
     induce_on_quotient,
     induce_on_subspace,
@@ -93,8 +90,7 @@ def canonical_c(j: GCAut):
     return c, jc
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Exact factorization of a structure.
 
     The carrier splits as s + w; omega is symplectic on s (in the
@@ -121,6 +117,11 @@ def reassemble(d: Decomposition) -> GCAut:
 
 def decompose(j: GCAut) -> Decomposition:
     """Factor a structure as a B-field transform of symplectic + complex."""
+    # the spinor layer is imported by its few users only, so that code
+    # which never builds a spinor (most CLI verbs) does not load it
+    from .multivector import two_form_coeff
+    from .spinor import standard_data_for_subspace
+
     n = j.n
     e = to_eigenspace(j).e
     u, _ = standard_data_for_subspace(e)

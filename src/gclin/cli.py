@@ -6,6 +6,11 @@ Exit codes: 0 = success or predicate true, 1 = predicate false,
 2 = malformed input or invalid structure, 3 = internal error (a failed
 cross-check or an arithmetic or type fault), reported by exception type
 and message.
+
+A CLI run is one short process, so its start-up is part of every verb's
+cost.  Only ``core``, ``fields``, ``linalg`` and ``serialize`` load with
+this module; each verb imports the rest of gclin where it runs, and the
+spinor layer only on the branches that handle spinors.
 """
 
 from __future__ import annotations
@@ -13,17 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from random import Random
 
-from .classification import (
-    build_graphnotsub_example,
-    build_notquot_example,
-    build_subnotquot_example,
-    canonical_c,
-    canonical_s,
-    decompose,
-    reassemble,
-)
 from .core import (
     EQUATION_LABELS,
     BiVector,
@@ -40,13 +35,6 @@ from .core import (
 )
 from .fields import QI, QQ, I
 from .linalg import Matrix, Subspace
-from .multivector import Multivector
-from .relations import (
-    annihilator_composition_identity,
-    compose,
-    is_canonical,
-)
-from .samples import random_gcs, random_relation_chain
 from .serialize import (
     PayloadError,
     decode_gcs,
@@ -62,25 +50,6 @@ from .serialize import (
     encode_subspace,
     encode_vector,
 )
-from .spinor import (
-    annihilator_subspace,
-    is_pure,
-    mukai_pairing,
-    spinor_from_subspace,
-    spinor_with_standard_form,
-    standard_form,
-    subspace_from_standard_form,
-)
-from .subspaces import (
-    generalized_coisotropic_witness,
-    generalized_isotropic_witness,
-    induce_on_quotient,
-    induce_on_subspace,
-    satisfies_graph_condition,
-    verify_split,
-    find_split_complement,
-)
-from .transforms import b_transform, beta_transform, classify_type, recover
 
 
 # A spinor on an n-dimensional carrier has up to 2^n terms (2^(n/2) for a
@@ -122,7 +91,11 @@ def _structure_to_aut(obj) -> GCAut:
             return to_aut(obj)
         except ValueError as exc:
             raise CliError(f"invalid structure: {exc}") from None
+    from .multivector import Multivector
+
     if isinstance(obj, Multivector):
+        from .spinor import mukai_pairing, standard_form, subspace_from_standard_form
+
         if obj.is_zero():
             raise CliError("invalid structure: zero spinor")
         try:
@@ -171,6 +144,8 @@ def _cmd_validate(args) -> int:
         res = validate_eigenspace(obj)
         labeled = list(res.violations)
     else:
+        from .spinor import is_pure, mukai_pairing
+
         ok = bool(obj) and obj.n % 2 == 0 and is_pure(obj)
         labeled = [] if ok else ["purity"]
         if ok and not mukai_pairing(obj, obj.conjugate()):
@@ -189,6 +164,8 @@ def _cmd_convert(args) -> int:
     elif args.to == "E":
         _emit(encode_eigenspace(to_eigenspace(j)))
     else:
+        from .spinor import spinor_with_standard_form
+
         line, sf = spinor_with_standard_form(to_eigenspace(j).e)
         payload = encode_spinor(line.rep)
         payload["standard_form"] = encode_standard_form(sf)
@@ -199,9 +176,13 @@ def _cmd_convert(args) -> int:
 def _cmd_transform(args) -> int:
     j = _load_aut(args.file)
     if args.b:
+        from .transforms import b_transform
+
         m = decode_two_form_matrix(_load_json(args.b), j.n)
         out = b_transform(j, TwoForm(m))
     elif args.beta:
+        from .transforms import beta_transform
+
         m = decode_two_form_matrix(_load_json(args.beta), j.n)
         out = beta_transform(j, BiVector(m))
     elif args.twist:
@@ -213,6 +194,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_classify_type(args) -> int:
+    from .transforms import classify_type
+
     t = classify_type(_load_aut(args.file))
     _emit(
         {
@@ -228,6 +211,8 @@ def _cmd_classify_type(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from .transforms import recover
+
     j = _load_aut(args.file)
     try:
         data = recover(j)
@@ -264,7 +249,27 @@ def _vector_verdict(witness):
     return False, encode_vector(witness), None
 
 
+def _subspace_gc(j, w, args):
+    from .subspaces import induce_on_subspace
+
+    return _vector_verdict(induce_on_subspace(j, w).witness)
+
+
+def _subspace_isotropic(j, w, args):
+    from .subspaces import generalized_isotropic_witness
+
+    return _vector_verdict(generalized_isotropic_witness(j, w))
+
+
+def _subspace_coisotropic(j, w, args):
+    from .subspaces import generalized_coisotropic_witness
+
+    return _vector_verdict(generalized_coisotropic_witness(j, w))
+
+
 def _subspace_lagrangian(j, w, args):
+    from .subspaces import generalized_coisotropic_witness, generalized_isotropic_witness
+
     witness = generalized_isotropic_witness(j, w)
     if witness is None:
         witness = generalized_coisotropic_witness(j, w)
@@ -272,6 +277,8 @@ def _subspace_lagrangian(j, w, args):
 
 
 def _subspace_graph(j, w, args):
+    from .subspaces import satisfies_graph_condition
+
     if not args.k:
         raise CliError("--test graph needs --k with a structure on W")
     ok = satisfies_graph_condition(j, w, _structure_to_aut(_load_gcs(args.k)))
@@ -279,6 +286,8 @@ def _subspace_graph(j, w, args):
 
 
 def _subspace_split(j, w, args):
+    from .subspaces import find_split_complement, verify_split
+
     if args.n:
         n_comp = _load_subspace(args.n, j.n)
         ok = verify_split(j, w, n_comp)
@@ -291,9 +300,9 @@ def _subspace_split(j, w, args):
 
 
 _SUBSPACE_TESTS = {
-    "gc": lambda j, w, args: _vector_verdict(induce_on_subspace(j, w).witness),
-    "isotropic": lambda j, w, args: _vector_verdict(generalized_isotropic_witness(j, w)),
-    "coisotropic": lambda j, w, args: _vector_verdict(generalized_coisotropic_witness(j, w)),
+    "gc": _subspace_gc,
+    "isotropic": _subspace_isotropic,
+    "coisotropic": _subspace_coisotropic,
     "lagrangian": _subspace_lagrangian,
     "graph": _subspace_graph,
     "split": _subspace_split,
@@ -314,6 +323,8 @@ def _cmd_subspace(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    from .subspaces import induce_on_quotient, induce_on_subspace
+
     j = _load_aut(args.file)
     w = _load_subspace(args.w, j.n)
     ind = induce_on_subspace(j, w) if args.sub else induce_on_quotient(j, w)
@@ -331,6 +342,8 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .classification import decompose
+
     d = decompose(_load_aut(args.file))
     _emit(
         {
@@ -345,6 +358,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
+    from .classification import canonical_c, canonical_s
+
     j = _load_aut(args.file)
     if args.s:
         _emit({"s": encode_subspace(canonical_s(j))})
@@ -355,6 +370,8 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from .relations import compose
+
     first = decode_relation(_load_json(args.rel1))
     second = decode_relation(_load_json(args.rel2))
     try:
@@ -366,6 +383,9 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_canonical_rel(args) -> int:
+    from .relations import is_canonical
+    from .subspaces import generalized_coisotropic_witness, generalized_isotropic_witness
+
     rel = decode_relation(_load_json(args.rel))
     ok = is_canonical(rel)
     out = {"result": ok}
@@ -379,60 +399,88 @@ def _cmd_canonical_rel(args) -> int:
     return 0 if ok else 1
 
 
+# Each demo builds a fixture of the paper, raises AssertionError when a
+# verdict the paper states for it has changed, and returns the payload
+# the demo verb prints.  selftest's paper-fixtures check runs them all.
+
+
+def _demo_subnotquot():
+    from .classification import build_subnotquot_example
+    from .subspaces import induce_on_quotient, induce_on_subspace
+
+    structure, w, _, _ = build_subnotquot_example()
+    ind = induce_on_subspace(structure, w)
+    quot = induce_on_quotient(structure, w)
+    if not ind.is_gc or quot.is_gc:
+        raise AssertionError("fixture verdicts changed")
+    # pi(p1 + i q2) in quotient coordinates (pi(p2), pi(q2))
+    witness = [QI.zero, I, QI.zero, QI.zero]
+    bad = quot.ew.intersect(quot.ew.conjugate())
+    if not bad.contains(witness):
+        raise AssertionError("stated witness left the intersection")
+    return {
+        "is_gc_quotient": False,
+        "is_gc_subspace": True,
+        "witness": "pi(p1+i q2)",
+        "witness_vector": encode_vector(witness),
+    }
+
+
+def _demo_notquot():
+    from .classification import build_notquot_example, canonical_c
+    from .subspaces import induce_on_quotient, induce_on_subspace
+    from .transforms import classify_type
+
+    structure, omega, t = build_notquot_example()
+    ker = (Matrix.identity(QQ, structure.n) + t @ t).kernel()
+    if ker.dim != 4:
+        raise AssertionError("the kernel of 1 + T^2 is not 4-dimensional")
+    c, _ = canonical_c(structure)
+    if c != ker:
+        raise AssertionError("canonical subspace differs from the kernel")
+    ind = induce_on_subspace(structure, c)
+    quot = induce_on_quotient(structure, c)
+    if ind.is_gc or not quot.is_gc:
+        raise AssertionError("fixture verdicts changed")
+    return {
+        "c_is_gc_subspace": False,
+        "dim_ker": ker.dim,
+        "omega_degenerate_on_c": not omega.restrict(c.basis.data).m.is_invertible(),
+        "quotient_is_beta_symplectic": classify_type(quot.jw).is_beta_symplectic,
+        "quotient_is_gc": True,
+    }
+
+
+def _demo_graphnotsub():
+    from .classification import build_graphnotsub_example
+    from .subspaces import induce_on_subspace, satisfies_graph_condition
+
+    structure, w, k = build_graphnotsub_example()
+    if not satisfies_graph_condition(structure, w, k) or induce_on_subspace(structure, w).is_gc:
+        raise AssertionError("fixture verdicts changed")
+    return {"is_gc_subspace": False, "satisfies_graph_condition": True}
+
+
+_DEMOS = {
+    "subnotquot": _demo_subnotquot,
+    "notquot": _demo_notquot,
+    "graphnotsub": _demo_graphnotsub,
+}
+
+
 def _cmd_demo(args) -> int:
-    name = args.name
-    if name == "subnotquot":
-        structure, w, _, _ = build_subnotquot_example()
-        ind = induce_on_subspace(structure, w)
-        quot = induce_on_quotient(structure, w)
-        if not ind.is_gc or quot.is_gc:
-            raise AssertionError("fixture verdicts changed")
-        # pi(p1 + i q2) in quotient coordinates (pi(p2), pi(q2))
-        witness = [QI.zero, I, QI.zero, QI.zero]
-        bad = quot.ew.intersect(quot.ew.conjugate())
-        if not bad.contains(witness):
-            raise AssertionError("stated witness left the intersection")
-        _emit(
-            {
-                "is_gc_quotient": False,
-                "is_gc_subspace": True,
-                "witness": "pi(p1+i q2)",
-                "witness_vector": encode_vector(witness),
-            }
-        )
-        return 0
-    if name == "notquot":
-        structure, omega, t = build_notquot_example()
-        n = structure.n
-        ker = (Matrix.identity(QQ, n) + t @ t).kernel()
-        c, _ = canonical_c(structure)
-        if c != ker:
-            raise AssertionError("canonical subspace differs from the kernel")
-        ind = induce_on_subspace(structure, c)
-        quot = induce_on_quotient(structure, c)
-        out = {
-            "c_is_gc_subspace": ind.is_gc,
-            "dim_ker": ker.dim,
-            "omega_degenerate_on_c": not omega.restrict(c.basis.data).m.is_invertible(),
-            "quotient_is_beta_symplectic": classify_type(quot.jw).is_beta_symplectic,
-            "quotient_is_gc": quot.is_gc,
-        }
-        if ind.is_gc or not quot.is_gc:
-            raise AssertionError("fixture verdicts changed")
-        _emit(out)
-        return 0
-    if name == "graphnotsub":
-        structure, w, k = build_graphnotsub_example()
-        graph_ok = satisfies_graph_condition(structure, w, k)
-        ind = induce_on_subspace(structure, w)
-        if not graph_ok or ind.is_gc:
-            raise AssertionError("fixture verdicts changed")
-        _emit({"is_gc_subspace": False, "satisfies_graph_condition": True})
-        return 0
-    raise CliError(f"unknown demo {name!r}")
+    _emit(_DEMOS[args.name]())
+    return 0
 
 
 def _selftest_checks(seed: int):
+    from random import Random
+
+    from .classification import decompose, reassemble
+    from .relations import annihilator_composition_identity, compose, is_canonical
+    from .samples import random_gcs, random_relation_chain
+    from .spinor import annihilator_subspace, spinor_from_subspace
+
     rng = Random(seed)
     checks = []
 
@@ -446,18 +494,9 @@ def _selftest_checks(seed: int):
         checks.append(entry)
 
     def fixtures():
-        structure, w, _, _ = build_subnotquot_example()
-        ok = induce_on_subspace(structure, w).is_gc
-        ok = ok and not induce_on_quotient(structure, w).is_gc
-        s2, w2, k2 = build_graphnotsub_example()
-        ok = ok and satisfies_graph_condition(s2, w2, k2)
-        ok = ok and not induce_on_subspace(s2, w2).is_gc
-        s3, _, t3 = build_notquot_example()
-        ker = (Matrix.identity(QQ, 8) + t3 @ t3).kernel()
-        ok = ok and ker.dim == 4
-        ok = ok and not induce_on_subspace(s3, ker).is_gc
-        ok = ok and induce_on_quotient(s3, ker).is_gc
-        return ok
+        for demo in _DEMOS.values():
+            demo()
+        return True
 
     record("paper-fixtures", fixtures)
 
@@ -587,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_canonical_rel)
 
     p = sub.add_parser("demo", help="run a built-in fixture")
-    p.add_argument("name", choices=["subnotquot", "notquot", "graphnotsub"])
+    p.add_argument("name", choices=list(_DEMOS))
     p.set_defaults(fn=_cmd_demo)
 
     p = sub.add_parser("selftest", help="run condensed self checks")

@@ -27,8 +27,6 @@ pairing against the coefficient matrix is recovered via transpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import QI, QQ, I, rational_from_ints
 from .linalg import Matrix, Subspace, vec_dot
 
@@ -83,8 +81,68 @@ def swap_matrix(field, n) -> Matrix:
     return Matrix.from_blocks(field, [[z, i], [i, z]])
 
 
-@dataclass(frozen=True)
-class TwoForm:
+class Record:
+    """Base of the library's immutable records.
+
+    A subclass names its fields as class annotations, in order, and a
+    class attribute gives a field its default.  Records are built
+    positionally or by keyword, run the class's ``__post_init__`` when it
+    has one, refuse assignment, and compare, hash and print field by
+    field; records of different classes never compare equal.  A class
+    that defines ``__eq__`` keeps it, and hashes by its fields.
+
+    Each subclass gets its own straight-line ``__init__``, ``__eq__`` and
+    ``__hash__``, generated from its fields as ``collections.namedtuple``
+    and ``dataclasses`` generate theirs: shared methods that bind
+    arguments generically or read the fields through ``operator.attrgetter``
+    run two to three times slower than these.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+        if any(f not in cls.__dict__ for f in fields[len(fields) - len(defaults) :]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        mine = "".join(f"self.{f}, " for f in fields)
+        theirs = "".join(f"other.{f}, " for f in fields)
+        source = [
+            f"def __init__(self, {', '.join(fields)}):",
+            *[f"    _set(self, {f!r}, {f})" for f in fields],
+            "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({mine}) == ({theirs})",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash(({mine}))",
+        ]
+        namespace = {"_set": object.__setattr__}
+        exec("\n".join(source), namespace)
+        namespace["__init__"].__defaults__ = defaults or None
+        # a class's own __eq__ stays; defining it left __hash__ = None in the
+        # class body, so the field hash is installed either way
+        for name in ("__init__", "__hash__", *(() if "__eq__" in cls.__dict__ else ("__eq__",))):
+            fn = namespace[name]
+            fn.__qualname__ = f"{cls.__qualname__}.{name}"
+            fn.__module__ = cls.__module__
+            setattr(cls, name, fn)
+        cls._fields = fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class TwoForm(Record):
     """Skew map V -> V* induced by an element of Lambda^2 V*."""
 
     m: Matrix
@@ -117,8 +175,7 @@ class TwoForm:
         return TwoForm(-self.m)
 
 
-@dataclass(frozen=True)
-class BiVector:
+class BiVector(Record):
     """Skew map V* -> V induced by an element of Lambda^2 V."""
 
     m: Matrix
@@ -180,8 +237,7 @@ class GCAut:
         return f"GCAut(n={self.n})"
 
 
-@dataclass(frozen=True)
-class IsotropicE:
+class IsotropicE(Record):
     """Eigenspace form: E inside the complexified V + V*."""
 
     n: int
@@ -192,8 +248,7 @@ class IsotropicE:
             raise ValueError("E must be a Q(i) subspace of dimension-2n ambient")
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(Record):
     ok: bool
     violations: tuple
 

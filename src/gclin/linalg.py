@@ -13,12 +13,13 @@ place, so matrices share them freely.
 
 Subspaces are stored by a reduced row-echelon basis, which makes equality
 of subspaces a comparison of bases.  Coordinate subspaces (spans of unit
-vectors), direct sums on complementary coordinate blocks, graphs of maps
-and conjugates have bases already in that form, so ``coordinate``,
-``direct_sum``, ``graph`` and ``conjugate`` build them without
-elimination.  The annihilator is read off the stored RREF basis and its
-pivots, as ``kernel`` reads it off a fresh RREF (``_null_space``), so it
-costs one elimination, of the null-space rows, and none of the basis.
+vectors), direct sums on complementary coordinate blocks, graphs of maps,
+conjugates and sign flips of coordinates have bases already in that
+form, so ``coordinate``, ``direct_sum``, ``graph``, ``conjugate`` and
+``negate_first`` build them without elimination.  The annihilator is
+read off the stored RREF basis and its pivots, as ``kernel`` reads it off
+a fresh RREF (``_null_space``), so it costs one elimination, of the
+null-space rows, and none of the basis.
 
 Two operations skip work that the general route would repeat.
 ``a.mul_t(b)`` is ``a @ b.transpose()``: the rows of b, brought to one
@@ -773,6 +774,21 @@ class Subspace:
         null space of the stored RREF basis, which needs no second
         elimination of that basis."""
         return _null_space(self.field, self.ambient_dim, self.basis._z, self.pivots)
+
+    def negate_first(self, k) -> "Subspace":
+        """The image under the map negating the first k coordinates.
+
+        Negating those entries of the RREF basis keeps every pivot column a
+        unit column up to sign, and negating each row whose pivot lies among
+        them restores the 1s, so the result is in RREF without elimination.
+        """
+        z = []
+        for row, p in zip(self.basis._z, self.pivots):
+            s = -1 if p < k else 1
+            parts = [[-s * x for x in part[:k]] + [s * x for x in part[k:]] for part in row[:-1]]
+            z.append((*parts, row[-1]))
+        basis = Matrix._of(self.field, z, self.ambient_dim)
+        return Subspace(self.field, self.ambient_dim, basis, list(self.pivots))
 
     def conjugate(self) -> "Subspace":
         """The conjugate subspace; conjugating an RREF basis keeps it RREF."""

@@ -9,9 +9,7 @@ needed in the linear theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import GCAut, conjugate_by_basis, twisted_product
+from .core import GCAut, Record, conjugate_by_basis, twisted_product
 from .fields import QQ
 from .linalg import Matrix, Subspace
 from .subspaces import (
@@ -21,8 +19,7 @@ from .subspaces import (
 )
 
 
-@dataclass(frozen=True)
-class LinearRelation:
+class LinearRelation(Record):
     source: GCAut
     target: GCAut
     graph: Subspace
@@ -116,9 +113,7 @@ def annihilator_composition_identity(phi: LinearRelation, gamma: LinearRelation)
     lhs = compose(phi, gamma).graph.annihilator()
     ann_gamma = gamma.graph.annihilator()
     ann_phi = phi.graph.annihilator()
-    signs = {(c, c): -1 if c < nw else 1 for c in range(nw + nz)}
-    flipped = ann_phi.image(Matrix.from_entries(QQ, nw + nz, nw + nz, signs))
-    rhs = compose_subspaces(flipped, ann_gamma, nv, nw, nz)
+    rhs = compose_subspaces(ann_phi.negate_first(nw), ann_gamma, nv, nw, nz)
     return lhs == rhs
 
 

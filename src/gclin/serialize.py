@@ -4,18 +4,25 @@ Rationals travel as reduced "p/q" strings so no precision is lost;
 Gaussian rationals as {"re", "im"} objects; matrices as row-major nested
 arrays; subspaces as {"ambient_dim", "basis"}.  Encoders emit canonical
 values, so serializing the same object twice gives identical text.
+
+The multivector and relation coders import their layers when they run,
+so decoding and encoding structures, subspaces and matrices loads only
+``core``, ``fields`` and ``linalg``.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import GCAut, IsotropicE
+from .core import GCAut, IsotropicE, to_aut
 from .fields import QI, QQ, GaussianRational, format_rational, rational, rational_from_ints
 from .linalg import Matrix, Subspace
-from .multivector import Multivector, indices_to_mask, mask_to_indices
-from .relations import LinearRelation
-from .spinor import StandardForm
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .multivector import Multivector
+    from .relations import LinearRelation
+    from .spinor import StandardForm
 
 
 class PayloadError(ValueError):
@@ -123,6 +130,8 @@ def encode_eigenspace(e: IsotropicE) -> dict:
 
 
 def encode_multivector(mv: Multivector) -> list:
+    from .multivector import mask_to_indices
+
     # distinct masks have distinct index tuples, so the sort never reaches the mask
     keyed = sorted((mask_to_indices(m), m) for m in mv.terms)
     return [
@@ -132,6 +141,8 @@ def encode_multivector(mv: Multivector) -> list:
 
 
 def decode_multivector(data, n: int) -> Multivector:
+    from .multivector import Multivector, indices_to_mask
+
     if not isinstance(data, list):
         raise PayloadError("multivector payload must be a list of terms")
     terms = {}
@@ -210,7 +221,7 @@ def encode_relation(r: LinearRelation) -> dict:
 def decode_relation(data) -> LinearRelation:
     if not isinstance(data, dict):
         raise PayloadError("relation payload must be an object")
-    from .core import to_aut
+    from .relations import LinearRelation
 
     def as_aut(payload):
         obj = decode_gcs(payload)

@@ -29,9 +29,7 @@ Each step works on data that already exists.  For a form of T terms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import is_isotropic
+from .core import Record, is_isotropic
 from .fields import QI, GaussianRational, rational_from_ints
 from .linalg import Matrix, Subspace, _gauss_int_row, vec_dot
 from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices
@@ -93,8 +91,7 @@ def is_pure(phi: Multivector) -> bool:
     return _read_standard_form(phi) is not None
 
 
-@dataclass(frozen=True)
-class SpinorLine:
+class SpinorLine(Record):
     """A spinor up to scale; the stored representative is normalized."""
 
     rep: Multivector
@@ -115,8 +112,7 @@ class SpinorLine:
         return self.rep == other.rep
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(Record):
     """Exact factorization c exp(u) f_1 ^ ... ^ f_k of a pure spinor.
 
     The f_i span the intersection of the annihilator with the covector

@@ -13,13 +13,11 @@ coordinates on V/W are the images of the non-pivot coordinate vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .core import (
     BiVector,
     GCAut,
     IsotropicE,
+    Record,
     _aut_of,
     _carrying,
     conjugate_by_basis,
@@ -31,25 +29,16 @@ from .core import (
 )
 from .fields import QI, QQ
 from .linalg import Matrix, Subspace
-from .multivector import Multivector, two_form_coeff, two_form_from_coeff
-from .spinor import (
-    SpinorLine,
-    StandardForm,
-    annihilator_subspace,
-    spinor_product,
-    standard_data_for_subspace,
-)
 from .transforms import _recover, beta_transform, classify_type
 
 
-@dataclass(frozen=True)
-class InducedStructure:
+class InducedStructure(Record):
     """Induced eigenspace on a subspace or quotient, with its verdict."""
 
     ew: Subspace
     is_gc: bool
-    jw: Optional[GCAut]
-    witness: Optional[tuple]
+    jw: GCAut | None
+    witness: tuple | None
 
 
 def _finish_induced(dim_target: int, rows: Matrix) -> InducedStructure:
@@ -114,6 +103,17 @@ def restrict_spinor(j: GCAut, w: Subspace):
     factors annihilating rho(E) + W_C, and line_w the spinor line of the
     induced structure, exp(u|_W) ^ f_1|_W ... f_l|_W.
     """
+    # the spinor layer is imported by its few users only, so that code
+    # which never builds a spinor (most CLI verbs) does not load it
+    from .multivector import Multivector, two_form_coeff, two_form_from_coeff
+    from .spinor import (
+        SpinorLine,
+        StandardForm,
+        annihilator_subspace,
+        spinor_product,
+        standard_data_for_subspace,
+    )
+
     n = j.n
     j = _carrying(j)
     e = to_eigenspace(j).e
@@ -282,7 +282,7 @@ def split_induced(j: GCAut, w: Subspace, n_comp: Subspace):
     return jw, jn
 
 
-def find_split_complement(j: GCAut, w: Subspace) -> Optional[Subspace]:
+def find_split_complement(j: GCAut, w: Subspace) -> Subspace | None:
     """A complement exhibiting W as split, for transformed classical types.
 
     Symplectic-with-B: the orthogonal complement for the recovered form

@@ -9,13 +9,11 @@ independently cross-checked against the eigenspace criteria.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .core import (
     BiVector,
     GCAut,
     IsotropicE,
+    Record,
     TwoForm,
     complex_structure,
     covector_summand,
@@ -27,8 +25,6 @@ from .core import (
 )
 from .fields import QI, QQ, I
 from .linalg import Matrix
-from .multivector import Multivector, two_form_from_coeff
-from .spinor import SpinorLine, annihilator_subspace, spinor_product
 
 
 def _b_matrix(b: TwoForm) -> Matrix:
@@ -63,8 +59,7 @@ def b_transform_eigenspace(e: IsotropicE, b: TwoForm) -> IsotropicE:
     return IsotropicE(e.n, e.e.image(_b_matrix(b).to_gaussian()))
 
 
-@dataclass(frozen=True)
-class StructureType:
+class StructureType(Record):
     is_complex: bool
     is_b_complex: bool
     is_beta_complex: bool
@@ -107,8 +102,7 @@ def classify_type(j: GCAut) -> StructureType:
     return flags
 
 
-@dataclass(frozen=True)
-class RecoveredData:
+class RecoveredData(Record):
     """Classical data whose transform reproduces a structure.
 
     kind is 'complex' (fields jmat, b) or 'symplectic' (fields omega, b).
@@ -119,8 +113,8 @@ class RecoveredData:
 
     kind: str
     b: TwoForm
-    jmat: Optional[Matrix] = None
-    omega: Optional[TwoForm] = None
+    jmat: Matrix | None = None
+    omega: TwoForm | None = None
 
 
 def recover(j: GCAut) -> RecoveredData:
@@ -163,6 +157,11 @@ def assemble_sum_transform(
     checks that the two describe the same structure.  Coordinates on
     V = S + C are (s, c, s*, c*).
     """
+    # the spinor layer is imported by its few users only, so that code
+    # which never builds a spinor (most CLI verbs) does not load it
+    from .multivector import Multivector, two_form_from_coeff
+    from .spinor import SpinorLine, annihilator_subspace, spinor_product
+
     s, c = omega.n, jmat.rows
     if jmat @ jmat != -Matrix.identity(QQ, c):
         raise ValueError("complex factor does not square to -1")

@@ -1,10 +1,11 @@
 import json
+import sys
 import time
 from random import Random
 
 import pytest
 
-from gclin import cli
+from gclin import classification, cli, spinor
 from gclin.classification import canonical_omega
 from gclin.cli import main
 from gclin.core import TwoForm, complex_structure, symplectic_structure, to_eigenspace
@@ -149,7 +150,7 @@ def _refuse_spinor(*args):
 
 
 def test_spinor_verb_over_the_size_limit_exits_2_before_building(write, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "spinor_from_subspace", _refuse_spinor)
+    monkeypatch.setattr(spinor, "spinor_from_subspace", _refuse_spinor)
     n = cli.MAX_SPINOR_N + 24
     src = write("big.json", encode_aut(symplectic_structure(canonical_omega(n // 2))))
     code, out = run(capsys, "convert", "--to", "spinor", src)
@@ -164,8 +165,9 @@ def test_spinor_verb_over_the_size_limit_exits_2_before_building(write, capsys, 
     ids=["validate", "convert", "classify-type"],
 )
 def test_spinor_payload_over_the_size_limit_exits_2(write, capsys, monkeypatch, argv):
-    for name in ("is_pure", "annihilator_subspace", "mukai_pairing", "decode_gcs"):
-        monkeypatch.setattr(cli, name, _refuse_spinor)
+    for name in ("is_pure", "annihilator_subspace", "mukai_pairing"):
+        monkeypatch.setattr(spinor, name, _refuse_spinor)
+    monkeypatch.setattr(cli, "decode_gcs", _refuse_spinor)
     n = cli.MAX_SPINOR_N + 2
     src = write("spin.json", {"n": n, "repr": "spinor", "spinor": [{"coeff": "1", "indices": []}]})
     code, out = run(capsys, *argv, src)
@@ -390,12 +392,17 @@ def test_selftest_deterministic_and_green(capsys):
     ids=["raises", "returns-false"],
 )
 def test_selftest_failure_carries_reason(capsys, monkeypatch, patch, reason):
+    reassemble = classification.reassemble
+
     def broken(d):
+        # only selftest's own call is broken; decompose's cross-check keeps the real one
+        if sys._getframe(1).f_code is classification.decompose.__code__:
+            return reassemble(d)
         if patch is not None:
             raise patch
         return None
 
-    monkeypatch.setattr(cli, "reassemble", broken)
+    monkeypatch.setattr(classification, "reassemble", broken)
     code, out = run(capsys, "selftest", "--seed", "0")
     assert code == 1
     data = json.loads(out)

@@ -876,3 +876,18 @@ def test_hyp_annihilator_equals_kernel_of_basis(field, n, seed_value):
     assert_canonical(ann.basis)
     assert s.basis.mul_t(ann.basis).is_zero()
     assert ann.annihilator() == s
+
+
+@FIELDS
+@SIZES
+@settings(max_examples=40, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_negate_first_equals_image_under_signs(field, n, seed_value):
+    rng = Random(seed_value)
+    s = Subspace.from_spanning(field, n, seeded_matrix(rng, field, rng.randint(0, n + 1), n))
+    k = rng.randint(0, n)
+    signs = Matrix.from_entries(field, n, n, {(c, c): -1 if c < k else 1 for c in range(n)})
+    got = s.negate_first(k)
+    assert got == s.image(signs)
+    assert got.pivots == s.pivots
+    assert_canonical(got.basis)

@@ -309,6 +309,21 @@ class TestTheorems:
     @SIZES
     @settings(max_examples=12, deadline=None)
     @given(seed_value=seeds)
+    def test_sign_flip_of_an_annihilator_equals_its_image(self, n, seed_value):
+        # the identity negates the middle coordinates of Ann(phi) by
+        # negate_first; the image under diag(-1, ..., -1, 1, ..., 1) re-eliminates
+        rng = Random(seed_value)
+        for gamma, phi in (graph_pair(rng, n)[:2], complex_subspace_pair(rng, n)):
+            ann = phi.graph.annihilator()
+            nw, nz = phi.source.n, phi.target.n
+            signs = {(c, c): -1 if c < nw else 1 for c in range(nw + nz)}
+            flipped = ann.negate_first(nw)
+            assert flipped == ann.image(Matrix.from_entries(QQ, nw + nz, nw + nz, signs))
+            assert flipped.pivots == ann.pivots
+
+    @SIZES
+    @settings(max_examples=12, deadline=None)
+    @given(seed_value=seeds)
     def test_graph_iso_test_agrees_with_conjugation(self, n, seed_value):
         rng = Random(seed_value)
         gamma, _, mu1, _ = graph_pair(rng, n)
@@ -378,3 +393,15 @@ def test_is_canonical_eliminations_on_a_fixed_relation(eliminations):
     eliminations.clear()
     assert is_canonical(rel)
     assert len(eliminations) <= 1
+
+
+def test_annihilator_identity_eliminations_on_a_fixed_pair(eliminations):
+    # graphs of ROT between structures on R^2; the sign flip of Ann(phi)
+    # needs no elimination (8 at the route through Subspace.image)
+    a = symplectic_structure(OMEGA2)
+    b = conjugate_by_basis(a, ROT)
+    c = conjugate_by_basis(b, ROT)
+    gamma, phi = map_relation(ROT, a, b), map_relation(ROT, b, c)
+    eliminations.clear()
+    assert annihilator_composition_identity(phi, gamma)
+    assert len(eliminations) == 7
