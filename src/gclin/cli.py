@@ -25,6 +25,7 @@ from .core import (
     GCAut,
     IsotropicE,
     TwoForm,
+    _eigenspace_of,
     dualize,
     to_aut,
     to_eigenspace,
@@ -85,6 +86,8 @@ def _structure_to_aut(obj) -> GCAut:
         check = validate_aut(obj)
         if not check:
             raise CliError("invalid structure: " + _describe(check.violations))
+        # carried, so that the verb does not validate the payload again
+        obj._e = _eigenspace_of(obj)
         return obj
     if isinstance(obj, IsotropicE):
         try:
@@ -476,7 +479,7 @@ def _cmd_demo(args) -> int:
 def _selftest_checks(seed: int):
     from random import Random
 
-    from .classification import decompose, reassemble
+    from .classification import decompose
     from .relations import annihilator_composition_identity, compose, is_canonical
     from .samples import random_gcs, random_relation_chain
     from .spinor import annihilator_subspace, spinor_from_subspace
@@ -516,11 +519,10 @@ def _selftest_checks(seed: int):
     record("representation-round-trips", round_trips)
 
     def decomposition():
+        # decompose reassembles its result and raises when it is not the input
         for n in (2, 4):
             for _ in range(2):
-                j = random_gcs(rng, n)
-                if reassemble(decompose(j)) != j:
-                    return False
+                decompose(random_gcs(rng, n))
         return True
 
     record("classification-round-trips", decomposition)

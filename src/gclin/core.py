@@ -20,6 +20,18 @@ never stores onto its argument: operations that need one eigenspace
 several times take a private copy that carries it (``_carrying``), so no
 result outlives the call on the caller's objects.
 
+The conversions and checks between the two forms run on rational n x n
+blocks of E's RREF basis, with no 2n x 2n Q(i) elimination.  With pivot
+columns P and free columns F, Re E = [1 | A] and Im E = [0 | B] in
+(P, F) column order, so:
+
+* dim(E meet conj E) = dim E - rank B (``Subspace.meets_conjugate``);
+* J^T = R^-1 T for R = [Re E; Im E] and T = [-Im E; Re E], and
+  R^-1 = [[1, -A B^-1], [0, B^-1]] needs only B^-1 (``_aut_of``);
+* given J^2 = -1, J preserves the pairing iff S J is skew, S the swap
+  (``validate_aut``);
+* E = ker(J - i) is the column space of J + i (``to_eigenspace``).
+
 All two-forms B (and bivectors beta) are identified with the linear maps
 v -> iota_v B they induce; as matrices these are skew.  The bilinear form
 pairing against the coefficient matrix is recovered via transpose.
@@ -205,7 +217,7 @@ class GCAut:
                 raise ValueError("blocks must be rational n x n matrices")
         self.n = n
         self.j1, self.j2, self.j3, self.j4 = j1, j2, j3, j4
-        self._e = None  # the validated +i eigenspace, set only by _aut_of and _carrying
+        self._e = None  # the validated +i eigenspace, set only where it was computed
 
     @staticmethod
     def from_full(full: Matrix) -> "GCAut":
@@ -260,7 +272,10 @@ def validate_aut(j: GCAut) -> ValidationResult:
     """Check the seven block equations; cross-check the matrix criteria.
 
     The direct criteria (square is -1, pairing preserved) are recomputed
-    independently and must agree with the equation list.
+    on the full matrix and must agree with the equation list.  With the
+    swap S (S^2 = 1) and J^2 = -1, so that J^-1 = -J, the criterion
+    J^T S J = S reads J^T S = -S J: S J, which is J with its row halves
+    swapped, [[J3, J4], [J1, J2]], is skew.
     """
     j1, j2, j3, j4 = j.blocks()
     n = j.n
@@ -283,9 +298,7 @@ def validate_aut(j: GCAut) -> ValidationResult:
 
     full = j.full()
     square_ok = (full @ full) == -Matrix.identity(QQ, 2 * n)
-    s = swap_matrix(QQ, n)
-    orth_ok = (full.transpose() @ s @ full) == s
-    direct_ok = square_ok and orth_ok
+    direct_ok = square_ok and Matrix.from_blocks(QQ, [[j3, j4], [j1, j2]]).is_skew()
     if direct_ok != (not violations):
         raise AssertionError("equation list disagrees with the direct criteria")
     return ValidationResult(not violations, tuple(violations))
@@ -297,7 +310,7 @@ def validate_eigenspace(e: IsotropicE) -> ValidationResult:
         violations.append("dim")
     if not is_isotropic(e.e):
         violations.append("isotropy")
-    if not e.e.intersect(e.e.conjugate()).is_zero():
+    if e.e.meets_conjugate():
         violations.append("conjugate-intersection")
     return ValidationResult(not violations, tuple(violations))
 
@@ -306,15 +319,22 @@ def to_eigenspace(j: GCAut) -> IsotropicE:
     """The +i eigenspace of the complexified automorphism.
 
     A structure that carries its eigenspace returns it; otherwise it is
-    computed and validated, and not stored on j.
+    computed and validated, and not stored on j.  Since
+    (J - i)(J + i) = J^2 + 1 = 0 and both have rank n, ker(J - i) is the
+    column space of J + i: the row space of J^T + i, one elimination.
     """
     if j._e is not None:
         return j._e
     check = validate_aut(j)
     if not check:
         raise ValueError(f"invalid automorphism: {', '.join(check.violations)}")
-    shifted = j.full().to_gaussian() - Matrix.identity(QI, 2 * j.n).scale(I)
-    e = IsotropicE(j.n, shifted.kernel())
+    return _eigenspace_of(j)
+
+
+def _eigenspace_of(j: GCAut) -> IsotropicE:
+    """to_eigenspace for an automorphism its caller has already validated."""
+    shifted = j.full().transpose().to_gaussian() + Matrix.identity(QI, 2 * j.n).scale(I)
+    e = IsotropicE(j.n, Subspace.from_spanning(QI, 2 * j.n, shifted))
     res = validate_eigenspace(e)
     if not res:
         raise AssertionError(f"eigenspace failed validation: {res.violations}")
@@ -333,7 +353,7 @@ def _carrying(j: GCAut) -> GCAut:
 def to_aut(e: IsotropicE) -> GCAut:
     """The real automorphism acting as +i on E and -i on the conjugate.
 
-    The result carries e.  Realness of the result is asserted, not
+    The result carries e.  That it acts as +i on E is asserted, not
     assumed.
     """
     res = validate_eigenspace(e)
@@ -343,14 +363,27 @@ def to_aut(e: IsotropicE) -> GCAut:
 
 
 def _aut_of(e: IsotropicE) -> GCAut:
-    """to_aut for an eigenspace its caller has already validated."""
-    n = e.n
-    p = Matrix.from_blocks(QI, [[e.e.basis], [e.e.conjugate().basis]]).transpose()
-    d = Matrix.from_entries(QI, 2 * n, 2 * n, {(k, k): I if k < n else -I for k in range(2 * n)})
-    full = p @ d @ p.inverse()
-    if not full.is_real():
-        raise AssertionError("reconstructed automorphism is not real")
-    j = GCAut.from_full(full.real_part())
+    """to_aut for an eigenspace its caller has already validated.
+
+    For x in E, J Re x = -Im x and J Im x = Re x, so with the real and
+    imaginary parts of E's RREF basis stacked as R = [Re; Im] and
+    T = [-Im; Re], J^T = R^-1 T.  In (pivot P, free F) column order
+    Re = [1 | A] and Im = [0 | B], with B square and invertible because E
+    meets its conjugate only in 0, so R^-1 = [[1, -A B^-1], [0, B^-1]]:
+    the rows of J^T at F are B^-1 Re and those at P are -Im - A B^-1 Re.
+    """
+    n, basis, pivots = e.n, e.e.basis, e.e.pivots
+    free = [c for c in range(2 * n) if c not in pivots]
+    re, im = basis.real_part(), basis.imag_part()
+    at_free = im.select_columns(free).inverse() @ re
+    at_pivots = -(im + re.select_columns(free) @ at_free)
+    # J with its columns in (P, F) order, put back in coordinate order
+    order = pivots + free
+    full = Matrix.from_blocks(QQ, [[at_pivots], [at_free]]).transpose()
+    full = full.select_columns(sorted(range(2 * n), key=order.__getitem__))
+    if basis.mul_t(full) != basis.scale(I):
+        raise AssertionError("reconstructed automorphism does not act as i on E")
+    j = GCAut.from_full(full)
     check = validate_aut(j)
     if not check:
         raise AssertionError(f"reconstructed automorphism invalid: {check.violations}")

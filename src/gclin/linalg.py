@@ -794,6 +794,17 @@ class Subspace:
         """The conjugate subspace; conjugating an RREF basis keeps it RREF."""
         return Subspace(self.field, self.ambient_dim, self.basis.conjugate(), list(self.pivots))
 
+    def meets_conjugate(self) -> bool:
+        """Whether the subspace meets its conjugate in more than 0.
+
+        The pivot columns of the RREF basis are real unit columns, so in
+        (pivot, free) column order its real part is [1 | A] and its
+        imaginary part [0 | B].  The sum with the conjugate is the row
+        space of [[1, A], [0, B]], so the intersection has dimension
+        dim - rank B, and rank B is the rank of the imaginary part.
+        """
+        return self.basis.imag_part().rank() != self.dim
+
     def is_real(self) -> bool:
         return self == self.conjugate()
 

@@ -52,10 +52,12 @@ def _finish_induced(dim_target: int, rows: Matrix) -> InducedStructure:
         raise AssertionError("induced subspace has wrong dimension")
     if not is_isotropic(ew):
         raise AssertionError("induced subspace is not isotropic")
-    bad = ew.intersect(ew.conjugate())
-    if bad.is_zero():
+    if not ew.meets_conjugate():
         jw = _aut_of(IsotropicE(dim_target, ew))
         return InducedStructure(ew, True, jw, None)
+    bad = ew.intersect(ew.conjugate())
+    if bad.is_zero():
+        raise AssertionError("rank test and intersection disagree on the conjugate")
     return InducedStructure(ew, False, None, tuple(bad.basis.data[0]))
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gclin.core import (
     GCAut,
+    _aut_of,
     IsotropicE,
     TwoForm,
     complex_structure,
@@ -27,10 +28,11 @@ from gclin.core import (
     validate_eigenspace,
     vector_summand,
 )
-from gclin.fields import QI, QQ, GaussianRational
+from gclin.fields import QI, QQ, GaussianRational, I
 from gclin.linalg import Matrix, Subspace
 from gclin.samples import (
     random_gcs,
+    random_invertible,
     random_maximal_isotropic,
     random_symplectic_form,
 )
@@ -265,6 +267,178 @@ class TestCarriedEigenspace:
         del kernel_eigenspaces[:]
         assert to_eigenspace(to_aut(e)) is e
         assert kernel_eigenspaces == []
+
+
+# -- the block routes of core against the Q(i) routes they replaced ----------
+
+
+def random_conjugate_test_subspace(rng, m):
+    """A Q(i) subspace of C^m of any dimension; a third of the time the
+    conjugate of a spanning row is added, so that the span meets its
+    conjugate whenever that row is not 0."""
+    rows = [
+        [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(m)]
+        for _ in range(rng.randint(0, m))
+    ]
+    if rows and rng.random() < 1 / 3:
+        rows.append([x.conjugate() for x in rows[0]])
+    return Subspace.from_spanning(QI, m, rows)
+
+
+def check_rank_identity(s):
+    """dim(S meet conj S) = dim S - rank Im(RREF basis), against Zassenhaus."""
+    meet = s.intersect(s.conjugate())
+    assert s.dim - s.basis.imag_part().rank() == meet.dim
+    assert s.meets_conjugate() == (not meet.is_zero())
+    return s.meets_conjugate()
+
+
+def pdp_aut(e):
+    """P D P^-1 over Q(i), P the bases of E and its conjugate as columns and
+    D = diag(i, -i): the reconstruction before the block formula.  Raises
+    ValueError when P is singular, i.e. E meets its conjugate."""
+    n = e.n
+    p = Matrix.from_blocks(QI, [[e.e.basis], [e.e.conjugate().basis]]).transpose()
+    d = Matrix.from_entries(QI, 2 * n, 2 * n, {(k, k): I if k < n else -I for k in range(2 * n)})
+    full = p @ d @ p.inverse()
+    assert full.is_real()
+    return GCAut.from_full(full.real_part())
+
+
+def check_aut_of(e):
+    if not validate_eigenspace(e):
+        with pytest.raises(ValueError):
+            pdp_aut(e)
+        with pytest.raises(ValueError, match="invalid eigenspace"):
+            to_aut(e)
+        return False
+    j = _aut_of(e)
+    assert j == pdp_aut(e)
+    assert to_eigenspace(j) is e
+    return True
+
+
+def kernel_eigenspace(j):
+    """ker(J - i): the eigenspace solved for before the column space of J + i."""
+    return (j.full().to_gaussian() - Matrix.identity(QI, 2 * j.n).scale(I)).kernel()
+
+
+def check_to_eigenspace(j):
+    j = GCAut(*j.blocks())
+    if not validate_aut(j):
+        with pytest.raises(ValueError, match="invalid automorphism"):
+            to_eigenspace(j)
+        return False
+    assert to_eigenspace(j).e == kernel_eigenspace(j)
+    return True
+
+
+def product_violations(j):
+    """The violation labels read off J^2 + 1 (e:1 to e:4) and S J + (S J)^T
+    (e:7, e:5, e:6), both formed as 2n x 2n products."""
+    n = j.n
+    full = j.full()
+    square = full @ full + Matrix.identity(QQ, 2 * n)
+    sj = swap_matrix(QQ, n) @ full
+    skew = sj + sj.transpose()
+    found = set()
+    for label, m, r, c in (
+        ("e:1", square, 0, 0),
+        ("e:2", square, 0, n),
+        ("e:3", square, n, 0),
+        ("e:4", square, n, n),
+        ("e:7", skew, 0, 0),
+        ("e:5", skew, 0, n),
+        ("e:6", skew, n, n),
+    ):
+        if not m.block(r, r + n, c, c + n).is_zero():
+            found.add(label)
+    return tuple(sorted(found))
+
+
+def check_validate_aut(j):
+    """Violations and verdict against the product route: J^2 = -1 and
+    J^T S J = S on the full matrix."""
+    res = validate_aut(j)
+    assert res.violations == product_violations(j)
+    full, s = j.full(), swap_matrix(QQ, j.n)
+    direct = full @ full == -Matrix.identity(QQ, 2 * j.n) and full.transpose() @ s @ full == s
+    assert res.ok == direct
+    return res.ok
+
+
+def perturbed_structure(rng, n, how):
+    """A random structure on R^n, left as it is ("none"), with one block
+    entry bumped ("bump": breaks the square or skewness), with a skew
+    bump on J2 ("skew": keeps e:5 to e:7, breaks the square), or
+    conjugated by a random invertible map of V + V* ("similar": keeps
+    J^2 = -1, breaks orthogonality unless the map preserves the pairing)."""
+    j = random_gcs(rng, n)
+    blocks = list(j.blocks())
+    if how == "bump":
+        which, r, c = rng.randrange(4), rng.randrange(n), rng.randrange(n)
+        blocks[which] = blocks[which] + Matrix.from_entries(QQ, n, n, {(r, c): 1})
+    elif how == "skew":
+        r, c = rng.sample(range(n), 2)
+        blocks[1] = blocks[1] + Matrix.from_entries(QQ, n, n, {(r, c): 1, (c, r): -1})
+    elif how == "similar":
+        p = random_invertible(rng, 2 * n)
+        return GCAut.from_full(p @ j.full() @ p.inverse())
+    return GCAut(*blocks)
+
+
+def eigenspace_candidate(rng, n, kind):
+    """A candidate +i eigenspace on R^n: the eigenspace of a random structure
+    ("structure", valid) or a random maximal isotropic subspace ("isotropic",
+    valid or not; never valid for odd n)."""
+    if kind == "structure":
+        return to_eigenspace(random_gcs(rng, n))
+    return IsotropicE(n, random_maximal_isotropic(rng, n))
+
+
+seeds = st.integers(min_value=0, max_value=10**6)
+perturbations = st.sampled_from(["none", "bump", "skew", "similar"])
+
+
+class TestBlockRoutes:
+    """Transversality, to_aut, to_eigenspace and validate_aut work on n x n
+    rational blocks of E's RREF basis; each is checked against the 2n x 2n
+    Q(i) route it replaced, kept here as the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), seeds)
+    def test_rank_identity(self, m, seed):
+        check_rank_identity(random_conjugate_test_subspace(Random(seed), m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4), st.sampled_from(["structure", "isotropic"]), seeds)
+    def test_aut_of_matches_pdp(self, n, kind, seed):
+        if kind == "structure" and n % 2:
+            n += 1
+        check_aut_of(eigenspace_candidate(Random(seed), n, kind))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 4]), perturbations, seeds)
+    def test_to_eigenspace_matches_kernel(self, n, how, seed):
+        check_to_eigenspace(perturbed_structure(Random(seed), n, how))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 4]), perturbations, seeds)
+    def test_validate_aut_matches_products(self, n, how, seed):
+        check_validate_aut(perturbed_structure(Random(seed), n, how))
+
+    def test_every_check_sees_both_verdicts(self):
+        rng = Random(10)
+        for m in range(1, 9):
+            assert {check_rank_identity(random_conjugate_test_subspace(rng, m)) for _ in range(40)} == {True, False}
+        assert {check_aut_of(eigenspace_candidate(rng, n, "isotropic")) for n in (2, 3, 4) for _ in range(10)} == {
+            True,
+            False,
+        }
+        for how, verdicts in (("none", {True}), ("bump", {False}), ("skew", {False}), ("similar", {False})):
+            structures = [perturbed_structure(rng, n, how) for n in (2, 4) for _ in range(4)]
+            assert {check_to_eigenspace(j) for j in structures} == verdicts
+            assert {check_validate_aut(j) for j in structures} == verdicts
 
 
 class TestDuality:
