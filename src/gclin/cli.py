@@ -25,13 +25,13 @@ from .core import (
     GCAut,
     IsotropicE,
     TwoForm,
-    _eigenspace_of,
     dualize,
     to_aut,
     to_eigenspace,
     twist,
     twisted_product,
     validate_aut,
+    validate_carrying,
     validate_eigenspace,
 )
 from .fields import QI, QQ, I
@@ -83,12 +83,10 @@ def _load_json(path: str):
 
 def _structure_to_aut(obj) -> GCAut:
     if isinstance(obj, GCAut):
-        check = validate_aut(obj)
+        check, carrying = validate_carrying(obj)
         if not check:
             raise CliError("invalid structure: " + _describe(check.violations))
-        # carried, so that the verb does not validate the payload again
-        obj._e = _eigenspace_of(obj)
-        return obj
+        return carrying
     if isinstance(obj, IsotropicE):
         try:
             return to_aut(obj)

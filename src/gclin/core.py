@@ -18,7 +18,9 @@ and ``to_eigenspace`` returns that instead of solving for it again.  A
 structure built any other way carries nothing, and ``to_eigenspace``
 never stores onto its argument: operations that need one eigenspace
 several times take a private copy that carries it (``_carrying``), so no
-result outlives the call on the caller's objects.
+result outlives the call on the caller's objects.  ``validate_carrying``
+validates a structure once and hands back such a copy, for a caller that
+reports the violations itself before it uses the eigenspace.
 
 The conversions and checks between the two forms run on rational n x n
 blocks of E's RREF basis, with no 2n x 2n Q(i) elimination.  With pivot
@@ -217,7 +219,7 @@ class GCAut:
                 raise ValueError("blocks must be rational n x n matrices")
         self.n = n
         self.j1, self.j2, self.j3, self.j4 = j1, j2, j3, j4
-        self._e = None  # the validated +i eigenspace, set only where it was computed
+        self._e = None  # the validated +i eigenspace, set only by _aut_of and _copy_carrying
 
     @staticmethod
     def from_full(full: Matrix) -> "GCAut":
@@ -276,6 +278,14 @@ def validate_aut(j: GCAut) -> ValidationResult:
     swap S (S^2 = 1) and J^2 = -1, so that J^-1 = -J, the criterion
     J^T S J = S reads J^T S = -S J: S J, which is J with its row halves
     swapped, [[J3, J4], [J1, J2]], is skew.
+
+    Only the square is a second route: J^2 is formed as one 2n x 2n
+    product against e:1 to e:4 from n x n blocks.  "S J is skew" is e:5
+    to e:7 read on one matrix, so the pairing half compares the equation
+    list with itself.  The pairing is checked independently where the
+    eigenspace is: ``validate_eigenspace``'s isotropy test of E, which
+    ``to_eigenspace`` runs on the E it computes and ``to_aut`` on the E
+    it is given, before ``_aut_of`` checks that J acts as i on it.
     """
     j1, j2, j3, j4 = j.blocks()
     n = j.n
@@ -345,8 +355,26 @@ def _carrying(j: GCAut) -> GCAut:
     """j itself if it carries its eigenspace, else a copy that does."""
     if j._e is not None:
         return j
+    return _copy_carrying(j, to_eigenspace(j))
+
+
+def validate_carrying(j: GCAut):
+    """validate_aut(j), and for a valid j a structure that carries its
+    eigenspace: (result, j or a copy), the second None when j is invalid.
+
+    For a caller that reports the violations itself and then uses the
+    eigenspace, j is validated once where validate_aut followed by
+    to_eigenspace validates it twice.
+    """
+    check = validate_aut(j)
+    if not check:
+        return check, None
+    return check, j if j._e is not None else _copy_carrying(j, _eigenspace_of(j))
+
+
+def _copy_carrying(j: GCAut, e: IsotropicE) -> GCAut:
     copy = GCAut(j.j1, j.j2, j.j3, j.j4)
-    copy._e = to_eigenspace(j)
+    copy._e = e
     return copy
 
 

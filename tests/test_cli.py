@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from gclin import classification, cli, spinor
+from gclin import classification, cli, core, relations, spinor
 from gclin.classification import canonical_omega
 from gclin.cli import main
 from gclin.core import TwoForm, complex_structure, symplectic_structure, to_eigenspace
@@ -382,31 +382,68 @@ def test_selftest_deterministic_and_green(capsys):
     assert all(set(check) == {"name", "ok"} for check in data["checks"])
 
 
-@pytest.mark.parametrize(
-    "patch,reason",
-    [
-        (ZeroDivisionError("injected"), "ZeroDivisionError: injected"),
-        (None, "AssertionError: decomposition failed to reassemble the input"),
-    ],
-    ids=["raises", "returns-false"],
-)
-def test_selftest_failure_carries_reason(capsys, monkeypatch, patch, reason):
-    def broken(d):
-        # decompose's own reassembly check is the one selftest relies on
-        if patch is not None:
-            raise patch
-        return None
+def _reassemble_raising(d):
+    raise ZeroDivisionError("injected")
 
-    monkeypatch.setattr(classification, "reassemble", broken)
+
+@pytest.mark.parametrize(
+    "module,name,broken,failing,reason",
+    [
+        (
+            classification,
+            "reassemble",
+            _reassemble_raising,
+            "classification-round-trips",
+            "ZeroDivisionError: injected",
+        ),
+        (
+            relations,
+            "is_canonical",
+            lambda r: False,
+            "relation-closure",
+            "AssertionError: check returned false",
+        ),
+        # decompose's own reassembly check is the one selftest relies on
+        (
+            classification,
+            "reassemble",
+            lambda d: None,
+            "classification-round-trips",
+            "AssertionError: decomposition failed to reassemble the input",
+        ),
+    ],
+    ids=["raises", "returns-false", "decompose-raises"],
+)
+def test_selftest_failure_carries_reason(capsys, monkeypatch, module, name, broken, failing, reason):
+    monkeypatch.setattr(module, name, broken)
     code, out = run(capsys, "selftest", "--seed", "0")
     assert code == 1
     data = json.loads(out)
     assert (data["failed"], data["passed"]) == (1, 3)
     for check in data["checks"]:
-        if check["name"] == "classification-round-trips":
+        if check["name"] == failing:
             assert check == {"error": reason, "name": check["name"], "ok": False}
         else:
             assert check == {"name": check["name"], "ok": True}
+
+
+@pytest.mark.parametrize("argv", [["convert", "--to", "E"], ["classify-type"]])
+def test_aut_payload_is_validated_once(write, capsys, monkeypatch, argv):
+    # each verb uses the payload's eigenspace, which the loader hands over
+    j = random_gcs(Random(7), 2)
+    path = write("j.json", encode_aut(j))
+    validated = []
+    validate = core.validate_aut
+
+    def counting(k):
+        validated.append(k)
+        return validate(k)
+
+    monkeypatch.setattr(core, "validate_aut", counting)
+    monkeypatch.setattr(cli, "validate_aut", counting)
+    code, _ = run(capsys, *argv, path)
+    assert code == 0
+    assert sum(k == j for k in validated) == 1
 
 
 def _negate(text):
