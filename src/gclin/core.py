@@ -22,17 +22,20 @@ result outlives the call on the caller's objects.  ``validate_carrying``
 validates a structure once and hands back such a copy, for a caller that
 reports the violations itself before it uses the eigenspace.
 
-The conversions and checks between the two forms run on rational n x n
-blocks of E's RREF basis, with no 2n x 2n Q(i) elimination.  With pivot
-columns P and free columns F, Re E = [1 | A] and Im E = [0 | B] in
-(P, F) column order, so:
+Each entry checks its value once, by two routes that must agree:
 
-* dim(E meet conj E) = dim E - rank B (``Subspace.meets_conjugate``);
-* J^T = R^-1 T for R = [Re E; Im E] and T = [-Im E; Re E], and
-  R^-1 = [[1, -A B^-1], [0, B^-1]] needs only B^-1 (``_aut_of``);
-* given J^2 = -1, J preserves the pairing iff S J is skew, S the swap
-  (``validate_aut``);
-* E = ker(J - i) is the column space of J + i (``to_eigenspace``).
+* ``validate_aut``: e:1 to e:7, against J^T S J = S (S the swap) on
+  the full matrix, which with either half of the list gives the other;
+* ``to_eigenspace``, ``validate_carrying``: e:1 to e:7, against E = row
+  space of J^T + i having dimension n, being isotropic and transverse to
+  its conjugate, and carrying J as i (``_validated``);
+* ``to_aut``: ``validate_eigenspace`` (not for an E from ``_validated``),
+  against the rebuilt J acting as i on E and satisfying e:1 to e:7.
+
+In (pivot P, free F) column order E's RREF basis is Re E = [1 | A] and
+Im E = [0 | B], rational n x n blocks: dim(E meet conj E) = dim E -
+rank B (``Subspace.meets_conjugate``), and ``_aut_of`` rebuilds J from
+B^-1 alone.
 
 All two-forms B (and bivectors beta) are identified with the linear maps
 v -> iota_v B they induce; as matrices these are skew.  The bilinear form
@@ -256,6 +259,7 @@ class IsotropicE(Record):
 
     n: int
     e: Subspace
+    _valid = False  # set only on an E that _validated computed, and so validated
 
     def __post_init__(self):
         if self.e.field is not QI or self.e.ambient_dim != 2 * self.n:
@@ -270,48 +274,45 @@ class ValidationResult(Record):
         return self.ok
 
 
-def validate_aut(j: GCAut) -> ValidationResult:
-    """Check the seven block equations; cross-check the matrix criteria.
-
-    The direct criteria (square is -1, pairing preserved) are recomputed
-    on the full matrix and must agree with the equation list.  With the
-    swap S (S^2 = 1) and J^2 = -1, so that J^-1 = -J, the criterion
-    J^T S J = S reads J^T S = -S J: S J, which is J with its row halves
-    swapped, [[J3, J4], [J1, J2]], is skew.
-
-    Only the square is a second route: J^2 is formed as one 2n x 2n
-    product against e:1 to e:4 from n x n blocks.  "S J is skew" is e:5
-    to e:7 read on one matrix, so the pairing half compares the equation
-    list with itself.  The pairing is checked independently where the
-    eigenspace is: ``validate_eigenspace``'s isotropy test of E, which
-    ``to_eigenspace`` runs on the E it computes and ``to_aut`` on the E
-    it is given, before ``_aut_of`` checks that J acts as i on it.
-    """
+def _violations(j: GCAut) -> tuple:
+    """The labels of the block equations e:1 to e:7 that j breaks; e:1 to
+    e:4 are read off the blocks of one 2n x 2n product J^2 + 1."""
     j1, j2, j3, j4 = j.blocks()
-    n = j.n
-    minus_id = -Matrix.identity(QQ, n)
+    n, full = j.n, j.full()
+    square = full @ full + Matrix.identity(QQ, 2 * n)
     violations = []
-    if j1 @ j1 + j2 @ j3 != minus_id:
-        violations.append("e:1")
-    if not (j1 @ j2 + j2 @ j4).is_zero():
-        violations.append("e:2")
-    if not (j3 @ j1 + j4 @ j3).is_zero():
-        violations.append("e:3")
-    if j4 @ j4 + j3 @ j2 != minus_id:
-        violations.append("e:4")
+    if not square.is_zero():
+        for label, r, c in (("e:1", 0, 0), ("e:2", 0, n), ("e:3", n, 0), ("e:4", n, n)):
+            if not square.block(r, r + n, c, c + n).is_zero():
+                violations.append(label)
     if j4 != -j1.transpose():
         violations.append("e:5")
     if not j2.is_skew():
         violations.append("e:6")
     if not j3.is_skew():
         violations.append("e:7")
+    return tuple(violations)
 
-    full = j.full()
-    square_ok = (full @ full) == -Matrix.identity(QQ, 2 * n)
-    direct_ok = square_ok and Matrix.from_blocks(QQ, [[j3, j4], [j1, j2]]).is_skew()
-    if direct_ok != (not violations):
-        raise AssertionError("equation list disagrees with the direct criteria")
-    return ValidationResult(not violations, tuple(violations))
+
+def validate_aut(j: GCAut) -> ValidationResult:
+    """Check the seven block equations; cross-check the pairing criterion.
+
+    The second route is J^T S J = S (S the swap), one 2n x 2n product of
+    J^T and S J, which is J with its row halves swapped.  With either half
+    of the list, e:1 to e:4 (J^2 = -1) or e:5 to e:7 (S J is skew), it
+    implies the other half, as J^T S J = -S J^2 when S J is skew, so each
+    half is checked against it.  No eigenspace is computed, so no Q(i)
+    elimination runs; ``to_eigenspace`` and ``validate_carrying``, which
+    compute E anyway, use E as the second route instead (``_validated``).
+    """
+    violations = _violations(j)
+    square_ok = not any(v in ("e:1", "e:2", "e:3", "e:4") for v in violations)
+    skew_ok = not any(v in ("e:5", "e:6", "e:7") for v in violations)
+    swapped = Matrix.from_blocks(QQ, [[j.j3, j.j4], [j.j1, j.j2]])
+    pairing_ok = j.full().transpose() @ swapped == swap_matrix(QQ, j.n)
+    if not (square_ok and skew_ok) == (square_ok and pairing_ok) == (skew_ok and pairing_ok):
+        raise AssertionError("equation list disagrees with J^T S J = S")
+    return ValidationResult(not violations, violations)
 
 
 def validate_eigenspace(e: IsotropicE) -> ValidationResult:
@@ -325,29 +326,42 @@ def validate_eigenspace(e: IsotropicE) -> ValidationResult:
     return ValidationResult(not violations, tuple(violations))
 
 
+def _validated(j: GCAut):
+    """(verdict on j, its +i eigenspace E or None for an invalid j).
+
+    E is the row space of J^T + i, one Q(i) elimination, and the second
+    route for the equation list: for real J, "E has dimension n, is
+    isotropic, meets its conjugate only in 0, and J acts as i on it" holds
+    exactly when J^2 = -1 and J preserves the pairing.  (J is then i on E
+    and -i on conj E, which span; conversely E = ker(J - i) has dimension
+    n, and <x, y> = <Jx, Jy> = -<x, y> on it.)
+    """
+    violations = _violations(j)
+    n, full = j.n, j.full()
+    shifted = full.transpose().to_gaussian() + Matrix.identity(QI, 2 * n).scale(I)
+    e = IsotropicE(n, Subspace.from_spanning(QI, 2 * n, shifted))
+    # J acts as i on E: J Re x = -Im x and J Im x = Re x for x in E
+    re, im = e.e.basis.real_part(), e.e.basis.imag_part()
+    route_ok = validate_eigenspace(e).ok and re.mul_t(full) == -im and im.mul_t(full) == re
+    if route_ok == bool(violations):
+        raise AssertionError("equation list disagrees with the eigenspace of J")
+    if not violations:
+        object.__setattr__(e, "_valid", True)
+    return ValidationResult(not violations, violations), None if violations else e
+
+
 def to_eigenspace(j: GCAut) -> IsotropicE:
     """The +i eigenspace of the complexified automorphism.
 
     A structure that carries its eigenspace returns it; otherwise it is
-    computed and validated, and not stored on j.  Since
-    (J - i)(J + i) = J^2 + 1 = 0 and both have rank n, ker(J - i) is the
-    column space of J + i: the row space of J^T + i, one elimination.
+    computed and checked against the block equations (``_validated``),
+    and not stored on j.
     """
     if j._e is not None:
         return j._e
-    check = validate_aut(j)
+    check, e = _validated(j)
     if not check:
         raise ValueError(f"invalid automorphism: {', '.join(check.violations)}")
-    return _eigenspace_of(j)
-
-
-def _eigenspace_of(j: GCAut) -> IsotropicE:
-    """to_eigenspace for an automorphism its caller has already validated."""
-    shifted = j.full().transpose().to_gaussian() + Matrix.identity(QI, 2 * j.n).scale(I)
-    e = IsotropicE(j.n, Subspace.from_spanning(QI, 2 * j.n, shifted))
-    res = validate_eigenspace(e)
-    if not res:
-        raise AssertionError(f"eigenspace failed validation: {res.violations}")
     return e
 
 
@@ -359,17 +373,10 @@ def _carrying(j: GCAut) -> GCAut:
 
 
 def validate_carrying(j: GCAut):
-    """validate_aut(j), and for a valid j a structure that carries its
-    eigenspace: (result, j or a copy), the second None when j is invalid.
-
-    For a caller that reports the violations itself and then uses the
-    eigenspace, j is validated once where validate_aut followed by
-    to_eigenspace validates it twice.
-    """
-    check = validate_aut(j)
-    if not check:
-        return check, None
-    return check, j if j._e is not None else _copy_carrying(j, _eigenspace_of(j))
+    """(verdict on j, a copy of j that carries its eigenspace or None), for
+    a caller that reports the violations itself and then uses E."""
+    check, e = _validated(j)
+    return check, None if e is None else _copy_carrying(j, e)
 
 
 def _copy_carrying(j: GCAut, e: IsotropicE) -> GCAut:
@@ -381,12 +388,13 @@ def _copy_carrying(j: GCAut, e: IsotropicE) -> GCAut:
 def to_aut(e: IsotropicE) -> GCAut:
     """The real automorphism acting as +i on E and -i on the conjugate.
 
-    The result carries e.  That it acts as +i on E is asserted, not
-    assumed.
+    e is validated unless ``_validated`` computed it; an equal E built any
+    other way is validated.  The result carries e.
     """
-    res = validate_eigenspace(e)
-    if not res:
-        raise ValueError(f"invalid eigenspace: {', '.join(res.violations)}")
+    if not e._valid:
+        res = validate_eigenspace(e)
+        if not res:
+            raise ValueError(f"invalid eigenspace: {', '.join(res.violations)}")
     return _aut_of(e)
 
 
@@ -399,6 +407,7 @@ def _aut_of(e: IsotropicE) -> GCAut:
     Re = [1 | A] and Im = [0 | B], with B square and invertible because E
     meets its conjugate only in 0, so R^-1 = [[1, -A B^-1], [0, B^-1]]:
     the rows of J^T at F are B^-1 Re and those at P are -Im - A B^-1 Re.
+    J must act as i on E and satisfy the block equations.
     """
     n, basis, pivots = e.n, e.e.basis, e.e.pivots
     free = [c for c in range(2 * n) if c not in pivots]
@@ -409,12 +418,12 @@ def _aut_of(e: IsotropicE) -> GCAut:
     order = pivots + free
     full = Matrix.from_blocks(QQ, [[at_pivots], [at_free]]).transpose()
     full = full.select_columns(sorted(range(2 * n), key=order.__getitem__))
-    if basis.mul_t(full) != basis.scale(I):
+    if re.mul_t(full) != -im or im.mul_t(full) != re:
         raise AssertionError("reconstructed automorphism does not act as i on E")
     j = GCAut.from_full(full)
-    check = validate_aut(j)
-    if not check:
-        raise AssertionError(f"reconstructed automorphism invalid: {check.violations}")
+    violations = _violations(j)
+    if violations:
+        raise AssertionError(f"reconstructed automorphism invalid: {violations}")
     j._e = e
     return j
 

@@ -20,43 +20,34 @@ from .core import (
     projection_matrix,
     symplectic_structure,
     to_eigenspace,
-    validate_aut,
+    validate_carrying,
     vector_summand,
 )
 from .fields import QI, QQ, I
 from .linalg import Matrix
 
 
-def _b_matrix(b: TwoForm) -> Matrix:
-    n = b.n
-    one = Matrix.identity(QQ, n)
-    z = Matrix.zero(QQ, n, n)
-    return Matrix.from_blocks(QQ, [[one, z], [b.m, one]])
-
-
-def _beta_matrix(beta: BiVector) -> Matrix:
-    n = beta.n
-    one = Matrix.identity(QQ, n)
-    z = Matrix.zero(QQ, n, n)
-    return Matrix.from_blocks(QQ, [[one, beta.m], [z, one]])
+def _shear(m: Matrix, lower: bool) -> Matrix:
+    """[[1, 0], [m, 1]] (the action of a two-form) or [[1, m], [0, 1]] (of a
+    bivector); the inverse is the shear by -m."""
+    one, z = Matrix.identity(QQ, m.rows), Matrix.zero(QQ, m.rows, m.rows)
+    return Matrix.from_blocks(QQ, [[one, z], [m, one]] if lower else [[one, m], [z, one]])
 
 
 def b_transform(j: GCAut, b: TwoForm) -> GCAut:
     if b.n != j.n:
         raise ValueError("two-form dimension mismatch")
-    m = _b_matrix(b)
-    return GCAut.from_full(m @ j.full() @ _b_matrix(TwoForm(-b.m)))
+    return GCAut.from_full(_shear(b.m, True) @ j.full() @ _shear(-b.m, True))
 
 
 def beta_transform(j: GCAut, beta: BiVector) -> GCAut:
     if beta.n != j.n:
         raise ValueError("bivector dimension mismatch")
-    m = _beta_matrix(beta)
-    return GCAut.from_full(m @ j.full() @ _beta_matrix(BiVector(-beta.m)))
+    return GCAut.from_full(_shear(beta.m, False) @ j.full() @ _shear(-beta.m, False))
 
 
 def b_transform_eigenspace(e: IsotropicE, b: TwoForm) -> IsotropicE:
-    return IsotropicE(e.n, e.e.image(_b_matrix(b).to_gaussian()))
+    return IsotropicE(e.n, e.e.image(_shear(b.m, True).to_gaussian()))
 
 
 class StructureType(Record):
@@ -187,8 +178,7 @@ def assemble_sum_transform(
             ],
         ],
     )
-    aut = GCAut.from_full(full)
-    check = validate_aut(aut)
+    check, aut = validate_carrying(GCAut.from_full(full))
     if not check:
         raise AssertionError(f"assembled automorphism invalid: {check.violations}")
 

@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 
 from gclin import core
@@ -7,19 +5,18 @@ from gclin import core
 
 @pytest.fixture
 def kernel_eigenspaces(monkeypatch):
-    """Records each structure whose eigenspace to_eigenspace computes.
+    """Records each structure whose eigenspace core computes.
 
-    The kernel route of to_eigenspace starts with validate_aut(j), and a
-    carried eigenspace skips it, so a validate_aut call made directly from
-    to_eigenspace is one eigenspace computed.
+    to_eigenspace validates a structure that carries no eigenspace, and
+    solves for its eigenspace, in one call of core._validated, and a
+    carried eigenspace skips it, so each call is one eigenspace computed.
     """
     computed = []
-    validate = core.validate_aut
+    validated = core._validated
 
     def counting(j):
-        if sys._getframe(1).f_code is core.to_eigenspace.__code__:
-            computed.append(j)
-        return validate(j)
+        computed.append(j)
+        return validated(j)
 
-    monkeypatch.setattr(core, "validate_aut", counting)
+    monkeypatch.setattr(core, "_validated", counting)
     return computed

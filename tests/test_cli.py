@@ -433,14 +433,19 @@ def test_aut_payload_is_validated_once(write, capsys, monkeypatch, argv):
     j = random_gcs(Random(7), 2)
     path = write("j.json", encode_aut(j))
     validated = []
-    validate = core.validate_aut
 
-    def counting(k):
-        validated.append(k)
-        return validate(k)
+    def counting(validate):
+        def count(k):
+            validated.append(k)
+            return validate(k)
 
-    monkeypatch.setattr(core, "validate_aut", counting)
-    monkeypatch.setattr(cli, "validate_aut", counting)
+        return count
+
+    # every check of a whole structure: the standalone one and the one
+    # that solves for the eigenspace
+    monkeypatch.setattr(core, "_validated", counting(core._validated))
+    monkeypatch.setattr(core, "validate_aut", counting(core.validate_aut))
+    monkeypatch.setattr(cli, "validate_aut", core.validate_aut)
     code, _ = run(capsys, *argv, path)
     assert code == 0
     assert sum(k == j for k in validated) == 1

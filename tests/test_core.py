@@ -1,8 +1,10 @@
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gclin import core
 from gclin.core import (
     GCAut,
     _aut_of,
@@ -36,7 +38,7 @@ from gclin.samples import (
     random_maximal_isotropic,
     random_symplectic_form,
 )
-from gclin.spinor import spinor_from_subspace
+from gclin.spinor import annihilator_subspace, spinor_from_subspace
 
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
 OMEGA2 = TwoForm(Matrix(QQ, [[0, -1], [1, 0]]))
@@ -324,8 +326,10 @@ def kernel_eigenspace(j):
 
 
 def check_to_eigenspace(j):
+    """to_eigenspace refuses j exactly when the 2n x 2n direct criteria
+    fail, and otherwise solves for ker(J - i)."""
     j = GCAut(*j.blocks())
-    if not validate_aut(j):
+    if not direct_criteria(j):
         with pytest.raises(ValueError, match="invalid automorphism"):
             to_eigenspace(j)
         return False
@@ -356,14 +360,35 @@ def product_violations(j):
     return tuple(sorted(found))
 
 
+def block_violations(j):
+    """The violation labels of the equations as EQUATION_LABELS states
+    them, on n x n blocks."""
+    j1, j2, j3, j4 = j.blocks()
+    one, zero = Matrix.identity(QQ, j.n), Matrix.zero(QQ, j.n, j.n)
+    sides = {
+        "e:1": (j1 @ j1 + j2 @ j3, -one),
+        "e:2": (j1 @ j2 + j2 @ j4, zero),
+        "e:3": (j3 @ j1 + j4 @ j3, zero),
+        "e:4": (j4 @ j4 + j3 @ j2, -one),
+        "e:5": (j4, -j1.transpose()),
+        "e:6": (j2.transpose(), -j2),
+        "e:7": (j3.transpose(), -j3),
+    }
+    return tuple(sorted(label for label, (lhs, rhs) in sides.items() if lhs != rhs))
+
+
+def direct_criteria(j):
+    """J^2 = -1 and J^T S J = S, each a product of 2n x 2n matrices."""
+    full, s = j.full(), swap_matrix(QQ, j.n)
+    return full @ full == -Matrix.identity(QQ, 2 * j.n) and full.transpose() @ s @ full == s
+
+
 def check_validate_aut(j):
     """Violations and verdict against the product route: J^2 = -1 and
     J^T S J = S on the full matrix."""
     res = validate_aut(j)
-    assert res.violations == product_violations(j)
-    full, s = j.full(), swap_matrix(QQ, j.n)
-    direct = full @ full == -Matrix.identity(QQ, 2 * j.n) and full.transpose() @ s @ full == s
-    assert res.ok == direct
+    assert res.violations == product_violations(j) == block_violations(j)
+    assert res.ok == direct_criteria(j)
     return res.ok
 
 
@@ -439,6 +464,89 @@ class TestBlockRoutes:
             structures = [perturbed_structure(rng, n, how) for n in (2, 4) for _ in range(4)]
             assert {check_to_eigenspace(j) for j in structures} == verdicts
             assert {check_validate_aut(j) for j in structures} == verdicts
+
+
+def non_isotropic_candidate(n):
+    """A random n-dimensional Q(i) subspace of C^2n, seeded so that it is
+    transverse to its conjugate but not isotropic."""
+    rng = Random(4)
+    rows = [[GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2 * n)] for _ in range(n)]
+    e = IsotropicE(n, Subspace.from_spanning(QI, 2 * n, rows))
+    assert validate_eigenspace(e).violations == ("isotropy",)
+    return e
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The structures and eigenspaces core validates, by kind: "J" for each
+    check of a whole structure, "E" for each validate_eigenspace."""
+    seen = {"J": [], "E": []}
+    for kind, name in (("J", "_validated"), ("J", "validate_aut"), ("E", "validate_eigenspace")):
+
+        def counting(x, validate=getattr(core, name), kind=kind):
+            seen[kind].append(x)
+            return validate(x)
+
+        monkeypatch.setattr(core, name, counting)
+    return seen
+
+
+class TestEigenspaceRoute:
+    """to_eigenspace checks the block equations against the eigenspace it
+    computes, and to_aut checks the eigenspace against the rebuilt J; each
+    value is validated once."""
+
+    def test_roundtrip_cycle_validates_each_value_once(self, validations):
+        j = random_gcs(Random(9), 4)
+        e = to_eigenspace(j)
+        checked = len(validations["E"])
+        assert to_aut(e) == j
+        assert len(validations["E"]) == checked  # E came out of to_eigenspace's check
+        back = annihilator_subspace(spinor_from_subspace(e.e).rep)
+        assert to_aut(IsotropicE(4, back)) == j
+        assert validations["J"] == [j] and len(validations["E"]) <= 2
+
+    def test_caller_built_eigenspace_is_validated(self, validations):
+        e = to_eigenspace(random_gcs(Random(9), 4))
+        del validations["E"][:]
+        to_aut(IsotropicE(4, e.e))
+        assert validations["E"] == [e]
+        with pytest.raises(ValueError, match="invalid eigenspace: isotropy"):
+            to_aut(non_isotropic_candidate(3))
+
+    def test_aut_of_checks_the_block_equations(self):
+        # a transverse non-isotropic E gives a J with square -1 that acts
+        # as i on E but does not preserve the pairing
+        with pytest.raises(AssertionError, match="reconstructed automorphism invalid"):
+            _aut_of(non_isotropic_candidate(3))
+
+    @pytest.mark.parametrize("fault", ["conjugate", "isotropy", "transversality"])
+    def test_each_part_of_the_route_is_consulted(self, monkeypatch, fault):
+        j = random_gcs(Random(1), 4)
+        if fault == "conjugate":
+            # dimension n, isotropic and transverse, but J acts on it as -i
+            span = Subspace.from_spanning
+            monkeypatch.setattr(core, "Subspace", SimpleNamespace(from_spanning=lambda *a: span(*a).conjugate()))
+        elif fault == "isotropy":
+            monkeypatch.setattr(core, "is_isotropic", lambda s: False)
+        else:
+            monkeypatch.setattr(Subspace, "meets_conjugate", lambda s: True)
+        with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
+            to_eigenspace(j)
+
+    def test_validate_aut_runs_no_complex_elimination(self, monkeypatch):
+        rng = Random(2)
+        structures = [perturbed_structure(rng, 4, how) for how in ("none", "bump", "similar")]
+        fields = []
+        rref = Matrix.rref
+
+        def counting(m):
+            fields.append(m.field)
+            return rref(m)
+
+        monkeypatch.setattr(Matrix, "rref", counting)
+        assert {validate_aut(j).ok for j in structures} == {True, False}
+        assert QI not in fields
 
 
 class TestDuality:
