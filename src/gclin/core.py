@@ -29,13 +29,15 @@ Each entry checks its value once, by two routes that must agree:
 * ``to_eigenspace``, ``validate_carrying``: e:1 to e:7, against E = row
   space of J^T + i having dimension n, being isotropic and transverse to
   its conjugate, and carrying J as i (``_validated``);
-* ``to_aut``: ``validate_eigenspace`` (not for an E from ``_validated``),
-  against the rebuilt J acting as i on E and satisfying e:1 to e:7.
+* ``to_aut``: the checks of ``validate_eigenspace`` (not for an E from
+  ``_validated``), against the rebuilt J acting as i on E and satisfying
+  e:1 to e:7.
 
 In (pivot P, free F) column order E's RREF basis is Re E = [1 | A] and
 Im E = [0 | B], rational n x n blocks: dim(E meet conj E) = dim E -
 rank B (``Subspace.meets_conjugate``), and ``_aut_of`` rebuilds J from
-B^-1 alone.
+B^-1 alone.  ``to_aut`` reads transversality off the inversion of B
+(``_checked_eigenspace``), so B is eliminated once.
 
 All two-forms B (and bivectors beta) are identified with the linear maps
 v -> iota_v B they induce; as matrices these are skew.  The bilinear form
@@ -316,14 +318,33 @@ def validate_aut(j: GCAut) -> ValidationResult:
 
 
 def validate_eigenspace(e: IsotropicE) -> ValidationResult:
+    return _eigenspace_verdict(e, e.e.meets_conjugate())
+
+
+def _eigenspace_verdict(e: IsotropicE, meets_conjugate: bool) -> ValidationResult:
     violations = []
     if e.e.dim != e.n:
         violations.append("dim")
     if not is_isotropic(e.e):
         violations.append("isotropy")
-    if e.e.meets_conjugate():
+    if meets_conjugate:
         violations.append("conjugate-intersection")
     return ValidationResult(not violations, tuple(violations))
+
+
+def _checked_eigenspace(e: IsotropicE):
+    """(validate_eigenspace(e), B^-1 or None), with one elimination of B:
+    for dim E = n, B is square, and E meets its conjugate only in 0
+    exactly when B is invertible."""
+    if e.e.dim != e.n:
+        return validate_eigenspace(e), None
+    free = [c for c in range(2 * e.n) if c not in e.e.pivots]
+    b = e.e.basis.imag_part().select_columns(free)
+    try:
+        b_inv = b.inverse()
+    except ValueError:
+        b_inv = None
+    return _eigenspace_verdict(e, b_inv is None), b_inv
 
 
 def _validated(j: GCAut):
@@ -389,17 +410,20 @@ def to_aut(e: IsotropicE) -> GCAut:
     """The real automorphism acting as +i on E and -i on the conjugate.
 
     e is validated unless ``_validated`` computed it; an equal E built any
-    other way is validated.  The result carries e.
+    other way is validated, by the elimination of B that ``_aut_of``
+    reuses (``_checked_eigenspace``).  The result carries e.
     """
-    if not e._valid:
-        res = validate_eigenspace(e)
-        if not res:
-            raise ValueError(f"invalid eigenspace: {', '.join(res.violations)}")
-    return _aut_of(e)
+    if e._valid:
+        return _aut_of(e)
+    res, b_inv = _checked_eigenspace(e)
+    if not res:
+        raise ValueError(f"invalid eigenspace: {', '.join(res.violations)}")
+    return _aut_of(e, b_inv)
 
 
-def _aut_of(e: IsotropicE) -> GCAut:
-    """to_aut for an eigenspace its caller has already validated.
+def _aut_of(e: IsotropicE, b_inv=None) -> GCAut:
+    """to_aut for an eigenspace its caller has already validated, given
+    B^-1 if the caller has it.
 
     For x in E, J Re x = -Im x and J Im x = Re x, so with the real and
     imaginary parts of E's RREF basis stacked as R = [Re; Im] and
@@ -412,7 +436,9 @@ def _aut_of(e: IsotropicE) -> GCAut:
     n, basis, pivots = e.n, e.e.basis, e.e.pivots
     free = [c for c in range(2 * n) if c not in pivots]
     re, im = basis.real_part(), basis.imag_part()
-    at_free = im.select_columns(free).inverse() @ re
+    if b_inv is None:
+        b_inv = im.select_columns(free).inverse()
+    at_free = b_inv @ re
     at_pivots = -(im + re.select_columns(free) @ at_free)
     # J with its columns in (P, F) order, put back in coordinate order
     order = pivots + free

@@ -283,7 +283,8 @@ def _product(field, a, b, ncols):
 
 
 def _null_space(field, n, rows, pivots) -> "Subspace":
-    """The null space in F^n of RREF rows with the given pivot columns.
+    """The null space in F^n of reduced rows with the given pivot columns
+    (each has 1 at its pivot column, where the others have 0, as in RREF).
 
     With the rows brought to their common denominator L, the null vector
     of free column c scaled by L has L at c and minus the row's integer at
@@ -357,7 +358,8 @@ class Matrix:
 
     @staticmethod
     def identity(field, n) -> "Matrix":
-        return Matrix.from_entries(field, n, n, {(i, i): 1 for i in range(n)})
+        units = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+        return Matrix._of(field, [(u, 1) if field is QQ else (u, [0] * n, 1) for u in units], n)
 
     @staticmethod
     def from_blocks(field, blocks) -> "Matrix":

@@ -22,16 +22,20 @@ Each step works on data that already exists.  For a form of T terms:
   O(n^2) lookups plus one expansion.
 - ``mukai_pairing`` is one pass over complementary masks, O(T).
 - ``annihilator_subspace`` is the route for an arbitrary form: a signed
-  permutation of masks per generator gives a (<= 2^n) x 2n matrix and one
-  kernel, O(2^n n^2).  The library calls it only in cross-checks and in
-  the CLI's ``selftest``.
+  permutation of masks per generator gives a (<= 2^n) x 2n integer matrix
+  M, O(T n).  Only r of its rows are eliminated, from n (enough for a
+  pure form) up to rank M <= 2n, once per row added, and every row is
+  tested once for membership in their span, O(2^n n^2).  The result is
+  exact: the kernel of some rows of M contains ker M, and is contained
+  in it once every row of M lies in their span.  The library calls it
+  only in cross-checks and in the CLI's ``selftest``.
 """
 
 from __future__ import annotations
 
 from .core import Record, is_isotropic
 from .fields import QI, GaussianRational, rational_from_ints
-from .linalg import Matrix, Subspace, _gauss_int_row, vec_dot
+from .linalg import Matrix, Subspace, _gauss_int_row, _null_space, vec_dot
 from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices
 
 
@@ -57,30 +61,53 @@ def annihilator_subspace(phi: Multivector) -> Subspace:
     Each unit generator moves the terms of phi by a signed permutation of
     masks: e_i sends a term containing i to mask ^ bit (contraction) and
     f_i a term without i to mask | bit (wedge), both with the sign
-    (-1)^popcount(mask & (bit - 1)).  The kernel of the resulting
-    (masks x 2n) matrix is the annihilator.
+    (-1)^popcount(mask & (bit - 1)).  The annihilator is the kernel of
+    the resulting (masks x 2n) matrix M, whose rows are built on phi's
+    integer coefficients over one denominator.
+
+    Only a few rows of M are eliminated.  The kernel of a set of rows
+    contains ker M, and is contained in it when every row of M lies in
+    the span of the set, as that kernel is the annihilator of the span.
+    Rows are taken lowest output degree first, n of them to start (ker M
+    is isotropic, so M has rank at least n).  Every other row is tested
+    exactly for membership in their span, and the first row outside
+    joins them; the test then resumes after that row, since a row inside
+    a span lies inside every larger one.  The wedge columns come first
+    in the elimination: the n rows of degree 1 of c exp(u) are then
+    c [1 | +-u], in echelon form as they stand.
     """
     if phi.is_zero():
         raise ValueError("zero spinor has no annihilator subspace")
     n = phi.n
-    contractions, wedges = [], []
-    for i in range(n):
-        bit = 1 << i
-        inner, outer = {}, {}
-        for mask, c in phi.terms.items():
+    width = 2 * n
+    masks = list(phi.terms)
+    re, im, _ = _gauss_int_row([phi.terms[m] for m in masks])
+    rows = {}
+    for mask, x, y in zip(masks, re, im):
+        for i in range(n):
+            bit = 1 << i
+            # column i is the wedge with f_i, column n + i the contraction with e_i
+            out, col = (mask ^ bit, n + i) if mask & bit else (mask | bit, i)
+            if out not in rows:
+                rows[out] = ([0] * width, [0] * width, 1)
+            row = rows[out]
             if (mask & (bit - 1)).bit_count() & 1:
-                c = -c
-            if mask & bit:
-                inner[mask ^ bit] = c
+                row[0][col], row[1][col] = -x, -y
             else:
-                outer[mask | bit] = c
-        contractions.append(inner)
-        wedges.append(outer)
-    columns = contractions + wedges
-    zero = QI.zero
-    masks = sorted({m for col in columns for m in col})
-    rows = [[col.get(m, zero) for col in columns] for m in masks]
-    return Matrix(QI, rows, cols=2 * n).kernel()
+                row[0][col], row[1][col] = x, y
+    z = [rows[m] for m in sorted(rows, key=lambda m: (m.bit_count(), m))]
+    chosen, start = z[:n], n
+    while True:
+        span = Subspace._span(QI, width, chosen)
+        outside = span.first_outside(Matrix._of(QI, z[start:], width))
+        if outside is None:
+            break
+        start += outside + 1
+        chosen.append(z[start - 1])
+    # the span's rows in (e, f) order: no longer echelon, but each still
+    # has 1 at its pivot column where the others have 0, all _null_space reads
+    swapped = [(a[n:] + a[:n], b[n:] + b[:n], d) for a, b, d in span.basis._z]
+    return _null_space(QI, width, swapped, [(p + n) % width for p in span.pivots])
 
 
 def is_pure(phi: Multivector) -> bool:

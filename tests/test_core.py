@@ -292,6 +292,10 @@ def check_rank_identity(s):
     meet = s.intersect(s.conjugate())
     assert s.dim - s.basis.imag_part().rank() == meet.dim
     assert s.meets_conjugate() == (not meet.is_zero())
+    if 2 * s.dim == s.ambient_dim:
+        # to_aut's route: transversality read off the inversion of B
+        res, b_inv = core._checked_eigenspace(IsotropicE(s.dim, s))
+        assert ("conjugate-intersection" in res.violations) == (b_inv is None) == (not meet.is_zero())
     return s.meets_conjugate()
 
 
@@ -308,11 +312,13 @@ def pdp_aut(e):
 
 
 def check_aut_of(e):
-    if not validate_eigenspace(e):
+    res = validate_eigenspace(e)
+    if not res:
         with pytest.raises(ValueError):
             pdp_aut(e)
-        with pytest.raises(ValueError, match="invalid eigenspace"):
+        with pytest.raises(ValueError) as raised:
             to_aut(e)
+        assert str(raised.value) == f"invalid eigenspace: {', '.join(res.violations)}"
         return False
     j = _aut_of(e)
     assert j == pdp_aut(e)
@@ -479,9 +485,11 @@ def non_isotropic_candidate(n):
 @pytest.fixture
 def validations(monkeypatch):
     """The structures and eigenspaces core validates, by kind: "J" for each
-    check of a whole structure, "E" for each validate_eigenspace."""
+    check of a whole structure, "E" for each check of an eigenspace
+    (validate_eigenspace, or to_aut's _checked_eigenspace)."""
     seen = {"J": [], "E": []}
-    for kind, name in (("J", "_validated"), ("J", "validate_aut"), ("E", "validate_eigenspace")):
+    checks = (("J", "_validated"), ("J", "validate_aut"), ("E", "validate_eigenspace"), ("E", "_checked_eigenspace"))
+    for kind, name in checks:
 
         def counting(x, validate=getattr(core, name), kind=kind):
             seen[kind].append(x)

@@ -90,6 +90,16 @@ def test_rref_identity():
     assert pivots == [0, 1, 2]
 
 
+@pytest.mark.parametrize("field", [QQ, QI], ids=["Q", "Qi"])
+def test_identity_equals_the_construction_from_entries(field):
+    for n in range(5):
+        direct = Matrix.identity(field, n)
+        dense = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        for other in (Matrix.from_entries(field, n, n, {(i, i): 1 for i in range(n)}), Matrix(field, dense, cols=n)):
+            assert direct == other
+            assert (direct.field, direct.rows, direct.cols, direct._z) == (other.field, other.rows, other.cols, other._z)
+
+
 def test_rref_dependent_rows():
     m = Matrix(QQ, [[1, 2], [2, 4]])
     red, pivots = m.rref()

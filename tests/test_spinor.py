@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -92,8 +93,30 @@ class TestAnnihilator:
             assert all(not pairing(x, y) for x in rows for y in rows)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^zero spinor has no annihilator subspace$"):
             annihilator_subspace(Multivector.zero(2))
+
+    def test_zero_dimensional_space_gives_the_zero_subspace(self):
+        assert annihilator_subspace(Multivector.scalar(0, 3)) == Subspace.zero(QI, 0)
+
+    def test_rows_past_the_lowest_degree_join_when_they_fall_outside(self, monkeypatch):
+        # 1 + f1^f2^f3^f4 on R^5 is a sum of two pure spinors and not pure:
+        # the n lowest-degree rows (wedges of 1) leave all of V_C in their
+        # kernel, and only the contractions of the 4-form cut it to e_5
+        n = 5
+        phi = Multivector.scalar(n, 1) + Multivector(n, {0b01111: 1})
+        found = []
+        first_outside = Subspace.first_outside
+
+        def recording(span, rows):
+            found.append(first_outside(span, rows))
+            return found[-1]
+
+        monkeypatch.setattr(Subspace, "first_outside", recording)
+        ann = annihilator_subspace(phi)
+        assert ann == Subspace.coordinate(QI, 2 * n, [4]) == oracle_annihilator(phi)
+        assert len(found) == 5 and found[-1] is None and None not in found[:-1]
+        assert not is_pure(phi)
 
 
 class TestPurity:
@@ -420,11 +443,16 @@ class TestAgainstOracles:
         u = Multivector(n, terms)
         assert u.exp() == oracle_exp(u)
 
-    @settings(max_examples=40, deadline=None)
-    @given(even_sizes, seeds, st.booleans())
-    def test_annihilator_matches_clifford_route(self, n, seed, pure):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), seeds, st.sampled_from(["pure", "sum of pure", "random"]))
+    def test_annihilator_matches_clifford_route(self, n, seed, kind):
         rng = Random(seed)
-        phi = _pure(rng, n) if pure else _random_multivector(rng, n)
+        if kind == "random":
+            phi = _random_multivector(rng, n)
+        elif kind == "pure":
+            phi = _pure(rng, n)
+        else:
+            phi = _pure(rng, n) + _pure(rng, n)
         assume(phi)
         assert annihilator_subspace(phi) == oracle_annihilator(phi)
 
@@ -465,3 +493,20 @@ class TestAgainstOracles:
                 if phi:
                     verdicts.add((is_pure(phi), oracle_annihilator(phi).dim == n))
         assert verdicts == {(True, True), (False, False)}
+
+
+# Seconds annihilator_subspace may take on the pure spinor of a seeded
+# structure at n = 12 with Fraction scalars.  Measured on 2 shared CPUs
+# (Python 3.11.7): 0.32-0.35 s, six rows past the first n joining; the
+# route that eliminates every row of the Clifford matrix took 2.46-2.54 s.
+ANNIHILATOR_N12_BUDGET = 1.0
+
+
+def test_annihilator_at_n12_meets_its_budget():
+    e = to_eigenspace(random_gcs(Random(3), 12)).e
+    phi = spinor_from_subspace(e).rep
+    started = time.perf_counter()
+    ann = annihilator_subspace(phi)
+    elapsed = time.perf_counter() - started
+    assert ann == e
+    assert elapsed < ANNIHILATOR_N12_BUDGET, f"annihilator_subspace took {elapsed:.2f}s at n = 12"
