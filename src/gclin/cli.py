@@ -25,19 +25,18 @@ from .core import (
     GCAut,
     IsotropicE,
     TwoForm,
+    _validated,
     dualize,
     to_aut,
     to_eigenspace,
     twist,
     twisted_product,
     validate_aut,
-    validate_carrying,
     validate_eigenspace,
 )
 from .fields import QI, QQ, I
 from .linalg import Matrix, Subspace
 from .serialize import (
-    PayloadError,
     decode_gcs,
     decode_relation,
     decode_subspace,
@@ -83,7 +82,7 @@ def _load_json(path: str):
 
 def _structure_to_aut(obj) -> GCAut:
     if isinstance(obj, GCAut):
-        check, carrying = validate_carrying(obj)
+        check, carrying = _validated(obj)
         if not check:
             raise CliError("invalid structure: " + _describe(check.violations))
         return carrying
@@ -384,18 +383,13 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_canonical_rel(args) -> int:
-    from .relations import is_canonical
-    from .subspaces import generalized_coisotropic_witness, generalized_isotropic_witness
-
+    # canonical relations are the generalized Lagrangian ones: the subspace
+    # verb's witness search on the graph in the twisted product
     rel = decode_relation(_load_json(args.rel))
-    ok = is_canonical(rel)
+    ok, witness, _ = _subspace_lagrangian(twisted_product(rel.source, rel.target), rel.graph, args)
     out = {"result": ok}
     if not ok:
-        tp = twisted_product(rel.source, rel.target)
-        wit = generalized_isotropic_witness(tp, rel.graph)
-        if wit is None:
-            wit = generalized_coisotropic_witness(tp, rel.graph)
-        out["witness"] = encode_vector(wit) if wit is not None else "unknown"
+        out["witness"] = witness
     _emit(out)
     return 0 if ok else 1
 
@@ -641,10 +635,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, PayloadError) as exc:
-        _emit({"error": str(exc)})
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         _emit({"error": str(exc)})
         return 2
     except (AssertionError, ZeroDivisionError, TypeError) as exc:

@@ -16,28 +16,27 @@ module rather than stored.
 A ``GCAut`` built by ``to_aut`` carries the eigenspace it was built from,
 and ``to_eigenspace`` returns that instead of solving for it again.  A
 structure built any other way carries nothing, and ``to_eigenspace``
-never stores onto its argument: operations that need one eigenspace
-several times take a private copy that carries it (``_carrying``), so no
-result outlives the call on the caller's objects.  ``validate_carrying``
-validates a structure once and hands back such a copy, for a caller that
-reports the violations itself before it uses the eigenspace.
+never stores onto its argument: the one function that validates a
+structure and solves for E, ``_validated``, returns a private copy that
+carries E (``_carrying`` raises on an invalid structure), so no result
+outlives the call on the caller's objects.
+
+Every eigenspace is checked by one function, ``_checked_eigenspace``.
+In (pivot P, free F) column order E's RREF basis is Re E = [1 | A] and
+Im E = [0 | B], rational blocks, and dim(E meet conj E) = dim E - rank B:
+for dim E = n, E is transverse to its conjugate exactly when B inverts,
+and ``_aut_of`` rebuilds J from that B^-1 alone.  An E from
+``_validated`` keeps its B^-1, so B is eliminated once per eigenspace.
 
 Each entry checks its value once, by two routes that must agree:
 
 * ``validate_aut``: e:1 to e:7, against J^T S J = S (S the swap) on
   the full matrix, which with either half of the list gives the other;
-* ``to_eigenspace``, ``validate_carrying``: e:1 to e:7, against E = row
-  space of J^T + i having dimension n, being isotropic and transverse to
-  its conjugate, and carrying J as i (``_validated``);
-* ``to_aut``: the checks of ``validate_eigenspace`` (not for an E from
-  ``_validated``), against the rebuilt J acting as i on E and satisfying
-  e:1 to e:7.
-
-In (pivot P, free F) column order E's RREF basis is Re E = [1 | A] and
-Im E = [0 | B], rational n x n blocks: dim(E meet conj E) = dim E -
-rank B (``Subspace.meets_conjugate``), and ``_aut_of`` rebuilds J from
-B^-1 alone.  ``to_aut`` reads transversality off the inversion of B
-(``_checked_eigenspace``), so B is eliminated once.
+* ``to_eigenspace``, ``_validated``: e:1 to e:7, against E = row space
+  of J^T + i passing ``_checked_eigenspace`` and carrying J as i;
+* ``to_aut``: ``_checked_eigenspace`` (not for an E from ``_validated``,
+  which has passed it), against the rebuilt J acting as i on E and
+  satisfying e:1 to e:7.
 
 All two-forms B (and bivectors beta) are identified with the linear maps
 v -> iota_v B they induce; as matrices these are skew.  The bilinear form
@@ -224,7 +223,7 @@ class GCAut:
                 raise ValueError("blocks must be rational n x n matrices")
         self.n = n
         self.j1, self.j2, self.j3, self.j4 = j1, j2, j3, j4
-        self._e = None  # the validated +i eigenspace, set only by _aut_of and _copy_carrying
+        self._e = None  # the checked +i eigenspace, set only by _aut_of and _validated
 
     @staticmethod
     def from_full(full: Matrix) -> "GCAut":
@@ -261,7 +260,7 @@ class IsotropicE(Record):
 
     n: int
     e: Subspace
-    _valid = False  # set only on an E that _validated computed, and so validated
+    _b_inv = None  # B^-1, set only on an E that _validated computed and checked
 
     def __post_init__(self):
         if self.e.field is not QI or self.e.ambient_dim != 2 * self.n:
@@ -304,8 +303,8 @@ def validate_aut(j: GCAut) -> ValidationResult:
     of the list, e:1 to e:4 (J^2 = -1) or e:5 to e:7 (S J is skew), it
     implies the other half, as J^T S J = -S J^2 when S J is skew, so each
     half is checked against it.  No eigenspace is computed, so no Q(i)
-    elimination runs; ``to_eigenspace`` and ``validate_carrying``, which
-    compute E anyway, use E as the second route instead (``_validated``).
+    elimination runs; ``to_eigenspace`` and ``_validated``, which compute
+    E anyway, use E as the second route instead.
     """
     violations = _violations(j)
     square_ok = not any(v in ("e:1", "e:2", "e:3", "e:4") for v in violations)
@@ -318,57 +317,72 @@ def validate_aut(j: GCAut) -> ValidationResult:
 
 
 def validate_eigenspace(e: IsotropicE) -> ValidationResult:
-    return _eigenspace_verdict(e, e.e.meets_conjugate())
-
-
-def _eigenspace_verdict(e: IsotropicE, meets_conjugate: bool) -> ValidationResult:
-    violations = []
-    if e.e.dim != e.n:
-        violations.append("dim")
-    if not is_isotropic(e.e):
-        violations.append("isotropy")
-    if meets_conjugate:
-        violations.append("conjugate-intersection")
-    return ValidationResult(not violations, tuple(violations))
+    return _checked_eigenspace(e)[0]
 
 
 def _checked_eigenspace(e: IsotropicE):
-    """(validate_eigenspace(e), B^-1 or None), with one elimination of B:
-    for dim E = n, B is square, and E meets its conjugate only in 0
-    exactly when B is invertible."""
-    if e.e.dim != e.n:
-        return validate_eigenspace(e), None
-    free = [c for c in range(2 * e.n) if c not in e.e.pivots]
-    b = e.e.basis.imag_part().select_columns(free)
-    try:
-        b_inv = b.inverse()
-    except ValueError:
-        b_inv = None
-    return _eigenspace_verdict(e, b_inv is None), b_inv
+    """(verdict on e, B^-1 or None): the one check of an eigenspace.
+
+    E must have dimension n, be isotropic and meet its conjugate only in
+    0.  For dim E = n the last is read off the inversion of E's n x n
+    imaginary block B, which succeeds exactly when E is transverse, and
+    whose B^-1 ``_aut_of`` rebuilds J from; only for dim E != n, where B
+    is not square, is it the rank of Im E (``Subspace.meets_conjugate``).
+    """
+    n, s = e.n, e.e
+    b_inv = None
+    if s.dim == n:
+        free = [c for c in range(2 * n) if c not in s.pivots]
+        try:
+            b_inv = s.basis.imag_part().select_columns(free).inverse()
+        except ValueError:
+            pass
+    violations = [] if s.dim == n else ["dim"]
+    if not is_isotropic(s):
+        violations.append("isotropy")
+    if b_inv is None and (s.dim == n or s.meets_conjugate()):
+        violations.append("conjugate-intersection")
+    return ValidationResult(not violations, tuple(violations)), b_inv
 
 
 def _validated(j: GCAut):
-    """(verdict on j, its +i eigenspace E or None for an invalid j).
+    """(verdict on j, a copy of j that carries its +i eigenspace E, or None
+    for an invalid j), for a caller that reports the violations itself.
 
     E is the row space of J^T + i, one Q(i) elimination, and the second
     route for the equation list: for real J, "E has dimension n, is
     isotropic, meets its conjugate only in 0, and J acts as i on it" holds
     exactly when J^2 = -1 and J preserves the pairing.  (J is then i on E
     and -i on conj E, which span; conversely E = ker(J - i) has dimension
-    n, and <x, y> = <Jx, Jy> = -<x, y> on it.)
+    n, and <x, y> = <Jx, Jy> = -<x, y> on it.)  E keeps the B^-1 of its
+    check, so ``to_aut`` on it inverts nothing.
     """
     violations = _violations(j)
     n, full = j.n, j.full()
     shifted = full.transpose().to_gaussian() + Matrix.identity(QI, 2 * n).scale(I)
     e = IsotropicE(n, Subspace.from_spanning(QI, 2 * n, shifted))
+    check, b_inv = _checked_eigenspace(e)
     # J acts as i on E: J Re x = -Im x and J Im x = Re x for x in E
     re, im = e.e.basis.real_part(), e.e.basis.imag_part()
-    route_ok = validate_eigenspace(e).ok and re.mul_t(full) == -im and im.mul_t(full) == re
+    route_ok = check.ok and re.mul_t(full) == -im and im.mul_t(full) == re
     if route_ok == bool(violations):
         raise AssertionError("equation list disagrees with the eigenspace of J")
-    if not violations:
-        object.__setattr__(e, "_valid", True)
-    return ValidationResult(not violations, violations), None if violations else e
+    if violations:
+        return ValidationResult(False, violations), None
+    object.__setattr__(e, "_b_inv", b_inv)
+    carrying = GCAut(j.j1, j.j2, j.j3, j.j4)
+    carrying._e = e
+    return ValidationResult(True, violations), carrying
+
+
+def _carrying(j: GCAut) -> GCAut:
+    """j itself if it carries its eigenspace, else a copy that does."""
+    if j._e is not None:
+        return j
+    check, carrying = _validated(j)
+    if not check:
+        raise ValueError(f"invalid automorphism: {', '.join(check.violations)}")
+    return carrying
 
 
 def to_eigenspace(j: GCAut) -> IsotropicE:
@@ -378,52 +392,27 @@ def to_eigenspace(j: GCAut) -> IsotropicE:
     computed and checked against the block equations (``_validated``),
     and not stored on j.
     """
-    if j._e is not None:
-        return j._e
-    check, e = _validated(j)
-    if not check:
-        raise ValueError(f"invalid automorphism: {', '.join(check.violations)}")
-    return e
-
-
-def _carrying(j: GCAut) -> GCAut:
-    """j itself if it carries its eigenspace, else a copy that does."""
-    if j._e is not None:
-        return j
-    return _copy_carrying(j, to_eigenspace(j))
-
-
-def validate_carrying(j: GCAut):
-    """(verdict on j, a copy of j that carries its eigenspace or None), for
-    a caller that reports the violations itself and then uses E."""
-    check, e = _validated(j)
-    return check, None if e is None else _copy_carrying(j, e)
-
-
-def _copy_carrying(j: GCAut, e: IsotropicE) -> GCAut:
-    copy = GCAut(j.j1, j.j2, j.j3, j.j4)
-    copy._e = e
-    return copy
+    return _carrying(j)._e
 
 
 def to_aut(e: IsotropicE) -> GCAut:
     """The real automorphism acting as +i on E and -i on the conjugate.
 
-    e is validated unless ``_validated`` computed it; an equal E built any
-    other way is validated, by the elimination of B that ``_aut_of``
-    reuses (``_checked_eigenspace``).  The result carries e.
+    An E that ``_validated`` computed carries the B^-1 of its check; any
+    other E is checked here (``_checked_eigenspace``), so B is eliminated
+    once either way.  The result carries e.
     """
-    if e._valid:
-        return _aut_of(e)
-    res, b_inv = _checked_eigenspace(e)
-    if not res:
-        raise ValueError(f"invalid eigenspace: {', '.join(res.violations)}")
+    b_inv = e._b_inv
+    if b_inv is None:
+        check, b_inv = _checked_eigenspace(e)
+        if not check:
+            raise ValueError(f"invalid eigenspace: {', '.join(check.violations)}")
     return _aut_of(e, b_inv)
 
 
-def _aut_of(e: IsotropicE, b_inv=None) -> GCAut:
-    """to_aut for an eigenspace its caller has already validated, given
-    B^-1 if the caller has it.
+def _aut_of(e: IsotropicE, b_inv: Matrix) -> GCAut:
+    """to_aut for an eigenspace its caller has already checked, given the
+    B^-1 of that check (``_checked_eigenspace``).
 
     For x in E, J Re x = -Im x and J Im x = Re x, so with the real and
     imaginary parts of E's RREF basis stacked as R = [Re; Im] and
@@ -436,8 +425,6 @@ def _aut_of(e: IsotropicE, b_inv=None) -> GCAut:
     n, basis, pivots = e.n, e.e.basis, e.e.pivots
     free = [c for c in range(2 * n) if c not in pivots]
     re, im = basis.real_part(), basis.imag_part()
-    if b_inv is None:
-        b_inv = im.select_columns(free).inverse()
     at_free = b_inv @ re
     at_pivots = -(im + re.select_columns(free) @ at_free)
     # J with its columns in (P, F) order, put back in coordinate order

@@ -20,9 +20,9 @@ from .core import (
     Record,
     _aut_of,
     _carrying,
+    _checked_eigenspace,
     conjugate_by_basis,
     direct_sum,
-    is_isotropic,
     to_eigenspace,
     twisted_product,
     validate_aut,
@@ -42,22 +42,26 @@ class InducedStructure(Record):
 
 
 def _finish_induced(dim_target: int, rows: Matrix) -> InducedStructure:
-    """Verdict on an induced eigenspace.
+    """Verdict on an induced eigenspace, from the one check of an
+    eigenspace (``_checked_eigenspace``).
 
-    The checks of validate_eigenspace run here, once, so the structure is
-    built by _aut_of without validating the same value again.
+    The dimension and isotropy hold by construction, so either failing is
+    a failed cross-check; a transverse E gives the structure from the
+    check's B^-1, and one that meets its conjugate a witness in the
+    intersection, which must then be nonzero.
     """
     ew = Subspace.from_spanning(QI, 2 * dim_target, rows)
-    if ew.dim != dim_target:
+    e = IsotropicE(dim_target, ew)
+    check, b_inv = _checked_eigenspace(e)
+    if "dim" in check.violations:
         raise AssertionError("induced subspace has wrong dimension")
-    if not is_isotropic(ew):
+    if "isotropy" in check.violations:
         raise AssertionError("induced subspace is not isotropic")
-    if not ew.meets_conjugate():
-        jw = _aut_of(IsotropicE(dim_target, ew))
-        return InducedStructure(ew, True, jw, None)
+    if check:
+        return InducedStructure(ew, True, _aut_of(e, b_inv), None)
     bad = ew.intersect(ew.conjugate())
     if bad.is_zero():
-        raise AssertionError("rank test and intersection disagree on the conjugate")
+        raise AssertionError("inversion test and intersection disagree on the conjugate")
     return InducedStructure(ew, False, None, tuple(bad.basis.data[0]))
 
 

@@ -15,12 +15,12 @@ from .core import (
     IsotropicE,
     Record,
     TwoForm,
+    _validated,
     complex_structure,
     covector_summand,
     projection_matrix,
     symplectic_structure,
     to_eigenspace,
-    validate_carrying,
     vector_summand,
 )
 from .fields import QI, QQ, I
@@ -178,7 +178,7 @@ def assemble_sum_transform(
             ],
         ],
     )
-    check, aut = validate_carrying(GCAut.from_full(full))
+    check, aut = _validated(GCAut.from_full(full))
     if not check:
         raise AssertionError(f"assembled automorphism invalid: {check.violations}")
 

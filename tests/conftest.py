@@ -1,6 +1,7 @@
 import pytest
 
 from gclin import core
+from gclin.linalg import Matrix
 
 
 @pytest.fixture
@@ -20,3 +21,17 @@ def kernel_eigenspaces(monkeypatch):
 
     monkeypatch.setattr(core, "_validated", counting)
     return computed
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The shapes of the matrices Matrix.rref runs on, in call order."""
+    calls = []
+    rref = Matrix.rref
+
+    def counting(self):
+        calls.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    return calls

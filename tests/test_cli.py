@@ -444,6 +444,7 @@ def test_aut_payload_is_validated_once(write, capsys, monkeypatch, argv):
     # every check of a whole structure: the standalone one and the one
     # that solves for the eigenspace
     monkeypatch.setattr(core, "_validated", counting(core._validated))
+    monkeypatch.setattr(cli, "_validated", core._validated)
     monkeypatch.setattr(core, "validate_aut", counting(core.validate_aut))
     monkeypatch.setattr(cli, "validate_aut", core.validate_aut)
     code, _ = run(capsys, *argv, path)

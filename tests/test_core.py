@@ -270,6 +270,14 @@ class TestCarriedEigenspace:
         assert to_eigenspace(to_aut(e)) is e
         assert kernel_eigenspaces == []
 
+    def test_roundtrip_eliminates_b_once(self, eliminations):
+        # the row space of J^T + i, then the inversion of B, whose B^-1 the
+        # check of E keeps for to_aut (3 when to_aut inverted B again)
+        j = random_gcs(Random(5), 4)
+        eliminations.clear()
+        assert to_aut(to_eigenspace(j)) == j
+        assert len(eliminations) == 2
+
 
 # -- the block routes of core against the Q(i) routes they replaced ----------
 
@@ -320,7 +328,7 @@ def check_aut_of(e):
             to_aut(e)
         assert str(raised.value) == f"invalid eigenspace: {', '.join(res.violations)}"
         return False
-    j = _aut_of(e)
+    j = _aut_of(e, core._checked_eigenspace(e)[1])
     assert j == pdp_aut(e)
     assert to_eigenspace(j) is e
     return True
@@ -499,6 +507,10 @@ def validations(monkeypatch):
     return seen
 
 
+def singular(m):
+    raise ValueError("matrix is singular")
+
+
 class TestEigenspaceRoute:
     """to_eigenspace checks the block equations against the eigenspace it
     computes, and to_aut checks the eigenspace against the rebuilt J; each
@@ -525,8 +537,9 @@ class TestEigenspaceRoute:
     def test_aut_of_checks_the_block_equations(self):
         # a transverse non-isotropic E gives a J with square -1 that acts
         # as i on E but does not preserve the pairing
+        e = non_isotropic_candidate(3)
         with pytest.raises(AssertionError, match="reconstructed automorphism invalid"):
-            _aut_of(non_isotropic_candidate(3))
+            _aut_of(e, core._checked_eigenspace(e)[1])
 
     @pytest.mark.parametrize("fault", ["conjugate", "isotropy", "transversality"])
     def test_each_part_of_the_route_is_consulted(self, monkeypatch, fault):
@@ -538,7 +551,8 @@ class TestEigenspaceRoute:
         elif fault == "isotropy":
             monkeypatch.setattr(core, "is_isotropic", lambda s: False)
         else:
-            monkeypatch.setattr(Subspace, "meets_conjugate", lambda s: True)
+            # transversality is read off the inversion of B
+            monkeypatch.setattr(Matrix, "inverse", singular)
         with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
             to_eigenspace(j)
 

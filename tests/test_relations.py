@@ -350,20 +350,6 @@ class TestTheorems:
 # -- eliminations on the relation path ---------------------------------------
 
 
-@pytest.fixture
-def eliminations(monkeypatch):
-    """The shapes of the matrices Matrix.rref runs on, in call order."""
-    calls = []
-    rref = Matrix.rref
-
-    def counting(self):
-        calls.append((self.rows, self.cols))
-        return rref(self)
-
-    monkeypatch.setattr(Matrix, "rref", counting)
-    return calls
-
-
 def test_annihilator_runs_one_elimination(eliminations):
     rng = Random(32)
     cases = [Subspace.zero(QQ, 4), Subspace.full(QQ, 4)]

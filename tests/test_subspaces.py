@@ -120,6 +120,15 @@ class TestInduceOnSubspace:
                     assert kernel_eigenspaces == []
                     assert to_eigenspace(GCAut(*ind.jw.blocks())).e == ind.ew
 
+    def test_transverse_case_eliminates_b_once(self, eliminations):
+        # E of J and its B^-1, the cut of E, the induced E and its B^-1,
+        # which the check hands to _aut_of (6 when the rank of Im and the
+        # inversion of B were two eliminations)
+        j, w = random_gcs(Random(5), 4), random_subspace(Random(5), 4, 2)
+        eliminations.clear()
+        assert induce_on_subspace(j, w).is_gc
+        assert len(eliminations) == 5
+
 
 class TestInduceOnQuotient:
     def test_fixture_quotient_fails_with_annihilated_witness(self):
@@ -175,6 +184,41 @@ class TestInduceOnQuotient:
             lhs = induce_on_quotient(j, w).is_gc
             rhs = induce_on_subspace(dualize(j), w.annihilator()).is_gc
             assert lhs == rhs
+
+
+def classical_verdict(kind, m, w):
+    """JW = W for a complex structure J, omega|_W nondegenerate for a
+    symplectic form omega."""
+    if kind == "complex":
+        images = [m.apply(row) for row in w.basis.data]
+        return Subspace.from_spanning(QQ, w.ambient_dim, w.basis_rows() + images).dim == w.dim
+    return m.restrict(w.basis.data).m.is_invertible()
+
+
+class TestInducedAgainstClassical:
+    """For a complex or symplectic structure the induced structures on W
+    and on V/W exist exactly when the classical test holds."""
+
+    def test_seeded_structures(self):
+        rng = Random(11)
+        seen = set()
+        for _ in range(120):
+            n = rng.choice((2, 4))
+            if rng.random() < 0.5:
+                kind, m = "complex", random_complex_matrix(rng, n)
+                j = complex_structure(m)
+            else:
+                kind, m = "symplectic", random_symplectic_form(rng, n)
+                j = symplectic_structure(m)
+            w = random_subspace(rng, n)
+            if kind == "complex" and rng.random() < 0.5:
+                # a J-invariant plane, so that nontrivial W pass as well
+                w = j_invariant_plane(m)
+            expected = classical_verdict(kind, m, w)
+            assert induce_on_subspace(j, w).is_gc == expected
+            assert induce_on_quotient(j, w).is_gc == expected
+            seen.add((kind, expected))
+        assert seen == {(kind, ok) for kind in ("complex", "symplectic") for ok in (True, False)}
 
 
 class TestRestrictSpinor:
