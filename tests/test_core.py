@@ -507,10 +507,6 @@ def validations(monkeypatch):
     return seen
 
 
-def singular(m):
-    raise ValueError("matrix is singular")
-
-
 class TestEigenspaceRoute:
     """to_eigenspace checks the block equations against the eigenspace it
     computes, and to_aut checks the eigenspace against the rebuilt J; each
@@ -552,6 +548,9 @@ class TestEigenspaceRoute:
             monkeypatch.setattr(core, "is_isotropic", lambda s: False)
         else:
             # transversality is read off the inversion of B
+            def singular(m):
+                raise ValueError("matrix is singular")
+
             monkeypatch.setattr(Matrix, "inverse", singular)
         with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
             to_eigenspace(j)
