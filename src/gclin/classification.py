@@ -48,8 +48,9 @@ def _canonical_s(j: GCAut):
     """canonical_s of a structure carrying its eigenspace, with the induced structure on S."""
     n = j.n
     e = to_eigenspace(j).e
-    rho = projection_matrix(n, "vector")
-    s_c = e.image(rho).intersect(e.conjugate().image(rho))
+    # rho is real, so the image of E-bar is the conjugate of E's image
+    rho_e = e.image(projection_matrix(n, "vector"))
+    s_c = rho_e.intersect(rho_e.conjugate())
     s = s_c.real_form()
     ind = induce_on_subspace(j, s)
     if not ind.is_gc:

@@ -19,7 +19,9 @@ form, so ``coordinate``, ``direct_sum``, ``graph``, ``conjugate`` and
 ``negate_first`` build them without elimination.  The annihilator is
 read off the stored RREF basis and its pivots, as ``kernel`` reads it off
 a fresh RREF (``_null_space``), so it costs one elimination, of the
-null-space rows, and none of the basis.
+null-space rows, and none of the basis.  ``intersect`` pairs one basis
+with the other's null-space rows, read off the same way (``_null_rows``),
+and eliminates once, at width ambient - dim(other) + dim(self).
 
 Two operations skip work that the general route would repeat.
 ``a.mul_t(b)`` is ``a @ b.transpose()``: the rows of b, brought to one
@@ -282,13 +284,14 @@ def _product(field, a, b, ncols):
     return _against(field, a, cols, den)
 
 
-def _null_space(field, n, rows, pivots) -> "Subspace":
-    """The null space in F^n of reduced rows with the given pivot columns
-    (each has 1 at its pivot column, where the others have 0, as in RREF).
+def _null_rows(field, n, rows, pivots):
+    """Stored rows spanning the null space in F^n of reduced rows with the
+    given pivot columns (each has 1 at its pivot column, where the others
+    have 0, as in RREF), one per free column.
 
     With the rows brought to their common denominator L, the null vector
     of free column c scaled by L has L at c and minus the row's integer at
-    c in each pivot row's column; one elimination puts those in RREF.
+    c in each pivot row's column; no elimination is needed.
     """
     den = lcm(*(row[-1] for row in rows))
     scaled = _scaled(rows, den)
@@ -303,7 +306,13 @@ def _null_space(field, n, rows, pivots) -> "Subspace":
             for part, p in zip(v, parts):
                 part[pc] = -p[c]
         null_rows.append((*v, 1))
-    return Subspace._span(field, n, null_rows)
+    return null_rows
+
+
+def _null_space(field, n, rows, pivots) -> "Subspace":
+    """The null space of reduced rows (see ``_null_rows``); one
+    elimination puts the null rows in RREF."""
+    return Subspace._span(field, n, _null_rows(field, n, rows, pivots))
 
 
 class Matrix:
@@ -762,14 +771,22 @@ class Subspace:
         self._check_compatible(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        # Zassenhaus: the RREF of [[A, A], [B, 0]] has rows [0, c] exactly
-        # for c in an RREF basis of the intersection, after the rows of A + B
-        field, n, a, b = self.field, self.ambient_dim, self.basis, other.basis
-        zero = Matrix.zero(field, other.dim, n)
-        red, pivots = Matrix.from_blocks(field, [[a, a], [b, zero]]).rref()
-        k = len([p for p in pivots if p < n])
-        basis = red.block(k, len(pivots), n, 2 * n)
-        return Subspace(field, n, basis, [p - n for p in pivots[k:]])
+        # x lies in other exactly when it pairs to 0 with other's null rows
+        # N, so x = y A lies in the meet when y (A N^T) = 0.  The RREF of
+        # [A N^T | 1] ends in rows [0 | y] that are an RREF basis of that
+        # left kernel, and then y A is in RREF with pivots A's at y's.
+        field, n, a = self.field, self.ambient_dim, self.basis._z
+        null_rows = _null_rows(field, n, other.basis._z, other.pivots)
+        if not null_rows:
+            return self
+        width = len(null_rows)
+        paired = _against(field, a, [row[:-1] for row in null_rows], 1)
+        aug = list(map(_join, zip(paired, Matrix.identity(field, len(a))._z)))
+        red, pivots = Matrix._of(field, aug, width + len(a)).rref()
+        k = len([p for p in pivots if p < width])
+        y = [_canon(row[-1], *[p[width:] for p in row[:-1]]) for row in red._z[k : len(pivots)]]
+        basis = Matrix._of(field, _product(field, y, a, n), n)
+        return Subspace(field, n, basis, [self.pivots[q - width] for q in pivots[k:]])
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace (in dual coordinates): the

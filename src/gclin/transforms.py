@@ -72,11 +72,11 @@ def classify_type(j: GCAut) -> StructureType:
     )
 
     e = to_eigenspace(j).e
-    ebar = e.conjugate()
-    rho = projection_matrix(n, "vector")
-    rho_star = projection_matrix(n, "covector")
-    b_complex_e = e.image(rho).intersect(ebar.image(rho)).is_zero()
-    beta_complex_e = e.image(rho_star).intersect(ebar.image(rho_star)).is_zero()
+    # rho and rho* are real, so the image of E-bar is the conjugate of E's
+    rho_e = e.image(projection_matrix(n, "vector"))
+    rho_star_e = e.image(projection_matrix(n, "covector"))
+    b_complex_e = rho_e.intersect(rho_e.conjugate()).is_zero()
+    beta_complex_e = rho_star_e.intersect(rho_star_e.conjugate()).is_zero()
     b_symplectic_e = e.intersect(covector_summand(n)).is_zero()
     beta_symplectic_e = e.intersect(vector_summand(n)).is_zero()
     if (b_complex_e, beta_complex_e, b_symplectic_e, beta_symplectic_e) != (

@@ -201,6 +201,22 @@ def test_spinor_verbs_at_the_size_limit_meet_their_budget(write, capsys, tmp_pat
     assert json.loads(spin_path.read_text())["n"] == cli.MAX_SPINOR_N
 
 
+# Seconds each structure verb may take at n = 16 on the Fraction backend;
+# measured at 0.4-1.1 s per verb on 2 shared CPUs, where intersections
+# that eliminated twice the ambient width took 4-10 s.
+STRUCTURE_VERB_BUDGET = 3
+
+
+def test_structure_verbs_at_n16_meet_their_budget(write, capsys):
+    src = write("j.json", encode_aut(random_gcs(Random(3), 16)))
+    for argv in (["classify-type"], ["decompose"], ["canonical", "--s"], ["canonical", "--c"]):
+        started = time.perf_counter()
+        code, out = run(capsys, *argv, src)
+        elapsed = time.perf_counter() - started
+        assert code == 0, out
+        assert elapsed < STRUCTURE_VERB_BUDGET, f"{' '.join(argv)} took {elapsed:.1f}s"
+
+
 def test_convert_round_trip_is_byte_identical(write, capsys, tmp_path):
     rng = Random(1)
     j = random_gcs(rng, 4)

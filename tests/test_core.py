@@ -296,7 +296,8 @@ def random_conjugate_test_subspace(rng, m):
 
 
 def check_rank_identity(s):
-    """dim(S meet conj S) = dim S - rank Im(RREF basis), against Zassenhaus."""
+    """dim(S meet conj S) = dim S - rank Im(RREF basis), against the
+    intersection that Subspace.intersect computes."""
     meet = s.intersect(s.conjugate())
     assert s.dim - s.basis.imag_part().rank() == meet.dim
     assert s.meets_conjugate() == (not meet.is_zero())

@@ -6,8 +6,10 @@ from random import Random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from gclin.core import to_eigenspace
 from gclin.fields import QI, QQ, GaussianRational
 from gclin.linalg import Matrix, Subspace, vec_dot
+from gclin.samples import random_gcs, random_subspace
 
 
 def laplace_det(rows):
@@ -744,6 +746,50 @@ def test_hyp_storage_sum_intersect_product_match_oracle(field, data):
     v = data.draw(probe_vectors(a))
     assert a.reduce(v) == oracle_reduce(a, v)
     assert a.contains(v) == (not any(oracle_reduce(a, v)))
+
+
+def _fixed_rows(field, rows):
+    return [[field.coerce(x) for x in row] for row in rows]
+
+
+@FIELDS
+def test_intersect_edge_cases_match_oracle(field):
+    n = 4
+    a_rows = _fixed_rows(field, [[1, 2, 0, 1], [0, 3, 1, -1]])
+    if field is QI:
+        a_rows[1][2] = GaussianRational(1, 2)
+    a = Subspace.from_spanning(field, n, a_rows)
+    inside_a = [[x + 2 * y for x, y in zip(*a_rows)]]
+    cases = [
+        # other is the full space: no free columns
+        (a, Subspace.full(field, n), a_rows),
+        (Subspace.full(field, n), a, a_rows),
+        # self inside other
+        (a, Subspace.from_spanning(field, n, a_rows + _fixed_rows(field, [[0, 0, 0, 1]])), a_rows),
+        # other inside self
+        (a, Subspace.from_spanning(field, n, inside_a), inside_a),
+        # disjoint
+        (a, Subspace.from_spanning(field, n, _fixed_rows(field, [[0, 0, 1, 0], [0, 0, 0, 1]])), []),
+    ]
+    for s, other, meet in cases:
+        got = s.intersect(other)
+        assert_canonical(got.basis)
+        assert got.basis.data == oracle_basis(field, meet, n)
+        assert got.pivots == oracle_rref(field, meet, n)[1]
+
+
+def test_intersect_runs_one_elimination_of_the_ambient_width(eliminations):
+    rng = Random(7)
+    q_pairs = [(_random_subspace(rng, 6), _random_subspace(rng, 6)) for _ in range(6)]
+    e = to_eigenspace(random_gcs(Random(5), 4)).e
+    cut = random_subspace(Random(5), 4, dim=2).to_gaussian().direct_sum(Subspace.full(QI, 4))
+    qi_pairs = [(e, cut), (e, e.conjugate()), (cut, e)]
+    pairs = [(a, b) for a, b in q_pairs + qi_pairs if a.dim and 0 < b.dim < b.ambient_dim]
+    assert any(a.field is QQ for a, _ in pairs) and any(a.field is QI for a, _ in pairs)
+    for a, b in pairs:
+        eliminations.clear()
+        a.intersect(b)
+        assert eliminations == [(a.dim, a.ambient_dim - b.dim + a.dim)]
 
 
 def transposed(s):
