@@ -25,8 +25,12 @@ Every eigenspace is checked by one function, ``_checked_eigenspace``.
 In (pivot P, free F) column order E's RREF basis is Re E = [1 | A] and
 Im E = [0 | B], rational blocks, and dim(E meet conj E) = dim E - rank B:
 for dim E = n, E is transverse to its conjugate exactly when B inverts,
-and ``_aut_of`` rebuilds J from that B^-1 alone.  An E from
-``_validated`` keeps its B^-1, so B is eliminated once per eigenspace.
+and ``_aut_of`` rebuilds J from that B^-1 alone.  Where J is known, B^-1
+needs no elimination: with K = J^T, J acting as i on E reads Im K = Re,
+whose P columns give B K[F, P] = 1, so B^-1 = K[F, P].  An E from
+``_validated`` comes to its check with that block as a candidate B^-1,
+which the check multiplies by B instead of inverting B; only a
+caller-built E has B eliminated, once.
 
 Each entry checks its value once, by two routes that must agree:
 
@@ -45,7 +49,7 @@ pairing against the coefficient matrix is recovered via transpose.
 
 from __future__ import annotations
 
-from .fields import QI, QQ, I, rational_from_ints
+from .fields import QI, QQ, rational_from_ints
 from .linalg import Matrix, Subspace, vec_dot
 
 _MINUS_HALF = rational_from_ints(-1, 2)
@@ -260,7 +264,7 @@ class IsotropicE(Record):
 
     n: int
     e: Subspace
-    _b_inv = None  # B^-1, set only on an E that _validated computed and checked
+    _b_inv = None  # candidate B^-1 = K[F, P] (K = J^T), set only on the E _validated computes
 
     def __post_init__(self):
         if self.e.field is not QI or self.e.ambient_dim != 2 * self.n:
@@ -275,14 +279,16 @@ class ValidationResult(Record):
         return self.ok
 
 
-def _violations(j: GCAut) -> tuple:
-    """The labels of the block equations e:1 to e:7 that j breaks; e:1 to
-    e:4 are read off the blocks of one 2n x 2n product J^2 + 1."""
+def _violations(j: GCAut, full: Matrix) -> tuple:
+    """The labels of the block equations e:1 to e:7 that j, whose 2n x 2n
+    matrix is full, breaks; e:1 to e:4 are read off the blocks of one
+    2n x 2n product J^2, plus 1 only when J^2 is not -1."""
     j1, j2, j3, j4 = j.blocks()
-    n, full = j.n, j.full()
-    square = full @ full + Matrix.identity(QQ, 2 * n)
+    n, one = j.n, Matrix.identity(QQ, 2 * j.n)
+    square = full @ full
     violations = []
-    if not square.is_zero():
+    if square != -one:
+        square = square + one
         for label, r, c in (("e:1", 0, 0), ("e:2", 0, n), ("e:3", n, 0), ("e:4", n, n)):
             if not square.block(r, r + n, c, c + n).is_zero():
                 violations.append(label)
@@ -306,11 +312,12 @@ def validate_aut(j: GCAut) -> ValidationResult:
     elimination runs; ``to_eigenspace`` and ``_validated``, which compute
     E anyway, use E as the second route instead.
     """
-    violations = _violations(j)
+    full = j.full()
+    violations = _violations(j, full)
     square_ok = not any(v in ("e:1", "e:2", "e:3", "e:4") for v in violations)
     skew_ok = not any(v in ("e:5", "e:6", "e:7") for v in violations)
     swapped = Matrix.from_blocks(QQ, [[j.j3, j.j4], [j.j1, j.j2]])
-    pairing_ok = j.full().transpose() @ swapped == swap_matrix(QQ, j.n)
+    pairing_ok = full.transpose() @ swapped == swap_matrix(QQ, j.n)
     if not (square_ok and skew_ok) == (square_ok and pairing_ok) == (skew_ok and pairing_ok):
         raise AssertionError("equation list disagrees with J^T S J = S")
     return ValidationResult(not violations, violations)
@@ -324,19 +331,25 @@ def _checked_eigenspace(e: IsotropicE):
     """(verdict on e, B^-1 or None): the one check of an eigenspace.
 
     E must have dimension n, be isotropic and meet its conjugate only in
-    0.  For dim E = n the last is read off the inversion of E's n x n
-    imaginary block B, which succeeds exactly when E is transverse, and
-    whose B^-1 ``_aut_of`` rebuilds J from; only for dim E != n, where B
-    is not square, is it the rank of Im E (``Subspace.meets_conjugate``).
+    0.  For dim E = n the last is read off E's n x n imaginary block B:
+    an E that carries a candidate B^-1 (one from ``_validated``, read off
+    J^T) is transverse when B times it is 1, one n x n product; any other
+    E has B inverted, which succeeds exactly when E is transverse.  The
+    B^-1 is what ``_aut_of`` rebuilds J from.  Only for dim E != n, where
+    B is not square, is it the rank of Im E (``Subspace.meets_conjugate``).
     """
     n, s = e.n, e.e
     b_inv = None
     if s.dim == n:
         free = [c for c in range(2 * n) if c not in s.pivots]
-        try:
-            b_inv = s.basis.imag_part().select_columns(free).inverse()
-        except ValueError:
-            pass
+        b = s.basis.imag_part().select_columns(free)
+        if e._b_inv is None:
+            try:
+                b_inv = b.inverse()
+            except ValueError:
+                pass
+        elif b @ e._b_inv == Matrix.identity(QQ, n):
+            b_inv = e._b_inv
     violations = [] if s.dim == n else ["dim"]
     if not is_isotropic(s):
         violations.append("isotropy")
@@ -354,14 +367,22 @@ def _validated(j: GCAut):
     isotropic, meets its conjugate only in 0, and J acts as i on it" holds
     exactly when J^2 = -1 and J preserves the pairing.  (J is then i on E
     and -i on conj E, which span; conversely E = ker(J - i) has dimension
-    n, and <x, y> = <Jx, Jy> = -<x, y> on it.)  E keeps the B^-1 of its
-    check, so ``to_aut`` on it inverts nothing.
+    n, and <x, y> = <Jx, Jy> = -<x, y> on it.)  E's check is handed
+    K[F, P], K = J^T, as its candidate B^-1 (see the module docstring), so
+    nothing is inverted here or in ``to_aut`` on E.
     """
-    violations = _violations(j)
     n, full = j.n, j.full()
-    shifted = full.transpose().to_gaussian() + Matrix.identity(QI, 2 * n).scale(I)
-    e = IsotropicE(n, Subspace.from_spanning(QI, 2 * n, shifted))
-    check, b_inv = _checked_eigenspace(e)
+    violations = _violations(j, full)
+    kt = full.transpose()
+    # row r of J^T + i is (ints, d e_r) / d for the stored row (ints, d) of
+    # J^T, canonical as it stands
+    shifted = [(ints, [0] * r + [d] + [0] * (2 * n - 1 - r), d) for r, (ints, d) in enumerate(kt._z)]
+    e = IsotropicE(n, Subspace.from_spanning(QI, 2 * n, Matrix._of(QI, shifted, 2 * n)))
+    if e.e.dim == n:
+        free = [c for c in range(2 * n) if c not in e.e.pivots]
+        at_free = Matrix._of(QQ, [kt._z[c] for c in free], 2 * n)
+        object.__setattr__(e, "_b_inv", at_free.select_columns(e.e.pivots))
+    check = _checked_eigenspace(e)[0]
     # J acts as i on E: J Re x = -Im x and J Im x = Re x for x in E
     re, im = e.e.basis.real_part(), e.e.basis.imag_part()
     route_ok = check.ok and re.mul_t(full) == -im and im.mul_t(full) == re
@@ -369,7 +390,6 @@ def _validated(j: GCAut):
         raise AssertionError("equation list disagrees with the eigenspace of J")
     if violations:
         return ValidationResult(False, violations), None
-    object.__setattr__(e, "_b_inv", b_inv)
     carrying = GCAut(j.j1, j.j2, j.j3, j.j4)
     carrying._e = e
     return ValidationResult(True, violations), carrying
@@ -398,9 +418,9 @@ def to_eigenspace(j: GCAut) -> IsotropicE:
 def to_aut(e: IsotropicE) -> GCAut:
     """The real automorphism acting as +i on E and -i on the conjugate.
 
-    An E that ``_validated`` computed carries the B^-1 of its check; any
-    other E is checked here (``_checked_eigenspace``), so B is eliminated
-    once either way.  The result carries e.
+    An E that ``_validated`` computed carries the B^-1 its check confirmed,
+    read off J^T; any other E is checked here (``_checked_eigenspace``),
+    which inverts B once.  The result carries e.
     """
     b_inv = e._b_inv
     if b_inv is None:
@@ -434,7 +454,7 @@ def _aut_of(e: IsotropicE, b_inv: Matrix) -> GCAut:
     if re.mul_t(full) != -im or im.mul_t(full) != re:
         raise AssertionError("reconstructed automorphism does not act as i on E")
     j = GCAut.from_full(full)
-    violations = _violations(j)
+    violations = _violations(j, full)
     if violations:
         raise AssertionError(f"reconstructed automorphism invalid: {violations}")
     j._e = e
@@ -452,11 +472,12 @@ def complex_structure(jmat: Matrix) -> GCAut:
 
 def symplectic_structure(omega: TwoForm) -> GCAut:
     """Structure induced by a symplectic form (invertible skew map V -> V*)."""
-    if not omega.m.is_invertible():
-        raise ValueError("symplectic form must be nondegenerate")
-    n = omega.n
-    z = Matrix.zero(QQ, n, n)
-    return GCAut(z, -omega.m.inverse(), omega.m, z)
+    try:
+        omega_inv = omega.m.inverse()
+    except ValueError:
+        raise ValueError("symplectic form must be nondegenerate") from None
+    z = Matrix.zero(QQ, omega.n, omega.n)
+    return GCAut(z, -omega_inv, omega.m, z)
 
 
 def dualize(j: GCAut) -> GCAut:

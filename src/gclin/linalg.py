@@ -117,6 +117,12 @@ def _zero_row(field, ncols):
     return (zeros, 1) if field is QQ else (zeros, zeros, 1)
 
 
+def _unit_rows(field, ncols, columns):
+    """The stored rows of the unit vectors e_c of F^ncols, c in columns."""
+    units = [[0] * c + [1] + [0] * (ncols - 1 - c) for c in columns]
+    return [(u, 1) if field is QQ else (u, [0] * ncols, 1) for u in units]
+
+
 def _is_zero_row(row):
     return not any(map(any, row[:-1]))
 
@@ -367,8 +373,7 @@ class Matrix:
 
     @staticmethod
     def identity(field, n) -> "Matrix":
-        units = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-        return Matrix._of(field, [(u, 1) if field is QQ else (u, [0] * n, 1) for u in units], n)
+        return Matrix._of(field, _unit_rows(field, n, range(n)), n)
 
     @staticmethod
     def from_blocks(field, blocks) -> "Matrix":
@@ -645,8 +650,7 @@ class Subspace:
         pivots = list(indices)
         if any(not 0 <= a < b for a, b in zip(pivots, pivots[1:] + [ambient_dim])):
             raise ValueError("coordinate indices must ascend within the ambient dimension")
-        units = {(k, c): 1 for k, c in enumerate(pivots)}
-        basis = Matrix.from_entries(field, len(pivots), ambient_dim, units)
+        basis = Matrix._of(field, _unit_rows(field, ambient_dim, pivots), ambient_dim)
         return Subspace(field, ambient_dim, basis, pivots)
 
     @staticmethod

@@ -118,7 +118,8 @@ def _recover(j: GCAut, types: StructureType) -> RecoveredData:
     half = QQ.coerce("1/2")
     if types.is_b_symplectic:
         omega = TwoForm(-j.j2.inverse())
-        b = TwoForm(-j.j2.inverse() @ j.j1)
+        # omega = -J2^-1, so b = -J2^-1 J1 = omega J1
+        b = TwoForm(omega.m @ j.j1)
         result = RecoveredData("symplectic", b, omega=omega)
         if b_transform(symplectic_structure(omega), b) != j:
             raise AssertionError("symplectic recovery failed to reassemble")

@@ -155,6 +155,15 @@ class TestValidation:
     def test_symplectic_passes(self):
         assert validate_aut(symplectic_structure(OMEGA2)).ok
 
+    def test_symplectic_structure_eliminates_once(self, eliminations):
+        # the inverse of omega, which also decides nondegeneracy (2 when a
+        # rank test came first)
+        j = symplectic_structure(OMEGA2)
+        assert len(eliminations) == 1
+        assert j.j2 == -OMEGA2.m.inverse()
+        with pytest.raises(ValueError, match="symplectic form must be nondegenerate"):
+            symplectic_structure(TwoForm.zero(2))
+
     def test_non_skew_j2_reports_e6(self):
         j = symplectic_structure(OMEGA2)
         bad = GCAut(j.j1, Matrix(QQ, [[0, 1], [1, 0]]), j.j3, j.j4)
@@ -271,12 +280,23 @@ class TestCarriedEigenspace:
         assert kernel_eigenspaces == []
 
     def test_roundtrip_eliminates_b_once(self, eliminations):
-        # the row space of J^T + i, then the inversion of B, whose B^-1 the
-        # check of E keeps for to_aut (3 when to_aut inverted B again)
+        # the row space of J^T + i alone: B^-1 is read off J^T, checked by
+        # a product and kept for to_aut (2 when the check of E inverted B)
         j = random_gcs(Random(5), 4)
         eliminations.clear()
         assert to_aut(to_eigenspace(j)) == j
-        assert len(eliminations) == 2
+        assert len(eliminations) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4, 6, 8]), st.integers(min_value=0, max_value=10**6))
+    def test_carried_b_inverse_is_the_f_p_block_of_j_transpose(self, n, seed):
+        j = random_gcs(Random(seed), n)
+        e = to_eigenspace(j)
+        s = e.e
+        free = [c for c in range(2 * n) if c not in s.pivots]
+        k = j.full().transpose().data
+        at_f_p = Matrix(QQ, [[k[f][p] for p in s.pivots] for f in free])
+        assert e._b_inv == s.basis.imag_part().select_columns(free).inverse() == at_f_p
 
 
 # -- the block routes of core against the Q(i) routes they replaced ----------
@@ -548,11 +568,14 @@ class TestEigenspaceRoute:
         elif fault == "isotropy":
             monkeypatch.setattr(core, "is_isotropic", lambda s: False)
         else:
-            # transversality is read off the inversion of B
-            def singular(m):
-                raise ValueError("matrix is singular")
+            # transversality is read off B times the candidate B^-1 from J^T
+            check = core._checked_eigenspace
 
-            monkeypatch.setattr(Matrix, "inverse", singular)
+            def wrong_candidate(e):
+                object.__setattr__(e, "_b_inv", e._b_inv.scale(2))
+                return check(e)
+
+            monkeypatch.setattr(core, "_checked_eigenspace", wrong_candidate)
         with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
             to_eigenspace(j)
 

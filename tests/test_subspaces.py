@@ -121,13 +121,14 @@ class TestInduceOnSubspace:
                     assert to_eigenspace(GCAut(*ind.jw.blocks())).e == ind.ew
 
     def test_transverse_case_eliminates_b_once(self, eliminations):
-        # E of J and its B^-1, the cut of E, the induced E and its B^-1,
-        # which the check hands to _aut_of (6 when the rank of Im and the
-        # inversion of B were two eliminations)
+        # E of J, whose B^-1 is read off J^T, the cut of E, the induced E
+        # and its B^-1, which the check hands to _aut_of (5 when E's check
+        # inverted B, 6 before that when the rank of Im and the inversion
+        # of B were two eliminations)
         j, w = random_gcs(Random(5), 4), random_subspace(Random(5), 4, 2)
         eliminations.clear()
         assert induce_on_subspace(j, w).is_gc
-        assert len(eliminations) == 5
+        assert len(eliminations) == 4
 
 
 class TestInduceOnQuotient:

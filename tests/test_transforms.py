@@ -172,6 +172,20 @@ class TestRecover:
             # the reported two-form may differ from b, but reassembles exactly
             assert b_transform(complex_structure(data.jmat), data.b) == j
 
+    def test_symplectic_recovery_inverts_j2_once(self, eliminations):
+        # classify_type's 7 (the ranks of J2 and J3, E, whose B^-1 is read
+        # off J^T, the images rho(E) and rho*(E), which are full here and so
+        # meet their conjugates without elimination, and the meets of E with
+        # the two summands), then J2 inverted once and omega once by
+        # symplectic_structure (12 when J2 was inverted twice, omega's rank
+        # was tested before its inverse and E's B was inverted)
+        rng = Random(12)
+        j = b_transform(symplectic_structure(random_symplectic_form(rng, 4)), random_two_form(rng, 4))
+        eliminations.clear()
+        assert recover(j).kind == "symplectic"
+        assert len(eliminations) == 9
+        assert eliminations[-2:] == [(4, 8), (4, 8)]
+
     def test_pure_symplectic_reports_zero_field(self):
         data = recover(symplectic_structure(OMEGA2))
         assert data.kind == "symplectic" and data.b.m.is_zero()
