@@ -2,11 +2,14 @@
 
 Every valid structure is a B-field transform of a direct sum of a
 symplectic and a complex structure.  The symplectic direction is pinned
-by the canonical subspace S (the intersection of the vector-part images
-of the eigenspace and its conjugate); the complex direction by the
-canonical subspace C (the vector parts contained in the eigenspace and
-its conjugate).  ``decompose`` realizes the factorization exactly and
-``reassemble`` undoes it.
+by the canonical subspace S, the complex direction by the canonical
+subspace C, and both are read off the blocks of J: J2 is the real
+Poisson bivector of the structure, so S = im J2, and C = ker J3.  The
+eigenspace descriptions are the second route, checked by membership and
+ranks with no intersection: S_C is the meet of the vector-part images of
+the eigenspace and its conjugate, and C_C is (E meet V_C) + conj, where
+E meet V_C = {x - i J1 x : x in ker J3}.  ``decompose`` realizes the
+factorization exactly and ``reassemble`` undoes it.
 """
 
 from __future__ import annotations
@@ -19,12 +22,10 @@ from .core import (
     complex_structure,
     conjugate_by_basis,
     direct_sum,
-    projection_matrix,
     symplectic_structure,
     to_eigenspace,
-    vector_summand,
 )
-from .fields import QI, QQ
+from .fields import QI, QQ, I
 from .linalg import Matrix, Subspace
 from .subspaces import (
     induce_on_quotient,
@@ -37,9 +38,9 @@ from .transforms import _recover, b_transform, classify_type
 def canonical_s(j: GCAut) -> Subspace:
     """The maximal subspace carrying a transformed symplectic structure.
 
-    Its complexification is the intersection of the vector-part images
-    of the eigenspace and its conjugate; the result is checked to be a
-    carrier of a valid induced structure of the expected type.
+    It is im J2; its complexification is checked to be the intersection
+    of the vector-part images of the eigenspace and its conjugate, and
+    it is checked to carry a valid induced structure of the expected type.
     """
     return _canonical_s(_carrying(j))[0]
 
@@ -47,11 +48,17 @@ def canonical_s(j: GCAut) -> Subspace:
 def _canonical_s(j: GCAut):
     """canonical_s of a structure carrying its eigenspace, with the induced structure on S."""
     n = j.n
-    e = to_eigenspace(j).e
-    # rho is real, so the image of E-bar is the conjugate of E's image
-    rho_e = e.image(projection_matrix(n, "vector"))
-    s_c = rho_e.intersect(rho_e.conjugate())
-    s = s_c.real_form()
+    # J2 is skew, so its rows span its image
+    s = Subspace.from_spanning(QQ, n, j.j2)
+    # rho is real, so the image of E-bar is the conjugate of E's image.  S
+    # is real too, so S_C inside rho(E) lies in their meet, and equals it
+    # when dim S = dim rho(E) - rank Im, the meet's dimension (see
+    # Subspace.meets_conjugate)
+    rho_e = to_eigenspace(j).e.project_first(n)
+    if rho_e.first_outside(s.basis) is not None:
+        raise AssertionError("image of J2 leaves the vector part of the eigenspace")
+    if s.dim != rho_e.dim - rho_e.basis.imag_part().rank():
+        raise AssertionError("image of J2 is smaller than the meet of rho(E) with its conjugate")
     ind = induce_on_subspace(j, s)
     if not ind.is_gc:
         raise AssertionError("canonical subspace failed to carry a structure")
@@ -63,18 +70,25 @@ def _canonical_s(j: GCAut):
 def canonical_c(j: GCAut):
     """The minimal subspace with a transformed-symplectic quotient.
 
-    Returns (C, complex structure on C).  The restriction of the (1,1)
-    block to C squares to -1; the quotient by C carries a valid
-    beta-symplectic structure; and C with its complex structure satisfies
-    the graph condition.  All three facts are checked.
+    Returns (C, complex structure on C).  C is ker J3, checked against
+    the eigenspace: each x - i J1 x, x in C's basis, lies in E (and in
+    V_C), and dim C = 2 dim(E meet V_C) = 2 (n - dim rho*(E)).  With the
+    checks below that J1 restricts to a complex structure on C, this
+    makes {x - i J1 x} all of E meet V_C and C_C = (E meet V_C) + conj.
+    The quotient by C carries a valid beta-symplectic structure, and C
+    with its complex structure satisfies the graph condition.  Each fact
+    is checked.
     """
     n = j.n
     j = _carrying(j)
     e = to_eigenspace(j).e
-    inside = e.intersect(vector_summand(n))
-    c_c = inside.sum(inside.conjugate())
-    c = Subspace.from_spanning(QI, n, c_c.basis.block(0, c_c.dim, 0, n)).real_form()
+    c = j.j3.kernel()
     images = c.basis.mul_t(j.j1)
+    lifts = Matrix.from_blocks(QI, [[c.basis - images.to_gaussian().scale(I), Matrix.zero(QI, c.dim, n)]])
+    if e.first_outside(lifts) is not None:
+        raise AssertionError("kernel of J3 does not lift into the eigenspace")
+    if c.dim != 2 * (n - e.basis.block(0, e.dim, n, 2 * n).rank()):
+        raise AssertionError("kernel of J3 and (E meet V_C) + conj differ in dimension")
     if c.first_outside(images) is not None:
         raise AssertionError("canonical subspace is not stable under the (1,1) block")
     # coordinates in the RREF basis are the entries at its pivot columns

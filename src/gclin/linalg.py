@@ -14,9 +14,10 @@ place, so matrices share them freely.
 Subspaces are stored by a reduced row-echelon basis, which makes equality
 of subspaces a comparison of bases.  Coordinate subspaces (spans of unit
 vectors), direct sums on complementary coordinate blocks, graphs of maps,
-conjugates and sign flips of coordinates have bases already in that
-form, so ``coordinate``, ``direct_sum``, ``graph``, ``conjugate`` and
-``negate_first`` build them without elimination.  The annihilator is
+conjugates, sign flips of coordinates and projections onto leading
+coordinates have bases already in that form, so ``coordinate``,
+``direct_sum``, ``graph``, ``conjugate``, ``negate_first`` and
+``project_first`` build them without elimination.  The annihilator is
 read off the stored RREF basis and its pivots, as ``kernel`` reads it off
 a fresh RREF (``_null_space``), so it costs one elimination, of the
 null-space rows, and none of the basis.  ``intersect`` pairs one basis
@@ -842,6 +843,17 @@ class Subspace:
             raise ValueError("map domain mismatch")
         product = self.basis.mul_t(m)
         return Subspace._span(product.field, m.rows, product._z)
+
+    def project_first(self, m) -> "Subspace":
+        """Image under the projection onto the first m coordinates.
+
+        The rows of the RREF basis with a pivot at m or past it vanish on
+        those coordinates; the others, cut to them, keep their pivot
+        columns as unit columns, so they are the image's RREF basis as they
+        stand and nothing is eliminated.
+        """
+        k = sum(p < m for p in self.pivots)
+        return Subspace(self.field, m, self.basis.block(0, k, 0, m), self.pivots[:k])
 
     def to_gaussian(self) -> "Subspace":
         if self.field is QI:

@@ -3,8 +3,18 @@
 A two-form B acts through the unipotent block matrix [[1,0],[B,1]] and a
 bivector beta through [[1,beta],[0,1]]; both are orthogonal for the
 standard pairing, so conjugation by them moves one valid structure to
-another.  Types are read off the blocks (j2 = 0, j2 invertible, ...) and
-independently cross-checked against the eigenspace criteria.
+another.
+
+Types are read off the blocks (j2 = 0, j2 invertible, ...) and
+cross-checked against the eigenspace criteria, each a rank or a pivot
+count of E's RREF basis rather than an intersection.  rho(E) is the rows
+of that basis with pivots below n, cut to the first n columns
+(``Subspace.project_first``), and rho*(E) one n x n elimination of its
+last n columns.  rho(E) (resp. rho*(E)) meets its conjugate only in 0 when
+the imaginary part of its basis has full rank (``meets_conjugate``); E
+meets V*_C only in 0 when all n of its pivots lie below n, that is when
+rho(E) has dimension n; and E meets V_C only in 0 when rho*(E) has
+dimension n.
 """
 
 from __future__ import annotations
@@ -17,14 +27,11 @@ from .core import (
     TwoForm,
     _validated,
     complex_structure,
-    covector_summand,
-    projection_matrix,
     symplectic_structure,
     to_eigenspace,
-    vector_summand,
 )
 from .fields import QI, QQ, I
-from .linalg import Matrix
+from .linalg import Matrix, Subspace
 
 
 def _shear(m: Matrix, lower: bool) -> Matrix:
@@ -60,7 +67,8 @@ class StructureType(Record):
 
 
 def classify_type(j: GCAut) -> StructureType:
-    """Block-level type flags, cross-checked against eigenspace criteria."""
+    """Block-level type flags, cross-checked against the eigenspace
+    criteria as ranks and pivot counts (see the module docstring)."""
     n = j.n
     flags = StructureType(
         is_complex=j.j2.is_zero() and j.j3.is_zero(),
@@ -73,13 +81,14 @@ def classify_type(j: GCAut) -> StructureType:
 
     e = to_eigenspace(j).e
     # rho and rho* are real, so the image of E-bar is the conjugate of E's
-    rho_e = e.image(projection_matrix(n, "vector"))
-    rho_star_e = e.image(projection_matrix(n, "covector"))
-    b_complex_e = rho_e.intersect(rho_e.conjugate()).is_zero()
-    beta_complex_e = rho_star_e.intersect(rho_star_e.conjugate()).is_zero()
-    b_symplectic_e = e.intersect(covector_summand(n)).is_zero()
-    beta_symplectic_e = e.intersect(vector_summand(n)).is_zero()
-    if (b_complex_e, beta_complex_e, b_symplectic_e, beta_symplectic_e) != (
+    rho_e = e.project_first(n)
+    rho_star_e = Subspace.from_spanning(QI, n, e.basis.block(0, e.dim, n, 2 * n))
+    if (
+        not rho_e.meets_conjugate(),
+        not rho_star_e.meets_conjugate(),
+        rho_e.dim == n,
+        rho_star_e.dim == n,
+    ) != (
         flags.is_b_complex,
         flags.is_beta_complex,
         flags.is_b_symplectic,
@@ -117,11 +126,16 @@ def _recover(j: GCAut, types: StructureType) -> RecoveredData:
     """recover, given the flags classify_type(j) has already returned."""
     half = QQ.coerce("1/2")
     if types.is_b_symplectic:
+        n = j.n
         omega = TwoForm(-j.j2.inverse())
+        if omega.m @ j.j2 != -Matrix.identity(QQ, n):
+            raise AssertionError("omega J2 is not -1")
         # omega = -J2^-1, so b = -J2^-1 J1 = omega J1
         b = TwoForm(omega.m @ j.j1)
         result = RecoveredData("symplectic", b, omega=omega)
-        if b_transform(symplectic_structure(omega), b) != j:
+        # symplectic_structure(omega), whose -omega^-1 is the J2 just checked
+        z = Matrix.zero(QQ, n, n)
+        if b_transform(GCAut(z, j.j2, omega.m, z), b) != j:
             raise AssertionError("symplectic recovery failed to reassemble")
         return result
     if types.is_b_complex:

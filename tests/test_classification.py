@@ -1,3 +1,4 @@
+import sys
 from random import Random
 
 from hypothesis import given, settings, strategies as st
@@ -17,10 +18,12 @@ from gclin.core import (
     complex_structure,
     direct_sum,
     dualize,
+    projection_matrix,
     symplectic_structure,
     to_eigenspace,
+    vector_summand,
 )
-from gclin.fields import QQ
+from gclin.fields import QI, QQ, I
 from gclin.linalg import Matrix, Subspace
 from gclin.samples import (
     random_complex_matrix,
@@ -34,6 +37,70 @@ from gclin.transforms import b_transform, classify_type, recover
 
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
 OMEGA2 = TwoForm(Matrix(QQ, [[0, -1], [1, 0]]))
+
+
+def s_by_eigenspace(j):
+    """S by the eigenspace route: S_C = rho(E) meet conj rho(E)."""
+    rho_e = to_eigenspace(j).e.image(projection_matrix(j.n, "vector"))
+    return rho_e.intersect(rho_e.conjugate()).real_form()
+
+
+def c_by_eigenspace(j):
+    """C by the eigenspace route: C_C = (E meet V_C) + conj."""
+    n = j.n
+    inside = to_eigenspace(j).e.intersect(vector_summand(n))
+    c_c = inside.sum(inside.conjugate())
+    return Subspace.from_spanning(QI, n, c_c.basis.block(0, c_c.dim, 0, n)).real_form()
+
+
+EVERY_EVEN_DIMENSION = {(n, d) for n in (2, 4, 6) for d in range(0, n + 1, 2)}
+
+
+class TestBlockRoutes:
+    """S = im J2 and C = ker J3, against the eigenspace routes."""
+
+    def test_s_is_the_image_of_j2(self, typed_structures):
+        dims = set()
+        for j in typed_structures:
+            im_j2 = Subspace.from_spanning(QQ, j.n, j.j2)
+            assert im_j2 == s_by_eigenspace(j) == canonical_s(j)
+            dims.add((j.n, im_j2.dim))
+        assert dims == EVERY_EVEN_DIMENSION
+
+    def test_c_is_the_kernel_of_j3(self, typed_structures):
+        dims = set()
+        for j in typed_structures:
+            ker_j3 = j.j3.kernel()
+            assert ker_j3 == c_by_eigenspace(j) == canonical_c(j)[0]
+            dims.add((j.n, ker_j3.dim))
+        assert dims == EVERY_EVEN_DIMENSION
+
+    def test_e_meets_v_in_the_graph_of_j1_on_ker_j3(self, typed_structures):
+        # E meet V_C = {x - i J1 x : x in ker J3}
+        for j in typed_structures:
+            n = j.n
+            lifts = [
+                [x - I * y for x, y in zip(row, j.j1.apply(row))] + [0] * n
+                for row in j.j3.kernel().basis.data
+            ]
+            inside = to_eigenspace(j).e.intersect(vector_summand(n))
+            assert Subspace.from_spanning(QI, 2 * n, lifts) == inside
+
+    def test_intersections_only_inside_the_induced_structures(self, typed_structures, monkeypatch):
+        # canonical_s and canonical_c intersect E only with the window of
+        # induce_on_subspace / induce_on_quotient (subspaces._cut)
+        callers = []
+        intersect = Subspace.intersect
+
+        def recording(self, other):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return intersect(self, other)
+
+        monkeypatch.setattr(Subspace, "intersect", recording)
+        for j in typed_structures[::5]:
+            canonical_s(j)
+            canonical_c(j)
+        assert callers and set(callers) == {"_cut"}
 
 
 class TestCanonicalS:

@@ -947,3 +947,18 @@ def test_hyp_negate_first_equals_image_under_signs(field, n, seed_value):
     assert got == s.image(signs)
     assert got.pivots == s.pivots
     assert_canonical(got.basis)
+
+
+@FIELDS
+@SIZES
+@settings(max_examples=40, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_project_first_equals_image_under_projection(field, n, seed_value):
+    rng = Random(seed_value)
+    s = Subspace.from_spanning(field, n, seeded_matrix(rng, field, rng.randint(0, n + 1), n))
+    m = rng.randint(0, n)
+    projection = Matrix.from_entries(field, m, n, {(c, c): 1 for c in range(m)})
+    got = s.project_first(m)
+    assert got == s.image(projection)
+    assert got.pivots == s.image(projection).pivots
+    assert_canonical(got.basis)

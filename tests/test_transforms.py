@@ -5,16 +5,20 @@ import pytest
 from gclin.core import (
     BiVector,
     TwoForm,
+    _carrying,
     complex_structure,
+    covector_summand,
     direct_sum,
     dualize,
+    projection_matrix,
     symplectic_structure,
     to_eigenspace,
     validate_aut,
+    vector_summand,
 )
 from gclin.classification import canonical_omega
-from gclin.fields import QQ
-from gclin.linalg import Matrix
+from gclin.fields import QI, QQ
+from gclin.linalg import Matrix, Subspace
 from gclin.samples import (
     random_bivector,
     random_complex_matrix,
@@ -139,6 +143,62 @@ class TestClassify:
         t = classify_type(j)
         assert t.is_b_symplectic and t.is_beta_symplectic and not t.is_symplectic
 
+    def test_eigenspace_criteria_match_intersections(self, typed_structures):
+        # each of the four eigenspace criteria as a rank or a pivot count of
+        # E's RREF basis, against the intersection it stands for
+        seen = set()
+        for j in typed_structures:
+            n, e = j.n, to_eigenspace(j).e
+            rho_e = e.image(projection_matrix(n, "vector"))
+            rho_star_e = e.image(projection_matrix(n, "covector"))
+            by_intersections = (
+                rho_e.intersect(rho_e.conjugate()).is_zero(),
+                rho_star_e.intersect(rho_star_e.conjugate()).is_zero(),
+                e.intersect(covector_summand(n)).is_zero(),
+                e.intersect(vector_summand(n)).is_zero(),
+            )
+            # rho(E) is read off the rows of E's basis with pivots below n
+            k = sum(p < n for p in e.pivots)
+            assert rho_e == Subspace(QI, n, e.basis.block(0, k, 0, n), e.pivots[:k])
+            assert rho_star_e == Subspace.from_spanning(QI, n, e.basis.block(0, n, n, 2 * n))
+            by_ranks = (
+                not rho_e.meets_conjugate(),
+                not rho_star_e.meets_conjugate(),
+                all(p < n for p in e.pivots),
+                rho_star_e.dim == n,
+            )
+            assert by_ranks == by_intersections
+            t = classify_type(j)
+            flags = (t.is_b_complex, t.is_beta_complex, t.is_b_symplectic, t.is_beta_symplectic)
+            assert flags == by_ranks
+            seen.update(enumerate(flags))
+        assert seen == {(k, v) for k in range(4) for v in (False, True)}
+
+    def test_classify_type_on_a_carried_eigenspace_intersects_nothing(self, eliminations, monkeypatch):
+        # the ranks of J2 and J3, rho*(E), one n x n elimination, then the
+        # ranks of Im rho(E), rho(E) being read off E's pivots, and of Im
+        # rho*(E) (8 when rho(E) and rho*(E) were images and each of the
+        # four criteria an intersection)
+        calls = []
+        intersect = Subspace.intersect
+
+        def counting(self, other):
+            calls.append((self.dim, other.dim))
+            return intersect(self, other)
+
+        monkeypatch.setattr(Subspace, "intersect", counting)
+        rng = Random(17)
+        split = direct_sum(
+            symplectic_structure(random_symplectic_form(rng, 2)),
+            complex_structure(random_complex_matrix(rng, 2)),
+        )
+        j = _carrying(beta_transform(b_transform(split, random_two_form(rng, 4)), random_bivector(rng, 4)))
+        eliminations.clear()
+        t = classify_type(j)
+        assert not (t.is_b_complex or t.is_b_symplectic or t.is_beta_complex or t.is_beta_symplectic)
+        assert calls == []
+        assert eliminations == [(4, 4), (4, 4), (4, 4), (3, 4), (3, 4)]
+
     def test_t_squared_minus_one_is_beta_complex(self):
         omega = canonical_omega(2)
         a = ROT
@@ -173,18 +233,18 @@ class TestRecover:
             assert b_transform(complex_structure(data.jmat), data.b) == j
 
     def test_symplectic_recovery_inverts_j2_once(self, eliminations):
-        # classify_type's 7 (the ranks of J2 and J3, E, whose B^-1 is read
-        # off J^T, the images rho(E) and rho*(E), which are full here and so
-        # meet their conjugates without elimination, and the meets of E with
-        # the two summands), then J2 inverted once and omega once by
-        # symplectic_structure (12 when J2 was inverted twice, omega's rank
-        # was tested before its inverse and E's B was inverted)
+        # classify_type's 6 (the ranks of J2 and J3, E, whose B^-1 is read
+        # off J^T, rho*(E), and the ranks of the imaginary parts of rho(E),
+        # read off E's pivots, and of rho*(E)), then J2 inverted once; the
+        # reassembly builds the classical structure from J2 and omega, so
+        # omega is not inverted back (9 when it was, and classify_type
+        # eliminated rho(E) and meets of E with the two summands)
         rng = Random(12)
         j = b_transform(symplectic_structure(random_symplectic_form(rng, 4)), random_two_form(rng, 4))
         eliminations.clear()
         assert recover(j).kind == "symplectic"
-        assert len(eliminations) == 9
-        assert eliminations[-2:] == [(4, 8), (4, 8)]
+        assert len(eliminations) == 7
+        assert eliminations[-2:] == [(4, 4), (4, 8)]
 
     def test_pure_symplectic_reports_zero_field(self):
         data = recover(symplectic_structure(OMEGA2))
