@@ -93,7 +93,7 @@ def canonical_c(j: GCAut):
         raise AssertionError("canonical subspace is not stable under the (1,1) block")
     # coordinates in the RREF basis are the entries at its pivot columns
     jc = images.select_columns(c.pivots).transpose()
-    if c.dim and jc @ jc != -Matrix.identity(QQ, c.dim):
+    if c.dim and not jc.mul_is(jc, -1):
         raise AssertionError("restricted block is not a complex structure")
     quot = induce_on_quotient(j, c)
     if not quot.is_gc:
@@ -197,7 +197,7 @@ def build_symplectic_with_t(a: Matrix, b: Matrix, c: Matrix):
     T).
     """
     n = a.rows
-    if b.transpose() != -b or c.transpose() != -c:
+    if not (b.is_skew() and c.is_skew()):
         raise ValueError("off-diagonal blocks of T must be skew")
     t = Matrix.from_blocks(QQ, [[a, b], [c, a.transpose()]])
     omega = canonical_omega(n)

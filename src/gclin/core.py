@@ -29,8 +29,8 @@ and ``_aut_of`` rebuilds J from that B^-1 alone.  Where J is known, B^-1
 needs no elimination: with K = J^T, J acting as i on E reads Im K = Re,
 whose P columns give B K[F, P] = 1, so B^-1 = K[F, P].  An E from
 ``_validated`` comes to its check with that block as a candidate B^-1,
-which the check multiplies by B instead of inverting B; only a
-caller-built E has B eliminated, once.
+and the check decides B B^-1 = 1 (``Matrix.mul_is``) instead of
+inverting B; only a caller-built E has B eliminated, once.
 
 Each entry checks its value once, by two routes that must agree:
 
@@ -49,7 +49,7 @@ pairing against the coefficient matrix is recovered via transpose.
 
 from __future__ import annotations
 
-from .fields import QI, QQ, rational_from_ints
+from .fields import QI, QQ, I, rational_from_ints
 from .linalg import Matrix, Subspace, vec_dot
 
 _MINUS_HALF = rational_from_ints(-1, 2)
@@ -81,14 +81,18 @@ def pairing(x, y):
 def is_isotropic(e: Subspace) -> bool:
     """Whether the pairing vanishes on a subspace of V + V*.
 
-    With basis vectors x_a = (v_a, f_a) stacked as X = [X_v | X_f] and
-    A = X_f X_v^T, so that A[a][b] = f_a(v_b), the pairing of x_a and x_b
-    is -(A + A^T)[a][b] / 2: one Gram product instead of a pairwise loop.
+    With basis vectors x_a = (v_a, f_a) stacked as X and S the swap of
+    V and V*, the pairing of x_a and x_b is -(X S X^T)[a][b] / 2, so the
+    check is X (X S)^T = 0 (``Matrix.mul_t_is``), X S being X with the two
+    halves of each stored row swapped: one Gram identity instead of a
+    pairwise loop, and no Gram matrix is formed.
     """
+    if e.ambient_dim % 2:
+        raise ValueError("isotropy needs an even ambient dimension")
     n = e.ambient_dim // 2
     x = e.basis
-    a = x.block(0, x.rows, n, 2 * n).mul_t(x.block(0, x.rows, 0, n))
-    return (a + a.transpose()).is_zero()
+    swapped = [(*[p[n:] + p[:n] for p in row[:-1]], row[-1]) for row in x._z]
+    return x.mul_t_is(Matrix._of(x.field, swapped, 2 * n), 0)
 
 
 def quadratic_form(x):
@@ -281,18 +285,19 @@ class ValidationResult(Record):
 
 def _violations(j: GCAut, full: Matrix) -> tuple:
     """The labels of the block equations e:1 to e:7 that j, whose 2n x 2n
-    matrix is full, breaks; e:1 to e:4 are read off the blocks of one
-    2n x 2n product J^2, plus 1 only when J^2 is not -1."""
+    matrix is full, breaks.  J^2 = -1 is decided on the integer rows
+    (``Matrix.mul_is``); only when it fails is J^2 + 1 formed, and e:1 to
+    e:4 read off its blocks.  e:5 to e:7 are transpose identities
+    (``Matrix.is_neg_transpose_of``)."""
     j1, j2, j3, j4 = j.blocks()
-    n, one = j.n, Matrix.identity(QQ, 2 * j.n)
-    square = full @ full
     violations = []
-    if square != -one:
-        square = square + one
+    if not full.mul_is(full, -1):
+        n = j.n
+        square = full @ full + Matrix.identity(QQ, 2 * n)
         for label, r, c in (("e:1", 0, 0), ("e:2", 0, n), ("e:3", n, 0), ("e:4", n, n)):
             if not square.block(r, r + n, c, c + n).is_zero():
                 violations.append(label)
-    if j4 != -j1.transpose():
+    if not j4.is_neg_transpose_of(j1):
         violations.append("e:5")
     if not j2.is_skew():
         violations.append("e:6")
@@ -304,11 +309,13 @@ def _violations(j: GCAut, full: Matrix) -> tuple:
 def validate_aut(j: GCAut) -> ValidationResult:
     """Check the seven block equations; cross-check the pairing criterion.
 
-    The second route is J^T S J = S (S the swap), one 2n x 2n product of
-    J^T and S J, which is J with its row halves swapped.  With either half
-    of the list, e:1 to e:4 (J^2 = -1) or e:5 to e:7 (S J is skew), it
-    implies the other half, as J^T S J = -S J^2 when S J is skew, so each
-    half is checked against it.  No eigenspace is computed, so no Q(i)
+    The second route is J^T S J = S (S the swap): J^T times S J, which is
+    J with its row halves swapped, is compared with S by the identity
+    kernel ``Matrix.mul_is``, which forms no product, as ``_violations``
+    decides the list.  With either half of the list, e:1 to e:4 (J^2 = -1)
+    or e:5 to e:7 (S J is skew), it implies the other half, as
+    J^T S J = -S J^2 when S J is skew, so each half is checked against
+    it.  No eigenspace is computed, so no Q(i)
     elimination runs; ``to_eigenspace`` and ``_validated``, which compute
     E anyway, use E as the second route instead.
     """
@@ -317,7 +324,7 @@ def validate_aut(j: GCAut) -> ValidationResult:
     square_ok = not any(v in ("e:1", "e:2", "e:3", "e:4") for v in violations)
     skew_ok = not any(v in ("e:5", "e:6", "e:7") for v in violations)
     swapped = Matrix.from_blocks(QQ, [[j.j3, j.j4], [j.j1, j.j2]])
-    pairing_ok = full.transpose() @ swapped == swap_matrix(QQ, j.n)
+    pairing_ok = full.transpose().mul_is(swapped, 1, swap_matrix(QQ, j.n))
     if not (square_ok and skew_ok) == (square_ok and pairing_ok) == (skew_ok and pairing_ok):
         raise AssertionError("equation list disagrees with J^T S J = S")
     return ValidationResult(not violations, violations)
@@ -333,10 +340,11 @@ def _checked_eigenspace(e: IsotropicE):
     E must have dimension n, be isotropic and meet its conjugate only in
     0.  For dim E = n the last is read off E's n x n imaginary block B:
     an E that carries a candidate B^-1 (one from ``_validated``, read off
-    J^T) is transverse when B times it is 1, one n x n product; any other
-    E has B inverted, which succeeds exactly when E is transverse.  The
-    B^-1 is what ``_aut_of`` rebuilds J from.  Only for dim E != n, where
-    B is not square, is it the rank of Im E (``Subspace.meets_conjugate``).
+    J^T) is transverse when B times it is 1 (``Matrix.mul_is``, which
+    forms no product); any other E has B inverted, which succeeds exactly
+    when E is transverse.  The B^-1 is what ``_aut_of`` rebuilds J from.
+    Only for dim E != n, where B is not square, is it the rank of Im E
+    (``Subspace.meets_conjugate``).
     """
     n, s = e.n, e.e
     b_inv = None
@@ -348,7 +356,7 @@ def _checked_eigenspace(e: IsotropicE):
                 b_inv = b.inverse()
             except ValueError:
                 pass
-        elif b @ e._b_inv == Matrix.identity(QQ, n):
+        elif b.mul_is(e._b_inv, 1):
             b_inv = e._b_inv
     violations = [] if s.dim == n else ["dim"]
     if not is_isotropic(s):
@@ -369,7 +377,10 @@ def _validated(j: GCAut):
     and -i on conj E, which span; conversely E = ker(J - i) has dimension
     n, and <x, y> = <Jx, Jy> = -<x, y> on it.)  E's check is handed
     K[F, P], K = J^T, as its candidate B^-1 (see the module docstring), so
-    nothing is inverted here or in ``to_aut`` on E.
+    nothing is inverted here or in ``to_aut`` on E.  J acting as i is
+    E J^T = i E on E's own Q(i) rows, and J^2 = -1, the transpose
+    identities and isotropy are decided the same way, by the identity
+    kernels ``Matrix.mul_t_is``, ``mul_is`` and ``is_neg_transpose_of``.
     """
     n, full = j.n, j.full()
     violations = _violations(j, full)
@@ -383,9 +394,9 @@ def _validated(j: GCAut):
         at_free = Matrix._of(QQ, [kt._z[c] for c in free], 2 * n)
         object.__setattr__(e, "_b_inv", at_free.select_columns(e.e.pivots))
     check = _checked_eigenspace(e)[0]
-    # J acts as i on E: J Re x = -Im x and J Im x = Re x for x in E
-    re, im = e.e.basis.real_part(), e.e.basis.imag_part()
-    route_ok = check.ok and re.mul_t(full) == -im and im.mul_t(full) == re
+    # J acts as i on E: E J^T = i E on E's stored rows, that is
+    # Re J^T = -Im and Im J^T = Re, the two parts sharing each row's denominator
+    route_ok = check.ok and e.e.basis.mul_t_is(full, I, e.e.basis)
     if route_ok == bool(violations):
         raise AssertionError("equation list disagrees with the eigenspace of J")
     if violations:
@@ -440,7 +451,9 @@ def _aut_of(e: IsotropicE, b_inv: Matrix) -> GCAut:
     Re = [1 | A] and Im = [0 | B], with B square and invertible because E
     meets its conjugate only in 0, so R^-1 = [[1, -A B^-1], [0, B^-1]]:
     the rows of J^T at F are B^-1 Re and those at P are -Im - A B^-1 Re.
-    J must act as i on E and satisfy the block equations.
+    J must act as i on E, E J^T = i E decided on E's own Q(i) rows by the
+    identity kernel ``Matrix.mul_t_is``, and satisfy the block equations
+    (``_violations``, on the same kernels).
     """
     n, basis, pivots = e.n, e.e.basis, e.e.pivots
     free = [c for c in range(2 * n) if c not in pivots]
@@ -451,7 +464,7 @@ def _aut_of(e: IsotropicE, b_inv: Matrix) -> GCAut:
     order = pivots + free
     full = Matrix.from_blocks(QQ, [[at_pivots], [at_free]]).transpose()
     full = full.select_columns(sorted(range(2 * n), key=order.__getitem__))
-    if re.mul_t(full) != -im or im.mul_t(full) != re:
+    if not basis.mul_t_is(full, I, basis):
         raise AssertionError("reconstructed automorphism does not act as i on E")
     j = GCAut.from_full(full)
     violations = _violations(j, full)
@@ -463,7 +476,7 @@ def _aut_of(e: IsotropicE, b_inv: Matrix) -> GCAut:
 
 def complex_structure(jmat: Matrix) -> GCAut:
     """Structure induced by a complex structure J on V."""
-    if jmat @ jmat != -Matrix.identity(QQ, jmat.rows):
+    if not jmat.mul_is(jmat, -1):
         raise ValueError("J does not square to -1")
     n = jmat.rows
     z = Matrix.zero(QQ, n, n)

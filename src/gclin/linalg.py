@@ -32,6 +32,19 @@ back.  ``Matrix.block_diagonal(field, blocks)`` pads each stored row with
 zeros, which keeps it canonical, where ``from_blocks`` with
 ``Matrix.zero`` blocks would rejoin every row over a common denominator.
 
+Identity kernels decide a @ b = c without building a @ b.
+``a.mul_is(b, s, c)`` and ``a.mul_t_is(b, s, c)`` decide a @ b = s*c and
+a @ b^T = s*c for a scalar s, c the identity when omitted (so
+``j.mul_is(j, -1)`` is J^2 = -1 and ``x.mul_t_is(y, 0)`` is x y^T = 0).
+Each integer dot product of a row of a with a column of b is compared
+with c's entry, both sides brought to the same scale by
+cross-multiplying the denominators, and the first row with a mismatch
+ends the check (``_is_product``): no gcd, no canonical row, no Matrix.
+``a.is_neg_transpose_of(b)`` decides a = -b^T the same way, entry
+against entry (``_is_neg_transpose``), and ``is_skew`` is the case b = a.
+The structure checks (J^2 = -1, J preserving the pairing, isotropy, J
+acting as i on an eigenspace) run on these.
+
 Every operation (elimination, products, sums, transposes, blocks,
 reduction modulo a subspace, membership) reads and returns integer rows.
 Exact scalars (``Fraction`` and ``GaussianRational``) appear only at the
@@ -281,14 +294,90 @@ def _against(field, a, cols, den):
     return out
 
 
+def _columns(field, rows, ncols):
+    """(den, columns): the ncols columns of stored rows as integer parts
+    (tuples), all over the rows' common denominator den; the rows of the
+    transpose, not made canonical."""
+    if not rows:
+        return 1, [_zero_row(field, 0)[:-1]] * ncols
+    den = lcm(*(row[-1] for row in rows))
+    # per part, the columns of the scaled rows; then the parts of each column
+    return den, list(zip(*[zip(*part) for part in zip(*_scaled(rows, den))]))
+
+
 def _product(field, a, b, ncols):
     """Stored rows of a @ b, for stored rows a and b of field."""
-    if not b:
-        return [_zero_row(field, ncols)] * len(a)
-    den = lcm(*(row[-1] for row in b))
-    # per part, the columns of the scaled rows; then the parts of each column
-    cols = list(zip(*[zip(*part) for part in zip(*_scaled(b, den))]))
+    den, cols = _columns(field, b, ncols)
     return _against(field, a, cols, den)
+
+
+def _dots(x, ys):
+    """The dot products x . y, y in ys, as a list of real parts and a list
+    of imaginary parts, for integer parts of rows ((ints,) over Q, (re,
+    im) over Q(i)); every y has as many parts as ys[0].  Over Q(i),
+    (xr + i*xi) . (yr + i*yi) = xr.yr - xi.yi + i*(xr.yi + xi.yr)."""
+    xr = x[0]
+    gaussian_ys = bool(ys) and len(ys[0]) == 2
+    re = [sum(map(mul, xr, y[0])) for y in ys]
+    im = [sum(map(mul, xr, y[1])) for y in ys] if gaussian_ys else [0] * len(ys)
+    if len(x) == 2:
+        xi = x[1]
+        if gaussian_ys:
+            re = [p - sum(map(mul, xi, y[1])) for p, y in zip(re, ys)]
+        im = [q + sum(map(mul, xi, y[0])) for q, y in zip(im, ys)]
+    return re, im
+
+
+def _is_product(a, ys, dbs, scale, target) -> bool:
+    """Whether a_r . b_k = s * target[r][k] for every row a_r of a and b_k
+    = ys[k] / dbs[k], s = (sr + i*si) / sd given as scale = (sr, si, sd).
+
+    a and target are rows of integer parts over a nonzero denominator,
+    (ints, den) or (re, im, den), canonical or not, and ys integer parts;
+    target None is the identity.  With a_r over da, b_k over db and the
+    target row over dt,
+    the entry holds when dot(a_r, b_k) * dt * sd = (sr + i*si) * t * da * db,
+    so both sides are compared as integers, row by row, and the first row
+    with a mismatch stops the loop: no product is formed, reduced or kept.
+    """
+    sr, si, sd = scale
+    for r, row in enumerate(a):
+        da = row[-1]
+        re, im = _dots(row[:-1], ys)
+        if target is None:
+            # s at column r, 0 elsewhere
+            right = da * dbs[r]
+            if re[r] * sd != sr * right or im[r] * sd != si * right:
+                return False
+            re[r] = im[r] = 0
+            if any(re) or any(im):
+                return False
+            continue
+        *t, dt = target[r]
+        ur = t[0]
+        ui = t[1] if len(t) == 2 else [0] * len(ur)
+        left = dt * sd
+        for p, q, u, v, db in zip(re, im, ur, ui, dbs):
+            right = da * db
+            if p * left != (sr * u - si * v) * right or q * left != (sr * v + si * u) * right:
+                return False
+    return True
+
+
+def _is_neg_transpose(a, b) -> bool:
+    """Whether stored rows a are minus the transpose of stored rows b of
+    the same field: a[r][c] / da = -b[c][r] / db for every r, c, decided
+    as a[r][c] * db = -b[c][r] * da part by part.  When b is a, each pair
+    of entries is compared once."""
+    for r, row in enumerate(a):
+        da = row[-1]
+        for c in range(r if a is b else 0, len(b)):
+            col = b[c]
+            db = col[-1]
+            for pa, pb in zip(row[:-1], col[:-1]):
+                if pa[c] * db != -pb[r] * da:
+                    return False
+    return True
 
 
 def _null_rows(field, n, rows, pivots):
@@ -428,13 +517,8 @@ class Matrix:
         return Matrix._of(self.field, z, len(columns))
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix.zero(self.field, self.cols, 0)
-        den = lcm(*(row[-1] for row in self._z))
-        scaled = _scaled(self._z, den)
-        # per part, the columns of the scaled rows; then one row per column
-        columns = [zip(*[parts[k] for parts in scaled]) for k in range(len(scaled[0]))]
-        z = [_canon(den, *map(list, col)) for col in zip(*columns)]
+        den, cols = _columns(self.field, self._z, self.cols)
+        z = [_canon(den, *map(list, col)) for col in cols]
         return Matrix._of(self.field, z, self.rows)
 
     def conjugate(self) -> "Matrix":
@@ -519,7 +603,46 @@ class Matrix:
         return all(map(_is_zero_row, self._z))
 
     def is_skew(self) -> bool:
-        return self.rows == self.cols and (self.transpose() == -self)
+        return self.rows == self.cols and self.is_neg_transpose_of(self)
+
+    def is_neg_transpose_of(self, other) -> bool:
+        """Whether self = -other^T, decided on the stored rows
+        (``_is_neg_transpose``) without building either side."""
+        if (self.rows, self.cols) != (other.cols, other.rows):
+            return False
+        field = self.field if other.field is self.field else QI
+        return _is_neg_transpose(self._rows_over(field), other._rows_over(field))
+
+    def mul_is(self, other, scale, target=None) -> bool:
+        """Whether self @ other = scale * target, target None being the
+        identity; decided entry by entry on the stored rows
+        (``_is_product``) against other's columns, without forming the
+        product."""
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in product")
+        den, cols = _columns(other.field, other._z, other.cols)
+        return self._product_equals(cols, [den] * len(cols), scale, target)
+
+    def mul_t_is(self, other, scale, target=None) -> bool:
+        """Whether self @ other.transpose() = scale * target, as
+        ``mul_is`` with other's stored rows as the columns."""
+        if self.cols != other.cols:
+            raise ValueError("shape mismatch in product")
+        z = other._z
+        return self._product_equals([row[:-1] for row in z], [row[-1] for row in z], scale, target)
+
+    def _product_equals(self, ys, dbs, scale, target) -> bool:
+        """Whether self times the columns ys / dbs is scale * target."""
+        if target is None:
+            if self.rows != len(ys):
+                return False
+        elif (target.rows, target.cols) != (self.rows, len(ys)):
+            return False
+        if type(scale) is GaussianRational:
+            (sr,), (si,), sd = _gauss_int_row([scale])
+        else:  # an int or a Fraction
+            sr, si, sd = scale.numerator, 0, scale.denominator
+        return _is_product(self._z, ys, dbs, (sr, si, sd), target if target is None else target._z)
 
     def rref(self):
         """Reduced row-echelon form; returns (rref matrix, pivot column list).

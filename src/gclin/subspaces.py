@@ -231,7 +231,7 @@ def beta_between(j: GCAut, j_alt: GCAut) -> BiVector:
         raise ValueError("structures differ outside the (1,2) block")
     half = QQ.coerce("1/2")
     beta_m = (j.j1 @ (j_alt.j2 - j.j2)).scale(half)
-    if beta_m.transpose() != -beta_m:
+    if not beta_m.is_skew():
         raise ValueError("no skew bivector connects the structures")
     if not (j.j1 @ beta_m).is_skew():
         raise AssertionError("normalization lost: j1 * beta not skew")

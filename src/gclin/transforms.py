@@ -128,7 +128,7 @@ def _recover(j: GCAut, types: StructureType) -> RecoveredData:
     if types.is_b_symplectic:
         n = j.n
         omega = TwoForm(-j.j2.inverse())
-        if omega.m @ j.j2 != -Matrix.identity(QQ, n):
+        if not omega.m.mul_is(j.j2, -1):
             raise AssertionError("omega J2 is not -1")
         # omega = -J2^-1, so b = -J2^-1 J1 = omega J1
         b = TwoForm(omega.m @ j.j1)
@@ -169,9 +169,9 @@ def assemble_sum_transform(
     from .spinor import SpinorLine, annihilator_subspace, spinor_product
 
     s, c = omega.n, jmat.rows
-    if jmat @ jmat != -Matrix.identity(QQ, c):
+    if not jmat.mul_is(jmat, -1):
         raise ValueError("complex factor does not square to -1")
-    if b1.transpose() != -b1 or b4.transpose() != -b4 or b3 != -b2.transpose():
+    if not (b1.is_skew() and b4.is_skew() and b3.is_neg_transpose_of(b2)):
         raise ValueError("B blocks are not skew-compatible")
     w = omega.m
     w_inv = w.inverse()
@@ -234,7 +234,7 @@ def analyze_t(omega: TwoForm, t: Matrix) -> StructureType:
     symplectic_t = t.is_zero()
     shifted = t.to_gaussian() - Matrix.identity(QI, n).scale(I)
     beta_symplectic_t = shifted.kernel().is_zero()
-    beta_complex_t = (t @ t) == -Matrix.identity(QQ, n)
+    beta_complex_t = t.mul_is(t, -1)
     assembled = b_transform(symplectic_structure(omega), TwoForm(omega.m @ t))
     types = classify_type(assembled)
     if (types.is_symplectic, types.is_beta_symplectic, types.is_beta_complex) != (

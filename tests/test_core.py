@@ -147,6 +147,11 @@ class TestIsotropy:
         assert not is_isotropic(s) and not oracle_isotropic(s)
         assert "isotropy" in validate_eigenspace(IsotropicE(3, s)).violations
 
+    def test_odd_ambient_dimension_is_rejected(self):
+        # no half of a 3-column row is the vector part
+        with pytest.raises(ValueError, match="even ambient dimension"):
+            is_isotropic(Subspace.from_spanning(QQ, 3, [[0, 0, 1]]))
+
 
 class TestValidation:
     def test_complex_passes(self):
@@ -500,6 +505,31 @@ class TestBlockRoutes:
             assert {check_to_eigenspace(j) for j in structures} == verdicts
             assert {check_validate_aut(j) for j in structures} == verdicts
 
+    def test_each_broken_equation_is_labelled_as_the_products_say(self):
+        # every entry bump of every block, and symmetric and skew bumps of
+        # J2 and J3, at n = 2 and 4: between them they break each of e:1 to e:7
+        seen = set()
+        for n, seed_value in ((2, 3), (4, 7)):
+            j = random_gcs(Random(seed_value), n)
+            for which in range(4):
+                for r in range(n):
+                    for c in range(n):
+                        bumps = [{(r, c): 1}]
+                        if which in (1, 2) and r < c:
+                            bumps += [{(r, c): 1, (c, r): 1}, {(r, c): 1, (c, r): -1}]
+                        for bump in bumps:
+                            blocks = list(j.blocks())
+                            blocks[which] = blocks[which] + Matrix.from_entries(QQ, n, n, bump)
+                            perturbed = GCAut(*blocks)
+                            assert not check_validate_aut(perturbed)
+                            seen.update(validate_aut(perturbed).violations)
+        assert seen == set(core.EQUATION_LABELS)
+
+
+def bumped(m):
+    """m with its (0, 0) entry raised by 1."""
+    return m + Matrix.from_entries(m.field, m.rows, m.cols, {(0, 0): 1})
+
 
 def non_isotropic_candidate(n):
     """A random n-dimensional Q(i) subspace of C^2n, seeded so that it is
@@ -558,7 +588,7 @@ class TestEigenspaceRoute:
         with pytest.raises(AssertionError, match="reconstructed automorphism invalid"):
             _aut_of(e, core._checked_eigenspace(e)[1])
 
-    @pytest.mark.parametrize("fault", ["conjugate", "isotropy", "transversality"])
+    @pytest.mark.parametrize("fault", ["conjugate", "isotropy", "transversality", "candidate-entry", "acts-as-i"])
     def test_each_part_of_the_route_is_consulted(self, monkeypatch, fault):
         j = random_gcs(Random(1), 4)
         if fault == "conjugate":
@@ -567,6 +597,28 @@ class TestEigenspaceRoute:
             monkeypatch.setattr(core, "Subspace", SimpleNamespace(from_spanning=lambda *a: span(*a).conjugate()))
         elif fault == "isotropy":
             monkeypatch.setattr(core, "is_isotropic", lambda s: False)
+        elif fault == "candidate-entry":
+            # the carried B^-1 off in one entry
+            check = core._checked_eigenspace
+
+            def bumped_candidate(e):
+                object.__setattr__(e, "_b_inv", bumped(e._b_inv))
+                return check(e)
+
+            monkeypatch.setattr(core, "_checked_eigenspace", bumped_candidate)
+        elif fault == "acts-as-i":
+            # a valid eigenspace of another structure, checked with its own B
+            # inverted, passes every check but J acting as i on it
+            other = to_eigenspace(random_gcs(Random(2), 4)).e
+            assert validate_eigenspace(IsotropicE(4, other)).ok
+            monkeypatch.setattr(core, "Subspace", SimpleNamespace(from_spanning=lambda *a: other))
+            check = core._checked_eigenspace
+
+            def own_inverse(e):
+                object.__setattr__(e, "_b_inv", None)
+                return check(e)
+
+            monkeypatch.setattr(core, "_checked_eigenspace", own_inverse)
         else:
             # transversality is read off B times the candidate B^-1 from J^T
             check = core._checked_eigenspace
@@ -578,6 +630,24 @@ class TestEigenspaceRoute:
             monkeypatch.setattr(core, "_checked_eigenspace", wrong_candidate)
         with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
             to_eigenspace(j)
+
+    @pytest.mark.parametrize("fault", ["rebuilt", "carried"])
+    def test_aut_of_rejects_a_j_off_in_one_entry(self, monkeypatch, fault):
+        e = to_eigenspace(random_gcs(Random(1), 4))
+        if fault == "rebuilt":
+            # the rebuilt J comes out of the one 8 x 8 column selection in _aut_of
+            select = Matrix.select_columns
+
+            def bump_rebuilt(m, columns):
+                out = select(m, columns)
+                return bumped(out) if out.rows == out.cols == 8 else out
+
+            monkeypatch.setattr(Matrix, "select_columns", bump_rebuilt)
+        else:
+            # J is rebuilt from the B^-1 that e carries
+            object.__setattr__(e, "_b_inv", bumped(e._b_inv))
+        with pytest.raises(AssertionError, match="reconstructed automorphism does not act as i on E"):
+            to_aut(e)
 
     def test_validate_aut_runs_no_complex_elimination(self, monkeypatch):
         rng = Random(2)

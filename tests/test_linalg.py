@@ -962,3 +962,95 @@ def test_hyp_project_first_equals_image_under_projection(field, n, seed_value):
     assert got == s.image(projection)
     assert got.pivots == s.image(projection).pivots
     assert_canonical(got.basis)
+
+
+# -- identity kernels: a @ b = s * c decided on the integer rows -------------
+
+RATIONAL_SCALES = [1, -1, Fraction(1, 2), Fraction(-3, 2)]
+GAUSSIAN_SCALES = [GaussianRational(0, 1), GaussianRational(0, -1), GaussianRational(Fraction(1, 3), -2)]
+
+
+def off_in_one_entry(rng, m):
+    """m with one entry, chosen by rng, raised by 1, or over Q(i) by 1 or i."""
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    bump = rng.choice([1, GaussianRational(0, 1)]) if m.field is QI else 1
+    return m + Matrix.from_entries(m.field, m.rows, m.cols, {(r, c): bump})
+
+
+def kernel_cases(rng, field, n):
+    """(a, b, scale, c, verdict of a @ b == scale * c) for a random
+    non-square a @ b, the right factor over either field, with scale * c
+    its product or the product off in one entry."""
+    a = seeded_matrix(rng, field, rng.randint(0, n), rng.randint(0, n))
+    b = seeded_matrix(rng, rng.choice([QQ, field]), a.cols, rng.randint(0, n))
+    product = a @ b
+    targets = [product]
+    if product.rows and product.cols:
+        targets.append(off_in_one_entry(rng, product))
+    for target in targets:
+        scale = rng.choice(RATIONAL_SCALES + (GAUSSIAN_SCALES if product.field is QI else []))
+        c = target.scale(1 / product.field.coerce(scale))
+        yield a, b, scale, c, product == target
+
+
+@FIELDS
+@SIZES
+@settings(max_examples=40, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_product_kernel_agrees_with_formed_products(field, n, seed_value):
+    rng = Random(seed_value)
+    for a, b, scale, c, verdict in kernel_cases(rng, field, n):
+        target = c.scale(scale)
+        assert a.mul_is(b, scale, c) == verdict == (a @ b == target)
+        bt = b.transpose()
+        assert a.mul_t_is(bt, scale, c) == verdict == (a.mul_t(bt) == target)
+        if a.rows == b.cols:
+            one = Matrix.identity(target.field, a.rows).scale(scale)
+            assert a.mul_is(b, scale) == (a @ b == one) == a.mul_t_is(bt, scale)
+        # scale 0 times the identity is the zero matrix
+        assert a.mul_is(b, 0) == (a.rows == b.cols and (a @ b).is_zero())
+    # an inverse, as it is and off in one entry, against the identity
+    a = seeded_matrix(rng, field, n, n)
+    if a.is_invertible():
+        a_inv = a.inverse()
+        assert a.mul_is(a_inv, 1) and a.mul_t_is(a_inv.transpose(), 1)
+        off = off_in_one_entry(rng, a_inv)
+        assert not a.mul_is(off, 1) and not a.mul_t_is(off.transpose(), 1)
+    with pytest.raises(ValueError):
+        Matrix.zero(field, 2, n).mul_is(Matrix.zero(field, n + 1, 2), 1)
+    with pytest.raises(ValueError):
+        Matrix.zero(field, 2, n).mul_t_is(Matrix.zero(field, 2, n + 1), 1)
+
+
+@FIELDS
+@SIZES
+@settings(max_examples=40, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_transpose_kernel_and_is_skew_agree_with_transpose(field, n, seed_value):
+    rng = Random(seed_value)
+    m = seeded_matrix(rng, field, rng.randint(0, n), rng.randint(0, n))
+    square = seeded_matrix(rng, field, m.rows, m.rows)
+    for other in [-m.transpose(), seeded_matrix(rng, rng.choice([QQ, field]), m.cols, m.rows)]:
+        if other.rows and other.cols:
+            other = rng.choice([other, off_in_one_entry(rng, other)])
+        assert m.is_neg_transpose_of(other) == (m == -other.transpose())
+    for s in [square, square - square.transpose(), m]:
+        if s.rows and s.rows == s.cols and rng.random() < 0.5:
+            s = off_in_one_entry(rng, s)
+        assert s.is_skew() == (s.rows == s.cols and s.transpose() == -s)
+
+
+def test_identity_kernels_see_both_verdicts():
+    rng = Random(5)
+    verdicts = {"mul_is": set(), "identity": set(), "neg_transpose": set(), "skew": set()}
+    for field in (QQ, QI):
+        for _ in range(30):
+            for a, b, scale, c, _ in kernel_cases(rng, field, 4):
+                verdicts["mul_is"].add(a.mul_is(b, scale, c))
+            m = seeded_matrix(rng, field, 3, 3)
+            verdicts["neg_transpose"].add(m.is_neg_transpose_of(rng.choice([m, -m.transpose()])))
+            verdicts["skew"].add(rng.choice([m, m - m.transpose()]).is_skew())
+            if m.is_invertible():
+                verdicts["identity"].add(m.mul_is(m.inverse(), 1))
+                verdicts["identity"].add(m.mul_is(m, -1))
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
