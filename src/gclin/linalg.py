@@ -20,9 +20,10 @@ coordinates have bases already in that form, so ``coordinate``,
 ``project_first`` build them without elimination.  The annihilator is
 read off the stored RREF basis and its pivots, as ``kernel`` reads it off
 a fresh RREF (``_null_space``), so it costs one elimination, of the
-null-space rows, and none of the basis.  ``intersect`` pairs one basis
-with the other's null-space rows, read off the same way (``_null_rows``),
-and eliminates once, at width ambient - dim(other) + dim(self).
+null-space rows, and ``null_rows`` returns those rows with none at all.
+``intersect`` pairs one basis with the other's null-space rows, read off
+the same way (``_null_rows``), and eliminates once, at width
+ambient - dim(other) + dim(self).
 
 Two operations skip work that the general route would repeat.
 ``a.mul_t(b)`` is ``a @ b.transpose()``: the rows of b, brought to one
@@ -35,11 +36,12 @@ zeros, which keeps it canonical, where ``from_blocks`` with
 Identity kernels decide a @ b = c without building a @ b.
 ``a.mul_is(b, s, c)`` and ``a.mul_t_is(b, s, c)`` decide a @ b = s*c and
 a @ b^T = s*c for a scalar s, c the identity when omitted (so
-``j.mul_is(j, -1)`` is J^2 = -1 and ``x.mul_t_is(y, 0)`` is x y^T = 0).
-Each integer dot product of a row of a with a column of b is compared
-with c's entry, both sides brought to the same scale by
+``j.mul_is(j, -1)`` is J^2 = -1 and ``x.mul_t_is(y, 0)`` is x y^T = 0,
+of any shape).  Each integer dot product of a row of a with a column of
+b is compared with c's entry, both sides brought to the same scale by
 cross-multiplying the denominators, and the first row with a mismatch
-ends the check (``_is_product``): no gcd, no canonical row, no Matrix.
+ends the check (``_first_miss``): no gcd, no canonical row, no Matrix.
+The kernel reports that row, which ``a.mul_t_miss(b, s, c)`` returns.
 ``a.is_neg_transpose_of(b)`` decides a = -b^T the same way, entry
 against entry (``_is_neg_transpose``), and ``is_skew`` is the case b = a.
 The structure checks (J^2 = -1, J preserving the pairing, isotropy, J
@@ -328,14 +330,15 @@ def _dots(x, ys):
     return re, im
 
 
-def _is_product(a, ys, dbs, scale, target) -> bool:
-    """Whether a_r . b_k = s * target[r][k] for every row a_r of a and b_k
-    = ys[k] / dbs[k], s = (sr + i*si) / sd given as scale = (sr, si, sd).
+def _first_miss(a, ys, dbs, scale, target):
+    """Index of the first row a_r of a at which a_r . b_k = s * target[r][k]
+    fails for some b_k = ys[k] / dbs[k], s = (sr + i*si) / sd given as
+    scale = (sr, si, sd); None when every entry holds.
 
     a and target are rows of integer parts over a nonzero denominator,
     (ints, den) or (re, im, den), canonical or not, and ys integer parts;
-    target None is the identity.  With a_r over da, b_k over db and the
-    target row over dt,
+    target None is the identity, or the zero matrix of any shape when s =
+    0.  With a_r over da, b_k over db and the target row over dt,
     the entry holds when dot(a_r, b_k) * dt * sd = (sr + i*si) * t * da * db,
     so both sides are compared as integers, row by row, and the first row
     with a mismatch stops the loop: no product is formed, reduced or kept.
@@ -345,13 +348,14 @@ def _is_product(a, ys, dbs, scale, target) -> bool:
         da = row[-1]
         re, im = _dots(row[:-1], ys)
         if target is None:
-            # s at column r, 0 elsewhere
-            right = da * dbs[r]
-            if re[r] * sd != sr * right or im[r] * sd != si * right:
-                return False
-            re[r] = im[r] = 0
+            if sr or si:
+                # s at column r, 0 elsewhere
+                right = da * dbs[r]
+                if re[r] * sd != sr * right or im[r] * sd != si * right:
+                    return r
+                re[r] = im[r] = 0
             if any(re) or any(im):
-                return False
+                return r
             continue
         *t, dt = target[r]
         ur = t[0]
@@ -360,8 +364,8 @@ def _is_product(a, ys, dbs, scale, target) -> bool:
         for p, q, u, v, db in zip(re, im, ur, ui, dbs):
             right = da * db
             if p * left != (sr * u - si * v) * right or q * left != (sr * v + si * u) * right:
-                return False
-    return True
+                return r
+    return None
 
 
 def _is_neg_transpose(a, b) -> bool:
@@ -615,34 +619,39 @@ class Matrix:
 
     def mul_is(self, other, scale, target=None) -> bool:
         """Whether self @ other = scale * target, target None being the
-        identity; decided entry by entry on the stored rows
-        (``_is_product``) against other's columns, without forming the
-        product."""
+        identity (any zero matrix when scale is 0); decided entry by entry
+        on the stored rows (``_first_miss``) against other's columns,
+        without forming the product."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         den, cols = _columns(other.field, other._z, other.cols)
-        return self._product_equals(cols, [den] * len(cols), scale, target)
+        return self._first_miss(cols, [den] * len(cols), scale, target) is None
 
     def mul_t_is(self, other, scale, target=None) -> bool:
         """Whether self @ other.transpose() = scale * target, as
         ``mul_is`` with other's stored rows as the columns."""
+        return self.mul_t_miss(other, scale, target) is None
+
+    def mul_t_miss(self, other, scale, target=None):
+        """The first row of self where self @ other.transpose() = scale *
+        target fails (0 if target has another shape), or None."""
         if self.cols != other.cols:
             raise ValueError("shape mismatch in product")
         z = other._z
-        return self._product_equals([row[:-1] for row in z], [row[-1] for row in z], scale, target)
+        return self._first_miss([row[:-1] for row in z], [row[-1] for row in z], scale, target)
 
-    def _product_equals(self, ys, dbs, scale, target) -> bool:
-        """Whether self times the columns ys / dbs is scale * target."""
-        if target is None:
-            if self.rows != len(ys):
-                return False
-        elif (target.rows, target.cols) != (self.rows, len(ys)):
-            return False
+    def _first_miss(self, ys, dbs, scale, target):
+        """``mul_t_miss`` of self against the columns ys / dbs."""
         if type(scale) is GaussianRational:
             (sr,), (si,), sd = _gauss_int_row([scale])
         else:  # an int or a Fraction
             sr, si, sd = scale.numerator, 0, scale.denominator
-        return _is_product(self._z, ys, dbs, (sr, si, sd), target if target is None else target._z)
+        if target is None:
+            if (sr or si) and self.rows != len(ys):
+                return 0
+        elif (target.rows, target.cols) != (self.rows, len(ys)):
+            return 0
+        return _first_miss(self._z, ys, dbs, (sr, si, sd), target if target is None else target._z)
 
     def rref(self):
         """Reduced row-echelon form; returns (rref matrix, pivot column list).
@@ -921,6 +930,11 @@ class Subspace:
         null space of the stored RREF basis, which needs no second
         elimination of that basis."""
         return _null_space(self.field, self.ambient_dim, self.basis._z, self.pivots)
+
+    def null_rows(self) -> Matrix:
+        """Rows spanning the annihilator, read off as ``_null_rows``."""
+        n = self.ambient_dim
+        return Matrix._of(self.field, _null_rows(self.field, n, self.basis._z, self.pivots), n)
 
     def negate_first(self, k) -> "Subspace":
         """The image under the map negating the first k coordinates.

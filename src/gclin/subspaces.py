@@ -9,6 +9,13 @@ kept when it fails.
 
 Coordinates on W are the coefficients in the reduced-echelon basis of W;
 coordinates on V/W are the images of the non-pivot coordinate vectors.
+
+The classes are identities on W's RREF rows W and its null rows N, which
+``Subspace.null_rows`` reads off that RREF with no elimination and which
+span Ann(W): W is generalized isotropic, J(W) in W + Ann(W), when
+N J1 W^T = 0 and W J3 W^T = 0, coisotropic, J(Ann W) in W + Ann(W), when
+N J2 N^T = 0 and W J4 N^T = 0, and Lagrangian when all four hold.  Only
+a coisotropic witness, a row of Ann(W)'s RREF basis, costs an elimination.
 """
 
 from __future__ import annotations
@@ -155,25 +162,37 @@ def restrict_spinor(j: GCAut, w: Subspace):
     return sf, l, line_w
 
 
-def _first_escape(w: Subspace, ann: Subspace, gens: Matrix, to_v: Matrix, to_dual: Matrix):
-    """Index of the first generator g (a row of gens) whose image under J,
-    with vector part g @ to_v^T and covector part g @ to_dual^T, leaves
-    W + Ann(W); None when every image stays inside."""
-    found = [w.first_outside(gens.mul_t(to_v)), ann.first_outside(gens.mul_t(to_dual))]
+def _null_rows_in(j: GCAut, w: Subspace) -> Matrix:
+    """W's null rows, spanning Ann(W); W must be a rational subspace of V."""
+    if w.ambient_dim != j.n or w.field is not QQ:
+        raise ValueError("W must be a rational subspace of the carrier")
+    return w.null_rows()
+
+
+def _first_escape(j: GCAut, w: Subspace, null_w: Matrix, gens: Matrix, coisotropic=False):
+    """Index of the first generator (a row of gens, in W for the isotropic
+    test and in Ann(W) for the coisotropic one) whose image under J leaves
+    W + Ann(W), its vector part pairing nonzero with a null row of W or
+    its covector part with a row of W; None when every image stays inside."""
+    to_v, to_dual = (j.j2, j.j4) if coisotropic else (j.j1, j.j3)
+    found = [gens.mul_t(to_v).mul_t_miss(null_w, 0), gens.mul_t(to_dual).mul_t_miss(w.basis, 0)]
     return min((k for k in found if k is not None), default=None)
 
 
 def generalized_isotropic_witness(j: GCAut, w: Subspace):
     """None if J(W) lies inside W + Ann(W); else an escaping generator."""
-    k = _first_escape(w, w.annihilator(), w.basis, j.j1, j.j3)
+    k = _first_escape(j, w, _null_rows_in(j, w), w.basis)
     return None if k is None else list(w.basis.data[k]) + [QQ.zero] * j.n
 
 
 def generalized_coisotropic_witness(j: GCAut, w: Subspace):
-    """None if J(Ann(W)) lies inside W + Ann(W); else an escaping generator."""
-    ann = w.annihilator()
-    k = _first_escape(w, ann, ann.basis, j.j2, j.j4)
-    return None if k is None else [QQ.zero] * j.n + list(ann.basis.data[k])
+    """None if J(Ann(W)) lies inside W + Ann(W); else an escaping generator
+    among the RREF rows of Ann(W), which are eliminated only then."""
+    null_w = _null_rows_in(j, w)
+    if _first_escape(j, w, null_w, null_w, True) is None:
+        return None
+    ann = w.annihilator().basis
+    return [QQ.zero] * j.n + list(ann.data[_first_escape(j, w, null_w, ann, True)])
 
 
 def is_generalized_isotropic(j: GCAut, w: Subspace) -> bool:
@@ -183,15 +202,16 @@ def is_generalized_isotropic(j: GCAut, w: Subspace) -> bool:
 
 def is_generalized_coisotropic(j: GCAut, w: Subspace) -> bool:
     """J(Ann(W)) lies inside W + Ann(W)."""
-    return generalized_coisotropic_witness(j, w) is None
+    null_w = _null_rows_in(j, w)
+    return _first_escape(j, w, null_w, null_w, True) is None
 
 
 def is_generalized_lagrangian(j: GCAut, w: Subspace) -> bool:
-    """Both tests above, on one annihilator of W."""
-    ann = w.annihilator()
+    """Both tests above, on one set of null rows of W."""
+    null_w = _null_rows_in(j, w)
     return (
-        _first_escape(w, ann, w.basis, j.j1, j.j3) is None
-        and _first_escape(w, ann, ann.basis, j.j2, j.j4) is None
+        _first_escape(j, w, null_w, w.basis) is None
+        and _first_escape(j, w, null_w, null_w, True) is None
     )
 
 
@@ -202,15 +222,16 @@ def satisfies_graph_condition(j: GCAut, w: Subspace, k: GCAut) -> bool:
     K3 agrees with the restriction of J3) and through the explicit graph
     subspace; the two verdicts must coincide.
     """
+    null_w = _null_rows_in(j, w)
     if k.n != w.dim:
         raise ValueError("structure on W has wrong dimension")
-    # the images J1 w of the basis rows, and their coordinates in the RREF
-    # basis, which are their entries at its pivot columns
+    # J1 maps W into W, and its matrix there, the coordinates of J1 W^T in
+    # the RREF basis (its rows at the pivots, P J1 W^T), is K1; W J3 W^T = K3
     j1w = w.basis.mul_t(j.j1)
     by_blocks = (
-        w.first_outside(j1w) is None
-        and j1w.select_columns(w.pivots) == k.j1.transpose()
-        and w.basis.mul_t(j.j3).mul_t(w.basis) == k.j3.transpose()
+        j1w.mul_t_is(null_w, 0)
+        and Subspace.coordinate(QQ, j.n, w.pivots).basis.mul_t_is(j1w, 1, k.j1)
+        and w.basis.mul_t_is(w.basis.mul_t(j.j3), 1, k.j3)
     )
 
     # the graph of the inclusion of W into V, inside W + V
@@ -244,27 +265,26 @@ def beta_between(j: GCAut, j_alt: GCAut) -> BiVector:
 def verify_split(j: GCAut, w: Subspace, n_comp: Subspace) -> bool:
     """V = W + N and W + Ann(N) stable under the automorphism."""
     n = j.n
-    if w.ambient_dim != n or n_comp.ambient_dim != n:
-        raise ValueError("subspaces must live in the carrier")
+    if w.ambient_dim != n or n_comp.ambient_dim != n or {w.field, n_comp.field} != {QQ}:
+        raise ValueError("subspaces must be rational and live in the carrier")
     if w.dim + n_comp.dim != n or not w.intersect(n_comp).is_zero():
         return False
-    span = w.direct_sum(n_comp.annihilator())  # W + Ann(N) inside V + V*
-    return span.first_outside(span.basis.mul_t(j.full())) is None
+    # W + Ann(N) in V + V*, and what pairs to 0 with it, Ann(W) + N
+    span = Matrix.block_diagonal(QQ, [w.basis, n_comp.null_rows()])
+    tests = Matrix.block_diagonal(QQ, [w.null_rows(), n_comp.basis])
+    return span.mul_t(j.full()).mul_t_is(tests, 0)
 
 
 def _induced_on_summand(j: GCAut, w: Subspace, n_comp: Subspace) -> GCAut:
-    """psi (J restricted to W + Ann(N)) psi^-1 on W + W*."""
+    """psi (J restricted to W + Ann(N)) psi^-1 on W + W*; the images of
+    the RREF basis of W + Ann(N) have their coordinates at its pivots."""
     m = w.dim
     ann_n = n_comp.annihilator()
-    rows = w.direct_sum(ann_n).basis
-    basis = rows.transpose()
-    images = []
-    for img in rows.mul_t(j.full()).data:
-        combo = basis.solve(img)
-        if combo is None:
-            raise ValueError("subspace pair is not stable under the structure")
-        images.append(combo)
-    inner = Matrix(QQ, images, cols=2 * m).transpose()
+    span = w.direct_sum(ann_n)
+    images = span.basis.mul_t(j.full())
+    if span.first_outside(images) is not None:
+        raise ValueError("subspace pair is not stable under the structure")
+    inner = images.select_columns(span.pivots).transpose()
     gram = w.basis.mul_t(ann_n.basis)
     psi = Matrix.block_diagonal(QQ, [Matrix.identity(QQ, m), gram])
     return GCAut.from_full(psi @ inner @ psi.inverse())

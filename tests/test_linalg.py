@@ -1007,8 +1007,11 @@ def test_hyp_product_kernel_agrees_with_formed_products(field, n, seed_value):
         if a.rows == b.cols:
             one = Matrix.identity(target.field, a.rows).scale(scale)
             assert a.mul_is(b, scale) == (a @ b == one) == a.mul_t_is(bt, scale)
-        # scale 0 times the identity is the zero matrix
-        assert a.mul_is(b, 0) == (a.rows == b.cols and (a @ b).is_zero())
+        # scale 0 without a target is the zero matrix of the product's shape
+        assert a.mul_is(b, 0) == (a @ b).is_zero() == a.mul_t_is(bt, 0)
+        # the index reported is the first row where product and target differ
+        misses = [r for r, (x, y) in enumerate(zip((a @ b).data, target.data)) if x != y]
+        assert a.mul_t_miss(bt, scale, c) == (misses[0] if misses else None)
     # an inverse, as it is and off in one entry, against the identity
     a = seeded_matrix(rng, field, n, n)
     if a.is_invertible():
@@ -1038,6 +1041,21 @@ def test_hyp_transpose_kernel_and_is_skew_agree_with_transpose(field, n, seed_va
         if s.rows and s.rows == s.cols and rng.random() < 0.5:
             s = off_in_one_entry(rng, s)
         assert s.is_skew() == (s.rows == s.cols and s.transpose() == -s)
+
+
+def test_first_miss_reports_the_first_failing_row_of_any_shape():
+    a = Matrix(QQ, [[1, 0], [0, 1], [1, 1]])
+    # rows 1 and 2 pair nonzero with (0, 1); row 0 does not
+    assert a.mul_t_miss(Matrix(QQ, [[0, 1]]), 0) == 1
+    assert a.mul_t_miss(Matrix(QQ, [[0, 0], [0, 0]]), 0) is None
+    assert a.mul_t_is(Matrix.zero(QQ, 0, 2), 0)
+    # a nonzero scale against the identity needs a square product
+    assert a.mul_t_miss(Matrix.identity(QQ, 2), 1) == 0
+    assert not a.mul_t_is(Matrix.identity(QQ, 2), 1)
+    assert a.block(0, 2, 0, 2).mul_t_miss(Matrix.identity(QQ, 2), 1) is None
+    assert a.mul_t_miss(Matrix(QQ, [[1, 0], [0, 1]]), 1, Matrix(QQ, [[1, 0], [0, 1], [1, 2]])) == 2
+    with pytest.raises(ValueError):
+        a.mul_t_miss(Matrix.zero(QQ, 1, 3), 0)
 
 
 def test_identity_kernels_see_both_verdicts():

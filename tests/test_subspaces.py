@@ -1,26 +1,32 @@
 from random import Random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from gclin.classification import (
     build_graphnotsub_example,
     build_subnotquot_example,
 )
 from gclin.core import (
+    BiVector,
     GCAut,
     TwoForm,
     complex_structure,
+    conjugate_by_basis,
     direct_sum,
     dualize,
     symplectic_structure,
     to_eigenspace,
+    twisted_product,
 )
 from gclin.fields import QI, QQ, GaussianRational
 from gclin.linalg import Matrix, Subspace
+from gclin.relations import map_relation
 from gclin.samples import (
     random_bivector,
     random_complex_matrix,
     random_gcs,
+    random_invertible,
     random_subspace,
     random_symplectic_form,
     random_two_form,
@@ -30,6 +36,8 @@ from gclin.subspaces import (
     _finish_induced,
     beta_between,
     find_split_complement,
+    generalized_coisotropic_witness,
+    generalized_isotropic_witness,
     induce_on_quotient,
     induce_on_subspace,
     is_generalized_coisotropic,
@@ -300,6 +308,158 @@ class TestGeneralizedClasses:
             assert is_generalized_coisotropic(j, w0) == j.j2.is_zero()
 
 
+def oracle_witness(j, w, coisotropic):
+    """The first escaping generator by reduction: J's images of the rows
+    of W (or of the RREF basis of Ann(W)) reduced against W and against
+    that annihilator (``Subspace.first_outside``); None if none escapes."""
+    ann = w.annihilator()
+    gens, to_v, to_dual = (ann.basis, j.j2, j.j4) if coisotropic else (w.basis, j.j1, j.j3)
+    found = [w.first_outside(gens.mul_t(to_v)), ann.first_outside(gens.mul_t(to_dual))]
+    k = min((k for k in found if k is not None), default=None)
+    if k is None:
+        return None
+    zero = [QQ.zero] * j.n
+    return zero + list(gens.data[k]) if coisotropic else list(gens.data[k]) + zero
+
+
+def class_verdicts(j, w):
+    """Both witnesses and the three class verdicts."""
+    return (
+        generalized_isotropic_witness(j, w),
+        generalized_coisotropic_witness(j, w),
+        is_generalized_isotropic(j, w),
+        is_generalized_coisotropic(j, w),
+        is_generalized_lagrangian(j, w),
+    )
+
+
+def oracle_verdicts(j, w):
+    iso, coiso = oracle_witness(j, w, False), oracle_witness(j, w, True)
+    return iso, coiso, iso is None, coiso is None, iso is None and coiso is None
+
+
+def class_cases(rng, n):
+    """(J, W): a random structure on R^n with W of every dimension from 0
+    to n, and the twisted product of two structures on R^n with the
+    graph of an isomorphism between them (a canonical relation) and with
+    a random subspace of the same dimension."""
+    j = random_gcs(rng, n)
+    cases = [(j, random_subspace(rng, n, d)) for d in range(n + 1)]
+    a, mu = random_gcs(rng, n), random_invertible(rng, n)
+    b = conjugate_by_basis(a, mu)
+    tp = twisted_product(a, b)
+    cases += [(tp, map_relation(mu, a, b).graph), (tp, random_subspace(rng, 2 * n, n))]
+    return cases
+
+
+def wedge_with(rng, rows, n):
+    """R^T M - M^T R for the rows R and a random M: a skew n x n matrix
+    that vanishes on pairs of vectors annihilated by R, and that maps
+    covectors annihilating R's rows into their span."""
+    m = Matrix(QQ, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rows.rows)], cols=n)
+    return rows.transpose() @ m - m.transpose() @ rows
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestClassesOnNullRows:
+    """The class tests decide J(W) and J(Ann W) inside W + Ann(W) as
+    identities on W's rows and its null rows; the reduction route is the
+    oracle, witnesses included."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @seed(20261019)
+    @settings(max_examples=8, deadline=None)
+    @given(seed_value=seeds)
+    def test_hyp_classes_agree_with_the_reduction_oracle(self, n, seed_value):
+        rng = Random(seed_value)
+        for j, w in class_cases(rng, n):
+            assert class_verdicts(j, w) == oracle_verdicts(j, w)
+
+    def test_each_verdict_is_seen_both_ways(self):
+        rng = Random(27)
+        seen = set()
+        for n in (2, 4, 6):
+            for _ in range(4):
+                for j, w in class_cases(rng, n):
+                    got = class_verdicts(j, w)
+                    assert got == oracle_verdicts(j, w)
+                    seen.update(enumerate(got[2:]))
+        assert seen == {(k, v) for k in range(3) for v in (True, False)}
+
+    def test_fields_fixing_w_plus_ann_w_keep_the_classes(self):
+        # e^B fixes Ann(W) pointwise and W + Ann(W) as a whole when B
+        # vanishes on W, so it keeps coisotropy and Lagrangian-ness; e^beta
+        # fixes W pointwise and W + Ann(W) when beta maps Ann(W) into W, so
+        # it keeps isotropy and Lagrangian-ness
+        rng = Random(28)
+        seen = set()
+        for n in (2, 4, 6):
+            for _ in range(3):
+                omega = symplectic_structure(random_symplectic_form(rng, n))
+                cases = class_cases(rng, n)
+                cases += [(omega, random_subspace(rng, n, 1)), (omega, random_subspace(rng, n, n - 1))]
+                for j, w in cases:
+                    iso, coiso, lag = class_verdicts(j, w)[2:]
+                    b = b_transform(j, TwoForm(wedge_with(rng, w.null_rows(), j.n)))
+                    beta = beta_transform(j, BiVector(wedge_with(rng, w.basis, j.n)))
+                    assert (is_generalized_coisotropic(b, w), is_generalized_lagrangian(b, w)) == (coiso, lag)
+                    assert (is_generalized_isotropic(beta, w), is_generalized_lagrangian(beta, w)) == (iso, lag)
+                    seen.update(enumerate((iso, coiso, lag)))
+        assert seen == {(k, v) for k in range(3) for v in (True, False)}
+
+    def test_a_b_field_need_not_keep_isotropy(self):
+        # every two-form vanishes on a line, and a line is isotropic for a
+        # symplectic structure, but a B-transform moves J(W) out of
+        # W + Ann(W): the classes are not invariant under all B-fields
+        rng = Random(33)
+        j = symplectic_structure(random_symplectic_form(rng, 4))
+        line = random_subspace(rng, 4, 1)
+        moved = b_transform(j, random_two_form(rng, 4))
+        assert is_generalized_isotropic(j, line)
+        assert not is_generalized_isotropic(moved, line)
+        assert generalized_isotropic_witness(moved, line) == oracle_witness(moved, line, False)
+
+    def test_w_must_be_a_rational_subspace_of_the_carrier(self):
+        j = random_gcs(Random(29), 4)
+        tests = [
+            is_generalized_isotropic,
+            is_generalized_coisotropic,
+            is_generalized_lagrangian,
+            generalized_isotropic_witness,
+            generalized_coisotropic_witness,
+        ]
+        for w in (Subspace.from_spanning(QI, 4, [[1, 0, 0, 0]]), Subspace.from_spanning(QQ, 2, [[1, 0]])):
+            for test in tests:
+                with pytest.raises(ValueError, match="W must be a rational subspace of the carrier"):
+                    test(j, w)
+            with pytest.raises(ValueError, match="W must be a rational subspace of the carrier"):
+                satisfies_graph_condition(j, w, random_gcs(Random(30), 2))
+
+    def test_boolean_tests_run_no_elimination(self, eliminations):
+        j, w = random_gcs(Random(31), 4), random_subspace(Random(31), 4, 2)
+        for test in (is_generalized_isotropic, is_generalized_coisotropic, is_generalized_lagrangian):
+            eliminations.clear()
+            test(j, w)
+            assert eliminations == []
+
+    def test_coisotropic_witness_eliminates_only_when_it_returns_one(self, eliminations):
+        # a complex structure on R^2 moves every line: Ann(W)'s RREF basis
+        # is eliminated for the witness, and nothing when W is the whole space
+        j = complex_structure(ROT)
+        line, full = Subspace.from_spanning(QQ, 2, [[1, 1]]), Subspace.full(QQ, 2)
+        eliminations.clear()
+        witness = generalized_coisotropic_witness(j, line)
+        assert len(eliminations) == 1
+        eliminations.clear()
+        assert generalized_coisotropic_witness(j, full) is None
+        iso_witness = generalized_isotropic_witness(j, line)
+        assert eliminations == []
+        assert witness == oracle_witness(j, line, True) is not None
+        assert iso_witness == oracle_witness(j, line, False)
+
+
 class TestGraphCondition:
     def test_split_subspace_satisfies_with_induced(self):
         rng = Random(13)
@@ -417,6 +577,16 @@ class TestSplit:
         assert verify_split(j, w, n_comp)
         jw, jn = split_induced(j, w, n_comp)
         assert jw == a and jn == b
+
+    def test_verify_split_needs_rational_subspaces_of_the_carrier(self):
+        j = random_gcs(Random(34), 4)
+        w = Subspace.from_spanning(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        n_comp = Subspace.from_spanning(QQ, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+        for bad in (w.to_gaussian(), Subspace.from_spanning(QQ, 2, [[1, 0]])):
+            with pytest.raises(ValueError, match="rational and live in the carrier"):
+                verify_split(j, bad, n_comp)
+            with pytest.raises(ValueError, match="rational and live in the carrier"):
+                verify_split(j, w, bad)
 
     def test_split_induced_refuses_bad_pair(self):
         rng = Random(21)
