@@ -5,7 +5,14 @@ family, and prints a single JSON object with deterministic key order.
 Exit codes: 0 = success or predicate true, 1 = predicate false,
 2 = malformed input or invalid structure, 3 = internal error (a failed
 cross-check or an arithmetic or type fault), reported by exception type
-and message.
+and message.  A file that cannot be read, is not JSON or nests too deeply
+for the parser exits 2.
+
+``subspace`` and ``canonical-rel`` print through ``_emit_verdict``:
+``result``, a ``witness`` when it is false, and any extra keys.  The
+tests in ``_WITNESSES`` (gc, isotropic, coisotropic, lagrangian) and
+``canonical-rel`` give a vector as witness; ``graph`` and ``split``
+still give a message.
 
 A CLI run is one short process, so its start-up is part of every verb's
 cost.  Only ``core``, ``fields``, ``linalg`` and ``serialize`` load with
@@ -78,13 +85,15 @@ def _load_json(path: str):
         raise CliError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise CliError(f"malformed JSON in {path}: nested too deeply") from None
 
 
 def _structure_to_aut(obj) -> GCAut:
     if isinstance(obj, GCAut):
         check, carrying = _validated(obj)
         if not check:
-            raise CliError("invalid structure: " + _describe(check.violations))
+            raise CliError("invalid structure: " + ", ".join(_labeled(check.violations)))
         return carrying
     if isinstance(obj, IsotropicE):
         try:
@@ -127,34 +136,26 @@ def _load_aut(path: str, builds_spinor: bool = False) -> GCAut:
     return _structure_to_aut(_load_gcs(path, builds_spinor))
 
 
-def _describe(violations) -> str:
-    parts = []
-    for label in violations:
-        desc = EQUATION_LABELS.get(label)
-        parts.append(f"{label} {desc}" if desc else label)
-    return ", ".join(parts)
+def _labeled(violations) -> list:
+    """Each violation's label, followed by its equation for J's e:k."""
+    return [f"{v} {EQUATION_LABELS[v]}" if v in EQUATION_LABELS else v for v in violations]
 
 
 def _cmd_validate(args) -> int:
     obj = _load_gcs(args.file)
     if isinstance(obj, GCAut):
-        res = validate_aut(obj)
-        labeled = [f"{v} {EQUATION_LABELS[v]}" for v in res.violations]
+        violations = validate_aut(obj).violations
     elif isinstance(obj, IsotropicE):
-        res = validate_eigenspace(obj)
-        labeled = list(res.violations)
+        violations = validate_eigenspace(obj).violations
     else:
         from .spinor import is_pure, mukai_pairing
 
         ok = bool(obj) and obj.n % 2 == 0 and is_pure(obj)
-        labeled = [] if ok else ["purity"]
+        violations = [] if ok else ["purity"]
         if ok and not mukai_pairing(obj, obj.conjugate()):
-            ok = False
-            labeled = ["conjugate-pairing"]
-        _emit({"result": ok, "violations": labeled})
-        return 0 if ok else 1
-    _emit({"result": res.ok, "violations": labeled})
-    return 0 if res.ok else 1
+            violations = ["conjugate-pairing"]
+    _emit({"result": not violations, "violations": _labeled(violations)})
+    return 1 if violations else 0
 
 
 def _cmd_convert(args) -> int:
@@ -197,37 +198,20 @@ def _cmd_classify_type(args) -> int:
     from .transforms import classify_type
 
     t = classify_type(_load_aut(args.file))
-    _emit(
-        {
-            "is_b_complex": t.is_b_complex,
-            "is_b_symplectic": t.is_b_symplectic,
-            "is_beta_complex": t.is_beta_complex,
-            "is_beta_symplectic": t.is_beta_symplectic,
-            "is_complex": t.is_complex,
-            "is_symplectic": t.is_symplectic,
-        }
-    )
+    _emit({field: getattr(t, field) for field in t._fields})
     return 0
 
 
 def _cmd_recover(args) -> int:
     from .transforms import recover
 
-    j = _load_aut(args.file)
-    try:
-        data = recover(j)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    data = recover(_load_aut(args.file))
+    out = {"b": encode_matrix(data.b.m), "kind": data.kind}
     if data.kind == "symplectic":
-        _emit(
-            {
-                "b": encode_matrix(data.b.m),
-                "kind": "symplectic",
-                "omega": encode_matrix(data.omega.m),
-            }
-        )
+        out["omega"] = encode_matrix(data.omega.m)
     else:
-        _emit({"b": encode_matrix(data.b.m), "j": encode_matrix(data.jmat), "kind": "complex"})
+        out["j"] = encode_matrix(data.jmat)
+    _emit(out)
     return 0
 
 
@@ -238,88 +222,58 @@ def _load_subspace(path: str, n: int) -> Subspace:
     return sub
 
 
-# Each subspace test returns (ok, witness, complement): the witness is
-# printed when ok is false, the complement subspace when it is not None.
+def _emit_verdict(ok, witness, extra=None) -> int:
+    """Print a predicate's verdict, its witness when it is false, and any
+    extra keys; the exit code is the verdict's."""
+    out = {"result": ok, **(extra or {})}
+    if not ok:
+        out["witness"] = witness
+    _emit(out)
+    return 0 if ok else 1
 
 
-def _vector_verdict(witness):
-    """The verdict of a witness function: no witness vector means true."""
-    if witness is None:
-        return True, None, None
-    return False, encode_vector(witness), None
-
-
-def _subspace_gc(j, w, args):
-    from .subspaces import induce_on_subspace
-
-    return _vector_verdict(induce_on_subspace(j, w).witness)
-
-
-def _subspace_isotropic(j, w, args):
-    from .subspaces import generalized_isotropic_witness
-
-    return _vector_verdict(generalized_isotropic_witness(j, w))
-
-
-def _subspace_coisotropic(j, w, args):
-    from .subspaces import generalized_coisotropic_witness
-
-    return _vector_verdict(generalized_coisotropic_witness(j, w))
-
-
-def _subspace_lagrangian(j, w, args):
-    from .subspaces import generalized_coisotropic_witness, generalized_isotropic_witness
-
-    witness = generalized_isotropic_witness(j, w)
-    if witness is None:
-        witness = generalized_coisotropic_witness(j, w)
-    return _vector_verdict(witness)
-
-
-def _subspace_graph(j, w, args):
-    from .subspaces import satisfies_graph_condition
-
-    if not args.k:
-        raise CliError("--test graph needs --k with a structure on W")
-    ok = satisfies_graph_condition(j, w, _structure_to_aut(_load_gcs(args.k)))
-    return ok, "graph generator escapes the graph-plus-annihilator", None
-
-
-def _subspace_split(j, w, args):
-    from .subspaces import find_split_complement, verify_split
-
-    if args.n:
-        n_comp = _load_subspace(args.n, j.n)
-        ok = verify_split(j, w, n_comp)
-        return ok, "carrier does not split along the given pair", n_comp if ok else None
-    try:
-        cand = find_split_complement(j, w)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return cand is not None, "no splitting complement exists", cand
-
-
-_SUBSPACE_TESTS = {
-    "gc": _subspace_gc,
-    "isotropic": _subspace_isotropic,
-    "coisotropic": _subspace_coisotropic,
-    "lagrangian": _subspace_lagrangian,
-    "graph": _subspace_graph,
-    "split": _subspace_split,
+# The subspace tests whose negative verdict is a vector of V + V*: each
+# takes the subspaces module, which the verb running it imports, and
+# returns None when W passes, else the witness.
+_WITNESSES = {
+    "gc": lambda s, j, w: s.induce_on_subspace(j, w).witness,
+    "isotropic": lambda s, j, w: s.generalized_isotropic_witness(j, w),
+    "coisotropic": lambda s, j, w: s.generalized_coisotropic_witness(j, w),
+    "lagrangian": lambda s, j, w: (
+        s.generalized_isotropic_witness(j, w) or s.generalized_coisotropic_witness(j, w)
+    ),
 }
 
 
+def _emit_witness(test, j, w) -> int:
+    """Run one of the tests in _WITNESSES and print its verdict."""
+    from . import subspaces
+
+    witness = _WITNESSES[test](subspaces, j, w)
+    return _emit_verdict(witness is None, None if witness is None else encode_vector(witness))
+
+
 def _cmd_subspace(args) -> int:
+    from . import subspaces
+
     j = _load_aut(args.file)
     w = _load_subspace(args.w, j.n)
-    ok, witness, complement = _SUBSPACE_TESTS[args.test](j, w, args)
-    out = {"result": ok}
-    if not ok:
-        out["witness"] = witness
-    if complement is not None:
-        out["complement"] = encode_subspace(complement)
-    _emit(out)
-    return 0 if ok else 1
+    if args.test in _WITNESSES:
+        return _emit_witness(args.test, j, w)
+    if args.test == "graph":
+        if not args.k:
+            raise CliError("--test graph needs --k with a structure on W")
+        ok = subspaces.satisfies_graph_condition(j, w, _structure_to_aut(_load_gcs(args.k)))
+        return _emit_verdict(ok, "graph generator escapes the graph-plus-annihilator")
+    if args.n:
+        complement = _load_subspace(args.n, j.n)
+        ok = subspaces.verify_split(j, w, complement)
+        why = "carrier does not split along the given pair"
+    else:
+        complement = subspaces.find_split_complement(j, w)
+        ok = complement is not None
+        why = "no splitting complement exists"
+    return _emit_verdict(ok, why, {"complement": encode_subspace(complement)} if ok else None)
 
 
 def _cmd_induce(args) -> int:
@@ -374,11 +328,7 @@ def _cmd_compose(args) -> int:
 
     first = decode_relation(_load_json(args.rel1))
     second = decode_relation(_load_json(args.rel2))
-    try:
-        result = compose(first, second)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _emit(encode_relation(result))
+    _emit(encode_relation(compose(first, second)))
     return 0
 
 
@@ -386,12 +336,7 @@ def _cmd_canonical_rel(args) -> int:
     # canonical relations are the generalized Lagrangian ones: the subspace
     # verb's witness search on the graph in the twisted product
     rel = decode_relation(_load_json(args.rel))
-    ok, witness, _ = _subspace_lagrangian(twisted_product(rel.source, rel.target), rel.graph, args)
-    out = {"result": ok}
-    if not ok:
-        out["witness"] = witness
-    _emit(out)
-    return 0 if ok else 1
+    return _emit_witness("lagrangian", twisted_product(rel.source, rel.target), rel.graph)
 
 
 # Each demo builds a fixture of the paper, raises AssertionError when a
@@ -580,11 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_recover)
 
     p = sub.add_parser("subspace", help="test a subspace")
-    p.add_argument(
-        "--test",
-        required=True,
-        choices=list(_SUBSPACE_TESTS),
-    )
+    p.add_argument("--test", required=True, choices=[*_WITNESSES, "graph", "split"])
     p.add_argument("--w", required=True, metavar="SUBSPACE_FILE")
     p.add_argument("--k", metavar="GCS_FILE")
     p.add_argument("--n", metavar="SUBSPACE_FILE")

@@ -906,18 +906,24 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
+        if other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        # x lies in other exactly when it pairs to 0 with other's null rows
-        # N, so x = y A lies in the meet when y (A N^T) = 0.  The RREF of
-        # [A N^T | 1] ends in rows [0 | y] that are an RREF basis of that
-        # left kernel, and then y A is in RREF with pivots A's at y's.
-        field, n, a = self.field, self.ambient_dim, self.basis._z
-        null_rows = _null_rows(field, n, other.basis._z, other.pivots)
-        if not null_rows:
+        return self._meet(other.null_rows())
+
+    def _meet(self, null: Matrix) -> "Subspace":
+        """The vectors of this subspace with x . r = 0 for every row r of
+        null, the null rows N of some other subspace (those of other in
+        ``intersect``); only the span of N matters.
+
+        x = y A lies in the meet when y (A N^T) = 0.  The RREF of
+        [A N^T | 1] ends in rows [0 | y] that are an RREF basis of that
+        left kernel, and then y A is in RREF with pivots A's at y's.
+        """
+        if self.dim == 0 or null.rows == 0:
             return self
-        width = len(null_rows)
-        paired = _against(field, a, [row[:-1] for row in null_rows], 1)
+        field, n, a = self.field, self.ambient_dim, self.basis._z
+        width = null.rows
+        paired = self.basis.mul_t(null)._z
         aug = list(map(_join, zip(paired, Matrix.identity(field, len(a))._z)))
         red, pivots = Matrix._of(field, aug, width + len(a)).rref()
         k = len([p for p in pivots if p < width])

@@ -74,17 +74,17 @@ def _finish_induced(dim_target: int, rows: Matrix) -> InducedStructure:
 
 def _cut(j: GCAut, w: Subspace, quotient: bool) -> Matrix:
     """Basis of E cut by the window W_C + V_C* (or V_C + Ann(W)_C for the
-    quotient), the step shared by both induced structures."""
+    quotient), the step shared by both induced structures.  E is met with
+    the window's null rows, (N | 0) for W's null rows N, or for the
+    quotient (0 | W) for W's rows, so neither the window nor Ann(W) is
+    eliminated."""
     n = j.n
     if w.ambient_dim != n or w.field is not QQ:
         raise ValueError("W must be a rational subspace of the carrier")
     e = to_eigenspace(j).e
-    full = Subspace.full(QI, n)
-    if quotient:
-        window = full.direct_sum(w.annihilator().to_gaussian())
-    else:
-        window = w.to_gaussian().direct_sum(full)
-    return e.intersect(window).basis
+    empty = Matrix.zero(QQ, 0, n)
+    null = Matrix.block_diagonal(QQ, [empty, w.basis] if quotient else [w.null_rows(), empty])
+    return e._meet(null).basis
 
 
 def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
@@ -308,6 +308,11 @@ def split_induced(j: GCAut, w: Subspace, n_comp: Subspace):
     return jw, jn
 
 
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product of rational matrices: block (r, c) is a[r][c] b."""
+    return Matrix.from_blocks(QQ, [[b.scale(x) for x in row] for row in a.data])
+
+
 def find_split_complement(j: GCAut, w: Subspace) -> Subspace | None:
     """A complement exhibiting W as split, for transformed classical types.
 
@@ -331,45 +336,25 @@ def find_split_complement(j: GCAut, w: Subspace) -> Subspace | None:
         q = Matrix.from_blocks(QQ, [[w.basis], [comp0.basis]]).transpose()
         sel = Matrix.from_entries(QQ, n, n, {(i, i): 1 for i in range(w.dim)})
         sigma0 = q @ sel @ q.inverse()
-        sigma = sigma0
-        power = Matrix.identity(QQ, n)
-        for _ in range(3):
-            power = power @ jm
-            sigma = sigma + power @ sigma0 @ power.inverse()
-        sigma = sigma.scale(QQ.coerce("1/4"))
-        n1 = sigma.kernel()
+        # averaging J^k sigma0 J^-k over k = 0..3 gives, as J^-1 = -J,
+        # (sigma0 - J sigma0 J) / 2: a J-equivariant projection onto W
+        n1 = (sigma0 - jm @ sigma0 @ jm).kernel()
         if n1.dim + w.dim != n:
             raise AssertionError("equivariant projection has wrong rank")
         m, qdim = w.dim, n1.dim
         # jw lies in W, so its coordinates are its entries at W's pivots
-        j_on_w = jw.select_columns(w.pivots).data
-        j_on_n = [n1.coordinates(x) for x in n1.basis.mul_t(jm).data]
+        j_on_w = jw.select_columns(w.pivots)
+        j_on_n = Matrix(QQ, [n1.coordinates(x) for x in n1.basis.mul_t(jm).data], cols=qdim)
         # B(x, y) = (b x) . y over the bases of W and N1
         bw = w.basis.mul_t(data.b.m)
-        b_ww = bw.mul_t(w.basis).data
-        b_wn = bw.mul_t(n1.basis).data
-        # unknown h: N1 -> W as an m x q matrix, flattened row-major
-        eqs = []
-        rhs = []
-        for a in range(m):
-            for bcol in range(qdim):
-                row = [QQ.zero] * (m * qdim)
-                # (J_W h)[a][bcol] = sum_x J_W[a][x] h[x][bcol]
-                for x in range(m):
-                    row[x * qdim + bcol] = row[x * qdim + bcol] + j_on_w[x][a]
-                # (h J_N)[a][bcol] = sum_y h[a][y] J_N[y][bcol]
-                for y in range(qdim):
-                    row[a * qdim + y] = row[a * qdim + y] - j_on_n[bcol][y]
-                eqs.append(row)
-                rhs.append(QQ.zero)
-        for a in range(m):
-            for bcol in range(qdim):
-                row = [QQ.zero] * (m * qdim)
-                for x in range(m):
-                    row[x * qdim + bcol] = b_ww[a][x]
-                eqs.append(row)
-                rhs.append(-b_wn[a][bcol])
-        sol = Matrix(QQ, eqs, cols=m * qdim).solve(rhs)
+        # the unknown h: N1 -> W, an m x q matrix flattened row-major, is
+        # J-equivariant, J_W^T h = h J_N^T, and makes N1 + h^T W B-orthogonal
+        # to W, B_WW h = -B_WN
+        one_m, one_q = Matrix.identity(QQ, m), Matrix.identity(QQ, qdim)
+        equivariance = _kron(j_on_w.transpose(), one_q) - _kron(one_m, j_on_n)
+        system = Matrix.from_blocks(QQ, [[equivariance], [_kron(bw.mul_t(w.basis), one_q)]])
+        rhs = [QQ.zero] * (m * qdim) + [-x for row in bw.mul_t(n1.basis).data for x in row]
+        sol = system.solve(rhs)
         if sol is None:
             return None
         # N1 + h^T W, with h the m x q solution

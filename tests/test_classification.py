@@ -87,16 +87,17 @@ class TestBlockRoutes:
             assert Subspace.from_spanning(QI, 2 * n, lifts) == inside
 
     def test_intersections_only_inside_the_induced_structures(self, typed_structures, monkeypatch):
-        # canonical_s and canonical_c intersect E only with the window of
-        # induce_on_subspace / induce_on_quotient (subspaces._cut)
+        # canonical_s and canonical_c meet E only with the window of
+        # induce_on_subspace / induce_on_quotient (subspaces._cut), and
+        # Subspace.intersect of two nonzero subspaces runs Subspace._meet
         callers = []
-        intersect = Subspace.intersect
+        meet = Subspace._meet
 
-        def recording(self, other):
+        def recording(self, null):
             callers.append(sys._getframe(1).f_code.co_name)
-            return intersect(self, other)
+            return meet(self, null)
 
-        monkeypatch.setattr(Subspace, "intersect", recording)
+        monkeypatch.setattr(Subspace, "_meet", recording)
         for j in typed_structures[::5]:
             canonical_s(j)
             canonical_c(j)

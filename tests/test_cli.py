@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -71,6 +75,34 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     code, out = run(capsys, "validate", str(path))
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("depth", [3000, 100_000])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, depth):
+    # the JSON parser raises RecursionError past its nesting limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out.count("\n") == 1 and "error" in json.loads(out)
+    if depth == 100_000:
+        assert json.loads(out) == {"error": f"malformed JSON in {path}: nested too deeply"}
+
+
+def test_deeply_nested_json_child_prints_no_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gclin", "canonical-rel", str(path)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1 and "nested too deeply" in json.loads(proc.stdout)["error"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_repeated_index_in_multivector_term_exits_2(write, capsys):

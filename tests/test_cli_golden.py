@@ -12,6 +12,7 @@ is meant to be recorded once and then left alone: a refactor that keeps
 the CLI output must keep this test green without touching it.
 """
 
+import argparse
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from gclin.cli import main
+from gclin.cli import build_parser, main
 
 DATA = Path(__file__).with_name("cli_golden.json")
 
@@ -61,6 +62,22 @@ def test_cli_bytes_match_golden(case, payload_dir, monkeypatch):
     code, out = _run(case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"].encode("utf-8")
+
+
+def test_cases_cover_every_verb_and_verdict():
+    # the golden file is the one pin on the verdict output, so every verb,
+    # and every subspace test and canonical-rel both ways, must have a case
+    (verbs,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (tests,) = [a.choices for a in verbs["subspace"]._actions if a.dest == "test"]
+    exits = {}
+    for case in GOLDEN["cases"]:
+        argv = case["argv"]
+        keys = [argv[0], *(argv[i + 1] for i, arg in enumerate(argv) if arg == "--test")]
+        for key in keys:
+            exits.setdefault(key, set()).add(case["exit"])
+    assert set(verbs) <= set(exits)
+    for key in [*tests, "canonical-rel"]:
+        assert {0, 1} <= exits.get(key, set()), key
 
 
 def _payloads():

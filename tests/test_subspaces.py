@@ -11,6 +11,7 @@ from gclin.core import (
     BiVector,
     GCAut,
     TwoForm,
+    _carrying,
     complex_structure,
     conjugate_by_basis,
     direct_sum,
@@ -48,7 +49,7 @@ from gclin.subspaces import (
     split_induced,
     verify_split,
 )
-from gclin.transforms import b_transform, beta_transform, classify_type
+from gclin.transforms import _recover, b_transform, beta_transform, classify_type
 
 I = GaussianRational(0, 1)
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
@@ -152,6 +153,14 @@ class TestInduceOnQuotient:
         witness = [QI.zero, I, QI.zero, QI.zero]
         bad = quot.ew.intersect(quot.ew.conjugate())
         assert bad.contains(witness)
+
+    def test_cut_eliminates_no_annihilator(self, eliminations):
+        # on a J that carries its E: the cut of E, the induced E and its
+        # B^-1 (4 when the window's Ann(W) was eliminated before the cut)
+        j, w = _carrying(random_gcs(Random(5), 4)), random_subspace(Random(5), 4, 2)
+        eliminations.clear()
+        assert induce_on_quotient(j, w).is_gc
+        assert len(eliminations) == 3
 
     def test_zero_subspace_gives_ambient(self):
         rng = Random(4)
@@ -567,7 +576,98 @@ class TestBetaBetween:
                 beta_between(j, other)
 
 
+def oracle_b_complex_split(j, w):
+    """``find_split_complement`` on a B-complex structure by the original
+    construction: the projection averaged over four powers of J and
+    their inverses, and the equations for h written out one by one."""
+    data = _recover(j, classify_type(j))
+    n, jm = j.n, data.jmat
+    jw = w.basis.mul_t(jm)
+    if w.first_outside(jw) is not None:
+        return None
+    q = Matrix.from_blocks(QQ, [[w.basis], [w.complement().basis]]).transpose()
+    sel = Matrix.from_entries(QQ, n, n, {(i, i): 1 for i in range(w.dim)})
+    sigma0 = q @ sel @ q.inverse()
+    sigma = sigma0
+    power = Matrix.identity(QQ, n)
+    for _ in range(3):
+        power = power @ jm
+        sigma = sigma + power @ sigma0 @ power.inverse()
+    n1 = sigma.scale(QQ.coerce("1/4")).kernel()
+    assert n1.dim + w.dim == n
+    m, qdim = w.dim, n1.dim
+    j_on_w = jw.select_columns(w.pivots).data
+    j_on_n = [n1.coordinates(x) for x in n1.basis.mul_t(jm).data]
+    bw = w.basis.mul_t(data.b.m)
+    b_ww = bw.mul_t(w.basis).data
+    b_wn = bw.mul_t(n1.basis).data
+    eqs, rhs = [], []
+    for a in range(m):
+        for bcol in range(qdim):
+            row = [QQ.zero] * (m * qdim)
+            for x in range(m):
+                row[x * qdim + bcol] = row[x * qdim + bcol] + j_on_w[x][a]
+            for y in range(qdim):
+                row[a * qdim + y] = row[a * qdim + y] - j_on_n[bcol][y]
+            eqs.append(row)
+            rhs.append(QQ.zero)
+    for a in range(m):
+        for bcol in range(qdim):
+            row = [QQ.zero] * (m * qdim)
+            for x in range(m):
+                row[x * qdim + bcol] = b_ww[a][x]
+            eqs.append(row)
+            rhs.append(-b_wn[a][bcol])
+    sol = Matrix(QQ, eqs, cols=m * qdim).solve(rhs)
+    if sol is None:
+        return None
+    h = Matrix(QQ, [sol[x * qdim : (x + 1) * qdim] for x in range(m)], cols=qdim)
+    return Subspace.from_spanning(QQ, n, n1.basis + h.transpose() @ w.basis)
+
+
+def b_complex_split_cases(rng, n):
+    """(J, W): a B-transformed complex structure on R^n, with a J1-stable W
+    of each even dimension from 2 to n - 2 and a random W of each
+    dimension from 0 to n."""
+    j = b_transform(complex_structure(random_complex_matrix(rng, n)), random_two_form(rng, n))
+    stable = []
+    for _ in range(n // 2 - 1):
+        v = [rng.randint(-2, 2) for _ in range(n)]
+        stable += [v, list(j.j1.apply(v))]
+        w = Subspace.from_spanning(QQ, n, stable)
+        if w.dim < n:
+            yield j, w
+    for d in range(n + 1):
+        yield j, random_subspace(rng, n, d)
+
+
 class TestSplit:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @seed(20261020)
+    @settings(max_examples=10, deadline=None)
+    @given(seed_value=seeds)
+    def test_hyp_b_complex_split_agrees_with_the_original_construction(self, n, seed_value):
+        for j, w in b_complex_split_cases(Random(seed_value), n):
+            assert find_split_complement(j, w) == oracle_b_complex_split(j, w)
+
+    def test_b_complex_split_inverts_no_power_of_j(self, eliminations):
+        # a J1-stable plane in R^6 that does not split off (12 when J, J^2
+        # and J^3 were inverted to average the projection)
+        j, w = next(b_complex_split_cases(Random(0), 6))
+        j = _carrying(j)
+        eliminations.clear()
+        assert find_split_complement(j, w) is None
+        assert len(eliminations) == 9
+
+    def test_b_complex_split_cases_see_both_outcomes(self):
+        # at n = 6 a J1-stable W splits off for some B-fields and not others
+        found = set()
+        for s in range(3):
+            for j, w in b_complex_split_cases(Random(s), 6):
+                stable = w.first_outside(w.basis.mul_t(j.j1)) is None
+                found.add((stable, find_split_complement(j, w) is None))
+        assert found == {(True, True), (True, False), (False, True)}
+
     def test_direct_sum_summands_split(self):
         rng = Random(20)
         a, b = random_gcs(rng, 2), random_gcs(rng, 2)
