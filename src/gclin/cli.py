@@ -37,7 +37,6 @@ from .core import (
     to_aut,
     to_eigenspace,
     twist,
-    twisted_product,
     validate_aut,
     validate_eigenspace,
 )
@@ -336,7 +335,7 @@ def _cmd_canonical_rel(args) -> int:
     # canonical relations are the generalized Lagrangian ones: the subspace
     # verb's witness search on the graph in the twisted product
     rel = decode_relation(_load_json(args.rel))
-    return _emit_witness("lagrangian", twisted_product(rel.source, rel.target), rel.graph)
+    return _emit_witness("lagrangian", rel.twisted, rel.graph)
 
 
 # Each demo builds a fixture of the paper, raises AssertionError when a

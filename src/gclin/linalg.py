@@ -42,6 +42,11 @@ b is compared with c's entry, both sides brought to the same scale by
 cross-multiplying the denominators, and the first row with a mismatch
 ends the check (``_first_miss``): no gcd, no canonical row, no Matrix.
 The kernel reports that row, which ``a.mul_t_miss(b, s, c)`` returns.
+``a.zero_product_miss(x, b)`` returns the first row r with
+(a @ x^T @ b^T)[r] != 0, or None: x's rows are brought to one
+denominator once, each middle row a_r @ x^T is a list of plain integer
+dot products, a nonzero multiple of the true row, and a zero test needs
+no other scale (``_first_nonzero``).
 ``a.is_neg_transpose_of(b)`` decides a = -b^T the same way, entry
 against entry (``_is_neg_transpose``), and ``is_skew`` is the case b = a.
 The structure checks (J^2 = -1, J preserving the pairing, isotropy, J
@@ -368,6 +373,20 @@ def _first_miss(a, ys, dbs, scale, target):
     return None
 
 
+def _first_nonzero(a, xs, bs):
+    """Index of the first row a_r of a with a_r . X^T . B^T != 0, or None,
+    for stored rows a, X's rows xs as integer parts over one common
+    denominator and B's rows bs as integer parts over any denominators.
+    The middle row is the integer dot products a_r . x_k, a nonzero
+    multiple of the true one; it is never reduced or made canonical."""
+    for r, row in enumerate(a):
+        re, im = _dots(row[:-1], xs)
+        re, im = _dots((re, im) if any(im) else (re,), bs)
+        if any(re) or any(im):
+            return r
+    return None
+
+
 def _is_neg_transpose(a, b) -> bool:
     """Whether stored rows a are minus the transpose of stored rows b of
     the same field: a[r][c] / da = -b[c][r] / db for every r, c, decided
@@ -639,6 +658,16 @@ class Matrix:
             raise ValueError("shape mismatch in product")
         z = other._z
         return self._first_miss([row[:-1] for row in z], [row[-1] for row in z], scale, target)
+
+    def zero_product_miss(self, x, b):
+        """The first row of self @ x.transpose() @ b.transpose() that is
+        not zero, or None (``_first_nonzero``); no product is formed."""
+        if self.cols != x.cols or x.rows != b.cols:
+            raise ValueError("shape mismatch in product")
+        field = QI if QI in (self.field, x.field, b.field) else QQ
+        xz = x._rows_over(field)
+        xs = _scaled(xz, lcm(*(row[-1] for row in xz)))
+        return _first_nonzero(self._rows_over(field), xs, [row[:-1] for row in b._rows_over(field)])
 
     def _first_miss(self, ys, dbs, scale, target):
         """``mul_t_miss`` of self against the columns ys / dbs."""

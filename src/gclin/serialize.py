@@ -34,6 +34,15 @@ def encode_rational(x) -> str:
 
 
 _RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_ECHO_CHARS = 80
+
+
+def _echo(data) -> str:
+    """repr(data) for an error message, cut to _ECHO_CHARS characters with
+    an ellipsis, so that one bad entry cannot make the message as large as
+    the payload; shorter values print whole."""
+    text = repr(data)
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
 
 
 def decode_rational(data):
@@ -43,17 +52,17 @@ def decode_rational(data):
     parses the string a second time.
     """
     if isinstance(data, bool) or not isinstance(data, (str, int)):
-        raise PayloadError(f"expected a rational string, got {data!r}")
+        raise PayloadError(f"expected a rational string, got {_echo(data)}")
     if isinstance(data, int):
         return rational(data)
     match = _RATIONAL_LITERAL.fullmatch(data)
     if not match:
-        raise PayloadError(f"bad rational {data!r}: expected an integer or 'p/q'")
+        raise PayloadError(f"bad rational {_echo(data)}: expected an integer or 'p/q'")
     num, den = match.groups()
     try:
         return rational_from_ints(int(num), int(den) if den else 1)
     except (ValueError, ZeroDivisionError) as exc:
-        raise PayloadError(f"bad rational {data!r}: {exc}") from None
+        raise PayloadError(f"bad rational {_echo(data)}: {exc}") from None
 
 
 def encode_gaussian(x: GaussianRational) -> dict:
@@ -64,7 +73,7 @@ def decode_gaussian(data) -> GaussianRational:
     if isinstance(data, dict):
         extra = set(data) - {"re", "im"}
         if extra:
-            raise PayloadError(f"unexpected keys in scalar: {sorted(extra)}")
+            raise PayloadError(f"unexpected keys in scalar: {_echo(sorted(extra))}")
         return GaussianRational(
             decode_rational(data.get("re", 0)), decode_rational(data.get("im", 0))
         )

@@ -173,9 +173,14 @@ def _first_escape(j: GCAut, w: Subspace, null_w: Matrix, gens: Matrix, coisotrop
     """Index of the first generator (a row of gens, in W for the isotropic
     test and in Ann(W) for the coisotropic one) whose image under J leaves
     W + Ann(W), its vector part pairing nonzero with a null row of W or
-    its covector part with a row of W; None when every image stays inside."""
+    its covector part with a row of W; None when every image stays inside.
+    Each of the two identities, gens X^T N^T = 0 for the block X (J1 or
+    J2) that gives the vector part and gens Y^T W^T = 0 for the block Y
+    (J3 or J4) that gives the covector part, is one call of the
+    zero-product kernel ``Matrix.zero_product_miss``, which forms no
+    product."""
     to_v, to_dual = (j.j2, j.j4) if coisotropic else (j.j1, j.j3)
-    found = [gens.mul_t(to_v).mul_t_miss(null_w, 0), gens.mul_t(to_dual).mul_t_miss(w.basis, 0)]
+    found = [gens.zero_product_miss(to_v, null_w), gens.zero_product_miss(to_dual, w.basis)]
     return min((k for k in found if k is not None), default=None)
 
 
@@ -332,10 +337,10 @@ def find_split_complement(j: GCAut, w: Subspace) -> Subspace | None:
         jw = w.basis.mul_t(jm)
         if w.first_outside(jw) is not None:
             return None
-        comp0 = w.complement()
-        q = Matrix.from_blocks(QQ, [[w.basis], [comp0.basis]]).transpose()
-        sel = Matrix.from_entries(QQ, n, n, {(i, i): 1 for i in range(w.dim)})
-        sigma0 = q @ sel @ q.inverse()
+        # the projection onto W along the free coordinate vectors, read off
+        # W's RREF: x -> sum of x_p w_p over the pivot columns p, W^T P for
+        # the rows P of the unit vectors at the pivots
+        sigma0 = w.basis.transpose() @ Subspace.coordinate(QQ, n, w.pivots).basis
         # averaging J^k sigma0 J^-k over k = 0..3 gives, as J^-1 = -J,
         # (sigma0 - J sigma0 J) / 2: a J-equivariant projection onto W
         n1 = (sigma0 - jm @ sigma0 @ jm).kernel()

@@ -123,6 +123,45 @@ def test_rational_outside_grammar_exits_2(write, capsys, text):
     assert "bad rational" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("[" + ", ".join(["1"] * 200_000) + "]", "expected a rational string, got [1, 1, "),
+        ("[" * 300 + "1" + "]" * 300, "expected a rational string, got [[[["),
+        ('"' + "1" * 200_000 + '.5"', "bad rational '1111"),
+    ],
+    ids=["long-list", "deep-list", "long-string"],
+)
+def test_bad_rational_error_line_is_bounded(tmp_path, capsys, entry, message):
+    # the offending value, given here as JSON text, is echoed cut short
+    # with an ellipsis, not whole
+    payload = encode_aut(symplectic_structure(OMEGA2))
+    payload["j"]["j1"][0][0] = "ENTRY"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload).replace('"ENTRY"', entry))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out.count("\n") == 1 and len(out.encode()) < 1024
+    error = json.loads(out)["error"]
+    assert error.startswith(message) and "..." in error
+
+
+def test_unexpected_scalar_keys_error_line_is_bounded(write, capsys):
+    payload = encode_eigenspace(to_eigenspace(symplectic_structure(OMEGA2)))
+    payload["E"]["basis"][0][0] = {f"k{i}": 0 for i in range(50_000)}
+    code, out = run(capsys, "validate", write("keys.json", payload))
+    assert code == 2
+    assert len(out.encode()) < 1024
+    assert json.loads(out)["error"].startswith("unexpected keys in scalar: ['k0', 'k1', ")
+
+
+def test_short_bad_rational_is_echoed_whole():
+    with pytest.raises(PayloadError, match=r"^bad rational '1\.5': expected an integer or 'p/q'$"):
+        decode_rational("1.5")
+    with pytest.raises(PayloadError, match=r"^expected a rational string, got \[1, 2\]$"):
+        decode_rational([1, 2])
+
+
 def test_rational_grammar_accepts_ints_and_fractions():
     assert decode_rational(3) == 3
     assert decode_rational("-2/4") == QQ.coerce("-1/2")

@@ -1058,6 +1058,72 @@ def test_first_miss_reports_the_first_failing_row_of_any_shape():
         a.mul_t_miss(Matrix.zero(QQ, 1, 3), 0)
 
 
+def rows_near_kernel(rng, count, cols, kernel, field):
+    """count rows of length cols: each a random row of the kernel's basis
+    (or a fresh random row, always when the kernel is zero) times a random
+    fraction, so that the rows' denominators differ."""
+    basis = kernel.basis_rows()
+    out = []
+    for _ in range(count):
+        if basis and rng.random() < 0.6:
+            scale = field.coerce(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)))
+            out.append([scale * v for v in rng.choice(basis)])
+        else:
+            out.append(list(seeded_matrix(rng, field, 1, cols).data[0]))
+    return Matrix(field, out, cols=cols)
+
+
+def zero_product_cases(rng, field, n):
+    """(a, x, b) of any shapes, empty ones included, with a @ x^T @ b^T
+    zero, zero in some rows or nowhere: a's rows lie in ker x (a zero
+    middle row) or not, and b's rows in the kernel of a @ x^T or not."""
+    x = seeded_matrix(rng, rng.choice([QQ, field]), rng.randint(0, n), rng.randint(0, n))
+    a = rows_near_kernel(rng, rng.randint(0, n), x.cols, x.kernel(), field)
+    middle = a.mul_t(x)
+    b = rows_near_kernel(rng, rng.randint(0, n), x.rows, middle.kernel(), middle.field)
+    return a, x, b
+
+
+@FIELDS
+@SIZES
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_zero_product_kernel_finds_the_first_nonzero_row(field, n, seed_value):
+    rng = Random(seed_value)
+    for _ in range(3):
+        a, x, b = zero_product_cases(rng, field, n)
+        formed = a.mul_t(x).mul_t(b)
+        nonzero = [r for r, row in enumerate(formed.data) if any(row)]
+        assert a.zero_product_miss(x, b) == (nonzero[0] if nonzero else None)
+        assert a.mul_t(x).mul_t_miss(b, 0) == a.zero_product_miss(x, b)
+    with pytest.raises(ValueError):
+        a.zero_product_miss(Matrix.zero(field, x.rows, x.cols + 1), b)
+    with pytest.raises(ValueError):
+        a.zero_product_miss(x, Matrix.zero(field, 1, x.rows + 1))
+
+
+def test_zero_product_kernel_sees_every_outcome():
+    # None, a miss at row 0 and a miss past row 0, over Q, with mixed
+    # denominators; and the empty factors
+    rng = Random(6)
+    seen = set()
+    for _ in range(60):
+        a, x, b = zero_product_cases(rng, QQ, 4)
+        k = a.zero_product_miss(x, b)
+        seen.add("none" if k is None else "first" if k == 0 else "later")
+    assert seen == {"none", "first", "later"}
+    x = Matrix(QQ, [[Fraction(1, 2), 0, 1], [0, Fraction(2, 3), 1]])
+    a = Matrix(QQ, [[1, 1, -1], [2, 0, 1]])
+    b = Matrix(QQ, [[1, 0], [Fraction(-1, 6), 1]])
+    # row 0 of a x^T is (-1/2, -1/3), which pairs nonzero with (1, 0)
+    assert a.zero_product_miss(x, b) == 0
+    assert a.zero_product_miss(x, Matrix(QQ, [[2, -3]])) == 1
+    assert Matrix.zero(QQ, 0, 3).zero_product_miss(x, b) is None
+    assert a.zero_product_miss(Matrix.zero(QQ, 0, 3), Matrix.zero(QQ, 2, 0)) is None
+    assert a.zero_product_miss(x, Matrix.zero(QQ, 0, 2)) is None
+
+
 def test_identity_kernels_see_both_verdicts():
     rng = Random(5)
     verdicts = {"mul_is": set(), "identity": set(), "neg_transpose": set(), "skew": set()}

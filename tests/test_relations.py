@@ -3,7 +3,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gclin import relations
 from gclin.core import (
+    GCAut,
     TwoForm,
     complex_structure,
     conjugate_by_basis,
@@ -15,6 +17,7 @@ from gclin.fields import QQ
 from gclin.linalg import Matrix, Subspace
 from gclin.relations import (
     LinearRelation,
+    _conjugates,
     annihilator_composition_identity,
     closure_check,
     compose,
@@ -33,8 +36,9 @@ from gclin.samples import (
     random_relation_chain,
     random_subspace,
     random_symplectic_form,
+    random_two_form,
 )
-from gclin.transforms import beta_transform
+from gclin.transforms import b_transform, beta_transform
 
 OMEGA2 = TwoForm(Matrix(QQ, [[0, -1], [1, 0]]))
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
@@ -233,6 +237,58 @@ class TestGraphIso:
             graph_iso_test(Matrix.zero(QQ, 2, 2), a, a)
 
 
+class TestConjugationIdentities:
+    def test_perturbed_targets_agree_with_conjugate_by_basis(self):
+        # b off in one entry of each block in turn (not a structure as a
+        # rule), and valid structures that differ from b in some blocks:
+        # the four block identities decide what conjugate_by_basis does
+        rng = Random(35)
+        verdicts = set()
+        for n in (2, 4):
+            for _ in range(3):
+                a = random_gcs(rng, n)
+                mu = random_invertible(rng, n)
+                b = conjugate_by_basis(a, mu)
+                targets = [b, twist(b), b_transform(b, random_two_form(rng, n))]
+                targets += [beta_transform(b, random_bivector(rng, n))]
+                targets += [conjugate_by_basis(a, random_invertible(rng, n))]
+                for k in range(4):
+                    blocks = list(b.blocks())
+                    r, c = rng.randrange(n), rng.randrange(n)
+                    blocks[k] = blocks[k] + Matrix.from_entries(QQ, n, n, {(r, c): rng.choice([-1, 1])})
+                    targets.append(GCAut(*blocks))
+                for target in targets:
+                    verdict = _conjugates(mu, a, target)
+                    assert verdict == (conjugate_by_basis(a, mu) == target)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_class_tests_form_no_product_and_one_twisted_product(self, monkeypatch):
+        # 8 Matrix.mul_t products and 3 twisted products when each class
+        # test rebuilt the twisted product and formed gens X^T
+        products, twisted = [], []
+        mul_t = Matrix.mul_t
+
+        def counting_mul_t(self, other):
+            products.append((self.rows, other.rows))
+            return mul_t(self, other)
+
+        def counting_twisted(x, y):
+            twisted.append((x.n, y.n))
+            return twisted_product(x, y)
+
+        rng = Random(36)
+        rel, _ = _iso_relation(rng, random_gcs(rng, 4))
+        monkeypatch.setattr(Matrix, "mul_t", counting_mul_t)
+        monkeypatch.setattr(relations, "twisted_product", counting_twisted)
+        assert is_isotropic_relation(rel) and is_coisotropic_relation(rel) and is_canonical(rel)
+        assert products == []
+        assert twisted == [(4, 4)]
+        # the kept product is not a field
+        same = LinearRelation(rel.source, rel.target, rel.graph)
+        assert rel == same and hash(rel) == hash(same)
+
+
 def _iso_relation(rng, a):
     mu = random_invertible(rng, a.n)
     b = conjugate_by_basis(a, mu)
@@ -392,3 +448,14 @@ def test_annihilator_identity_eliminations_on_a_fixed_pair(eliminations):
     eliminations.clear()
     assert annihilator_composition_identity(phi, gamma)
     assert len(eliminations) == 7
+
+
+def test_graph_iso_test_runs_one_elimination(eliminations):
+    # is_invertible's rank; 2 when conjugate_by_basis inverted mu again
+    rng = Random(37)
+    a = random_gcs(rng, 4)
+    mu = random_invertible(rng, 4)
+    b = conjugate_by_basis(a, mu)
+    eliminations.clear()
+    assert graph_iso_test(mu, a, b)
+    assert eliminations == [(4, 4)]

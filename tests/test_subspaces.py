@@ -652,12 +652,13 @@ class TestSplit:
 
     def test_b_complex_split_inverts_no_power_of_j(self, eliminations):
         # a J1-stable plane in R^6 that does not split off (12 when J, J^2
-        # and J^3 were inverted to average the projection)
+        # and J^3 were inverted to average the projection, 9 when the
+        # projection came from inverting [W; complement]^T)
         j, w = next(b_complex_split_cases(Random(0), 6))
         j = _carrying(j)
         eliminations.clear()
         assert find_split_complement(j, w) is None
-        assert len(eliminations) == 9
+        assert len(eliminations) == 8
 
     def test_b_complex_split_cases_see_both_outcomes(self):
         # at n = 6 a J1-stable W splits off for some B-fields and not others
