@@ -13,10 +13,15 @@ A structure is handled in two interchangeable forms:
 The third form, a pure spinor line, is derived on demand by the spinor
 module rather than stored.
 
-A ``GCAut`` built by ``to_aut`` carries the eigenspace it was built from,
-and ``to_eigenspace`` returns that instead of solving for it again.  A
-structure built any other way carries nothing, and ``to_eigenspace``
-never stores onto its argument: the one function that validates a
+The two forms carry each other where the library makes one from the
+other.  A ``GCAut`` built by ``to_aut`` carries the eigenspace it was
+built from, and ``to_eigenspace`` returns that instead of solving for it
+again; an E that ``_validated`` solved from J carries J's blocks, and
+``to_aut`` returns a ``GCAut`` of those blocks (carrying E) instead of
+rebuilding J.  E holds the blocks and not the ``GCAut``, so the two
+forms reference each other without a cycle and are freed by reference
+counting.  A value built any other way carries nothing, and neither
+function stores onto its argument: the one function that validates a
 structure and solves for E, ``_validated``, returns a private copy that
 carries E (``_carrying`` raises on an invalid structure), so no result
 outlives the call on the caller's objects.
@@ -27,10 +32,10 @@ Im E = [0 | B], rational blocks, and dim(E meet conj E) = dim E - rank B:
 for dim E = n, E is transverse to its conjugate exactly when B inverts,
 and ``_aut_of`` rebuilds J from that B^-1 alone.  Where J is known, B^-1
 needs no elimination: with K = J^T, J acting as i on E reads Im K = Re,
-whose P columns give B K[F, P] = 1, so B^-1 = K[F, P].  An E from
-``_validated`` comes to its check with that block as a candidate B^-1,
-and the check decides B B^-1 = 1 (``Matrix.mul_is``) instead of
-inverting B; only a caller-built E has B eliminated, once.
+whose P columns give B K[F, P] = 1, so B^-1 = K[F, P].  ``_validated``
+hands that block to E's check as a candidate B^-1, and the check decides
+B B^-1 = 1 (``Matrix.mul_is``) instead of inverting B; only a
+caller-built E has B eliminated, once.
 
 Each entry checks its value once, by two routes that must agree:
 
@@ -38,9 +43,10 @@ Each entry checks its value once, by two routes that must agree:
   the full matrix, which with either half of the list gives the other;
 * ``to_eigenspace``, ``_validated``: e:1 to e:7, against E = row space
   of J^T + i passing ``_checked_eigenspace`` and carrying J as i;
-* ``to_aut``: ``_checked_eigenspace`` (not for an E from ``_validated``,
-  which has passed it), against the rebuilt J acting as i on E and
-  satisfying e:1 to e:7.
+* ``to_aut`` on a caller-built E: ``_checked_eigenspace``, against the
+  rebuilt J acting as i on E and satisfying e:1 to e:7 (``_aut_of``).
+  An E from ``_validated`` has passed both of its routes with the J it
+  carries, and ``to_aut`` checks nothing again.
 
 All two-forms B (and bivectors beta) are identified with the linear maps
 v -> iota_v B they induce; as matrices these are skew.  The bilinear form
@@ -50,7 +56,7 @@ pairing against the coefficient matrix is recovered via transpose.
 from __future__ import annotations
 
 from .fields import QI, QQ, I, rational_from_ints
-from .linalg import Matrix, Subspace, vec_dot
+from .linalg import Matrix, Subspace, _dots, vec_dot
 
 _MINUS_HALF = rational_from_ints(-1, 2)
 
@@ -83,16 +89,23 @@ def is_isotropic(e: Subspace) -> bool:
 
     With basis vectors x_a = (v_a, f_a) stacked as X and S the swap of
     V and V*, the pairing of x_a and x_b is -(X S X^T)[a][b] / 2, so the
-    check is X (X S)^T = 0 (``Matrix.mul_t_is``), X S being X with the two
-    halves of each stored row swapped: one Gram identity instead of a
-    pairwise loop, and no Gram matrix is formed.
+    check is X (X S)^T = 0, X S being X with the two halves of each
+    stored row swapped.  That Gram matrix is symmetric, so each pair of
+    rows is checked once, row a against rows b >= a, as integer dot
+    products of the stored rows (``linalg._dots``): a row's denominator
+    is nonzero, so a dot product is 0 exactly when the pairing is, and no
+    Gram matrix is formed.
     """
     if e.ambient_dim % 2:
         raise ValueError("isotropy needs an even ambient dimension")
     n = e.ambient_dim // 2
-    x = e.basis
-    swapped = [(*[p[n:] + p[:n] for p in row[:-1]], row[-1]) for row in x._z]
-    return x.mul_t_is(Matrix._of(x.field, swapped, 2 * n), 0)
+    rows = [row[:-1] for row in e.basis._z]
+    swapped = [[p[n:] + p[:n] for p in row] for row in rows]
+    for a, row in enumerate(rows):
+        re, im = _dots(row, swapped[a:])
+        if any(re) or any(im):
+            return False
+    return True
 
 
 def quadratic_form(x):
@@ -231,7 +244,7 @@ class GCAut:
                 raise ValueError("blocks must be rational n x n matrices")
         self.n = n
         self.j1, self.j2, self.j3, self.j4 = j1, j2, j3, j4
-        self._e = None  # the checked +i eigenspace, set only by _aut_of and _validated
+        self._e = None  # the checked +i eigenspace, set only by to_aut, _aut_of and _validated
 
     @staticmethod
     def from_full(full: Matrix) -> "GCAut":
@@ -264,11 +277,16 @@ class GCAut:
 
 
 class IsotropicE(Record):
-    """Eigenspace form: E inside the complexified V + V*."""
+    """Eigenspace form: E inside the complexified V + V*.
+
+    An E that ``_validated`` solved from J carries J's blocks, which
+    ``to_aut`` returns as they are; an E built any other way carries
+    nothing, and ``to_aut`` rebuilds J from it and checks both.
+    """
 
     n: int
     e: Subspace
-    _b_inv = None  # candidate B^-1 = K[F, P] (K = J^T), set only on the E _validated computes
+    _j = None  # J's blocks (j1, j2, j3, j4), set only on the E _validated solves from J
 
     def __post_init__(self):
         if self.e.field is not QI or self.e.ambient_dim != 2 * self.n:
@@ -334,16 +352,16 @@ def validate_eigenspace(e: IsotropicE) -> ValidationResult:
     return _checked_eigenspace(e)[0]
 
 
-def _checked_eigenspace(e: IsotropicE):
+def _checked_eigenspace(e: IsotropicE, candidate: Matrix | None = None):
     """(verdict on e, B^-1 or None): the one check of an eigenspace.
 
     E must have dimension n, be isotropic and meet its conjugate only in
     0.  For dim E = n the last is read off E's n x n imaginary block B:
-    an E that carries a candidate B^-1 (one from ``_validated``, read off
-    J^T) is transverse when B times it is 1 (``Matrix.mul_is``, which
-    forms no product); any other E has B inverted, which succeeds exactly
-    when E is transverse.  The B^-1 is what ``_aut_of`` rebuilds J from.
-    Only for dim E != n, where B is not square, is it the rank of Im E
+    given a candidate B^-1 (``_validated`` reads one off J^T), E is
+    transverse when B times it is 1 (``Matrix.mul_is``, which forms no
+    product); without one, B is inverted, which succeeds exactly when E
+    is transverse.  The B^-1 is what ``_aut_of`` rebuilds J from.  Only
+    for dim E != n, where B is not square, is it the rank of Im E
     (``Subspace.meets_conjugate``).
     """
     n, s = e.n, e.e
@@ -351,13 +369,13 @@ def _checked_eigenspace(e: IsotropicE):
     if s.dim == n:
         free = [c for c in range(2 * n) if c not in s.pivots]
         b = s.basis.imag_part().select_columns(free)
-        if e._b_inv is None:
+        if candidate is None:
             try:
                 b_inv = b.inverse()
             except ValueError:
                 pass
-        elif b.mul_is(e._b_inv, 1):
-            b_inv = e._b_inv
+        elif b.mul_is(candidate, 1):
+            b_inv = candidate
     violations = [] if s.dim == n else ["dim"]
     if not is_isotropic(s):
         violations.append("isotropy")
@@ -377,7 +395,8 @@ def _validated(j: GCAut):
     and -i on conj E, which span; conversely E = ker(J - i) has dimension
     n, and <x, y> = <Jx, Jy> = -<x, y> on it.)  E's check is handed
     K[F, P], K = J^T, as its candidate B^-1 (see the module docstring), so
-    nothing is inverted here or in ``to_aut`` on E.  J acting as i is
+    nothing is inverted, and the E returned carries J's blocks for
+    ``to_aut``.  J acting as i is
     E J^T = i E on E's own Q(i) rows, and J^2 = -1, the transpose
     identities and isotropy are decided the same way, by the identity
     kernels ``Matrix.mul_t_is``, ``mul_is`` and ``is_neg_transpose_of``.
@@ -389,11 +408,11 @@ def _validated(j: GCAut):
     # J^T, canonical as it stands
     shifted = [(ints, [0] * r + [d] + [0] * (2 * n - 1 - r), d) for r, (ints, d) in enumerate(kt._z)]
     e = IsotropicE(n, Subspace.from_spanning(QI, 2 * n, Matrix._of(QI, shifted, 2 * n)))
+    candidate = None
     if e.e.dim == n:
         free = [c for c in range(2 * n) if c not in e.e.pivots]
-        at_free = Matrix._of(QQ, [kt._z[c] for c in free], 2 * n)
-        object.__setattr__(e, "_b_inv", at_free.select_columns(e.e.pivots))
-    check = _checked_eigenspace(e)[0]
+        candidate = Matrix._of(QQ, [kt._z[c] for c in free], 2 * n).select_columns(e.e.pivots)
+    check = _checked_eigenspace(e, candidate)[0]
     # J acts as i on E: E J^T = i E on E's stored rows, that is
     # Re J^T = -Im and Im J^T = Re, the two parts sharing each row's denominator
     route_ok = check.ok and e.e.basis.mul_t_is(full, I, e.e.basis)
@@ -403,6 +422,7 @@ def _validated(j: GCAut):
         return ValidationResult(False, violations), None
     carrying = GCAut(j.j1, j.j2, j.j3, j.j4)
     carrying._e = e
+    object.__setattr__(e, "_j", carrying.blocks())
     return ValidationResult(True, violations), carrying
 
 
@@ -429,16 +449,19 @@ def to_eigenspace(j: GCAut) -> IsotropicE:
 def to_aut(e: IsotropicE) -> GCAut:
     """The real automorphism acting as +i on E and -i on the conjugate.
 
-    An E that ``_validated`` computed carries the B^-1 its check confirmed,
-    read off J^T; any other E is checked here (``_checked_eigenspace``),
-    which inverts B once.  The result carries e.
+    An E that ``_validated`` solved from J gives J's blocks back, checked
+    there by both routes; any other E is checked here
+    (``_checked_eigenspace``), which inverts B once, and J is rebuilt from
+    it (``_aut_of``).  The result carries e.
     """
-    b_inv = e._b_inv
-    if b_inv is None:
+    if e._j is None:
         check, b_inv = _checked_eigenspace(e)
         if not check:
             raise ValueError(f"invalid eigenspace: {', '.join(check.violations)}")
-    return _aut_of(e, b_inv)
+        return _aut_of(e, b_inv)
+    j = GCAut(*e._j)
+    j._e = e
+    return j
 
 
 def _aut_of(e: IsotropicE, b_inv: Matrix) -> GCAut:
@@ -498,38 +521,14 @@ def dualize(j: GCAut) -> GCAut:
     return GCAut(j.j4, j.j3, j.j2, j.j1)
 
 
-def dualize_eigenspace(e: IsotropicE) -> IsotropicE:
-    tau = swap_matrix(QI, e.n)
-    return IsotropicE(e.n, e.e.image(tau))
-
-
 def twist(j: GCAut) -> GCAut:
     """Flip the signs of the off-diagonal blocks."""
     return GCAut(j.j1, -j.j2, -j.j3, j.j4)
 
 
-def _interleave(n_a: int, n_b: int, field) -> Matrix:
-    """Reordering (u, u*, v, v*) -> (u, v, u*, v*) as a permutation matrix."""
-    size = 2 * (n_a + n_b)
-    ones = {}
-    # positions in the source vector
-    for k in range(n_a):
-        ones[k, k] = 1  # u
-        ones[n_a + n_b + k, n_a + k] = 1  # u*
-    for k in range(n_b):
-        ones[n_a + k, 2 * n_a + k] = 1  # v
-        ones[n_a + n_b + n_a + k, 2 * n_a + n_b + k] = 1  # v*
-    return Matrix.from_entries(field, size, size, ones)
-
-
 def direct_sum(a: GCAut, b: GCAut) -> GCAut:
     """Structure on U + V with coordinates (u, v, u*, v*)."""
     return GCAut(*(Matrix.block_diagonal(QQ, [x, y]) for x, y in zip(a.blocks(), b.blocks())))
-
-
-def direct_sum_eigenspace(a: IsotropicE, b: IsotropicE) -> IsotropicE:
-    nu = _interleave(a.n, b.n, QI)
-    return IsotropicE(a.n + b.n, a.e.direct_sum(b.e).image(nu))
 
 
 def twisted_product(a: GCAut, b: GCAut) -> GCAut:

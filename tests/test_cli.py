@@ -498,8 +498,10 @@ def _reassemble_raising(d):
             "classification-round-trips",
             "AssertionError: decomposition failed to reassemble the input",
         ),
+        # representation-round-trips rebuilds J from a caller-built E
+        (core, "_aut_of", lambda e, b_inv: None, "representation-round-trips", "AssertionError: check returned false"),
     ],
-    ids=["raises", "returns-false", "decompose-raises"],
+    ids=["raises", "returns-false", "decompose-raises", "rebuild-broken"],
 )
 def test_selftest_failure_carries_reason(capsys, monkeypatch, module, name, broken, failing, reason):
     monkeypatch.setattr(module, name, broken)

@@ -13,9 +13,7 @@ from gclin.core import (
     complex_structure,
     covector_summand,
     direct_sum,
-    direct_sum_eigenspace,
     dualize,
-    dualize_eigenspace,
     is_isotropic,
     pairing,
     projection_matrix,
@@ -102,13 +100,13 @@ scalars = st.one_of(
 
 
 @st.composite
-def pairing_subspaces(draw):
-    """Subspaces of V + V* over Q or Q(i), n <= 3: random spans (mostly not
-    isotropic), spans of rows of a maximal isotropic subspace (isotropic),
-    and such spans with one row perturbed."""
-    n = draw(st.integers(min_value=0, max_value=3))
+def pairing_subspaces(draw, sizes=st.integers(min_value=0, max_value=3), kinds=("random", "isotropic", "perturbed")):
+    """Subspaces of V + V* over Q or Q(i), n drawn from sizes: random spans
+    (mostly not isotropic), spans of rows of a maximal isotropic subspace
+    (isotropic), and such spans with one row perturbed."""
+    n = draw(sizes)
     field = draw(st.sampled_from([QQ, QI]))
-    kind = draw(st.sampled_from(["random", "isotropic", "perturbed"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "random" or n == 0:
         k = draw(st.integers(min_value=0, max_value=2 * n))
         rows = draw(st.lists(st.lists(scalars, min_size=2 * n, max_size=2 * n), min_size=k, max_size=k))
@@ -130,6 +128,13 @@ class TestIsotropy:
     @given(pairing_subspaces())
     def test_gram_verdict_matches_pairing_loop(self, s):
         assert is_isotropic(s) == oracle_isotropic(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairing_subspaces(st.sampled_from([2, 4, 8]), ("isotropic", "perturbed")))
+    def test_half_gram_verdict_matches_every_pairing(self, s):
+        # is_isotropic checks each pair of rows once; pairing runs over all
+        rows = s.basis.data
+        assert is_isotropic(s) == all(pairing(x, y) == 0 for x in rows for y in rows)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=3).flatmap(
@@ -219,6 +224,7 @@ class TestEigenspaceConversion:
                 e = to_eigenspace(j)
                 assert validate_eigenspace(e).ok
                 assert to_aut(e) == j
+                assert to_aut(IsotropicE(n, e.e)) == j  # rebuilt from a caller-built E
 
     def test_invalid_eigenspace_rejected(self):
         # V_C itself is maximally isotropic but equals its conjugate
@@ -248,6 +254,7 @@ class TestCarriedEigenspace:
         e = to_eigenspace(j)
         back = to_aut(e)
         assert back == j
+        assert to_aut(IsotropicE(n, e.e)) == j  # rebuilt from a caller-built E
         assert to_eigenspace(back) == kernel_route(back) == e
 
     @settings(max_examples=30, deadline=None)
@@ -285,23 +292,55 @@ class TestCarriedEigenspace:
         assert kernel_eigenspaces == []
 
     def test_roundtrip_eliminates_b_once(self, eliminations):
-        # the row space of J^T + i alone: B^-1 is read off J^T, checked by
-        # a product and kept for to_aut (2 when the check of E inverted B)
+        # the row space of J^T + i alone: B^-1 is read off J^T and checked
+        # by a product, and to_aut returns the J that E carries (2 when the
+        # check of E inverted B)
         j = random_gcs(Random(5), 4)
         eliminations.clear()
         assert to_aut(to_eigenspace(j)) == j
         assert len(eliminations) == 1
 
+    def test_to_aut_rebuilds_only_a_caller_built_eigenspace(self, monkeypatch):
+        rebuilt = []
+        aut_of = core._aut_of
+
+        def counting(e, b_inv):
+            rebuilt.append(e)
+            return aut_of(e, b_inv)
+
+        monkeypatch.setattr(core, "_aut_of", counting)
+        j = random_gcs(Random(7), 4)
+        e = to_eigenspace(j)
+        assert to_aut(e) == j and to_eigenspace(to_aut(e)) is e
+        assert rebuilt == []
+        fresh = IsotropicE(4, e.e)
+        assert to_aut(fresh) == j
+        assert rebuilt == [fresh] and fresh._j is None  # nothing written onto the caller's E
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 4, 6, 8]), st.integers(min_value=0, max_value=10**6))
     def test_carried_b_inverse_is_the_f_p_block_of_j_transpose(self, n, seed):
+        # the candidate B^-1 that _validated hands to E's check, and the
+        # B^-1 the check confirms
+        seen = []
+        check = core._checked_eigenspace
+
+        def recording(e, candidate=None):
+            out = check(e, candidate)
+            seen.append((e, candidate, out[1]))
+            return out
+
         j = random_gcs(Random(seed), n)
-        e = to_eigenspace(j)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(core, "_checked_eigenspace", recording)
+            e = to_eigenspace(j)
+        [(checked, candidate, confirmed)] = seen
         s = e.e
         free = [c for c in range(2 * n) if c not in s.pivots]
         k = j.full().transpose().data
         at_f_p = Matrix(QQ, [[k[f][p] for p in s.pivots] for f in free])
-        assert e._b_inv == s.basis.imag_part().select_columns(free).inverse() == at_f_p
+        assert checked is e
+        assert candidate == confirmed == s.basis.imag_part().select_columns(free).inverse() == at_f_p
 
 
 # -- the block routes of core against the Q(i) routes they replaced ----------
@@ -550,9 +589,9 @@ def validations(monkeypatch):
     checks = (("J", "_validated"), ("J", "validate_aut"), ("E", "validate_eigenspace"), ("E", "_checked_eigenspace"))
     for kind, name in checks:
 
-        def counting(x, validate=getattr(core, name), kind=kind):
+        def counting(x, *rest, validate=getattr(core, name), kind=kind):
             seen[kind].append(x)
-            return validate(x)
+            return validate(x, *rest)
 
         monkeypatch.setattr(core, name, counting)
     return seen
@@ -598,14 +637,9 @@ class TestEigenspaceRoute:
         elif fault == "isotropy":
             monkeypatch.setattr(core, "is_isotropic", lambda s: False)
         elif fault == "candidate-entry":
-            # the carried B^-1 off in one entry
+            # the candidate B^-1 handed to E's check off in one entry
             check = core._checked_eigenspace
-
-            def bumped_candidate(e):
-                object.__setattr__(e, "_b_inv", bumped(e._b_inv))
-                return check(e)
-
-            monkeypatch.setattr(core, "_checked_eigenspace", bumped_candidate)
+            monkeypatch.setattr(core, "_checked_eigenspace", lambda e, candidate: check(e, bumped(candidate)))
         elif fault == "acts-as-i":
             # a valid eigenspace of another structure, checked with its own B
             # inverted, passes every check but J acting as i on it
@@ -613,27 +647,19 @@ class TestEigenspaceRoute:
             assert validate_eigenspace(IsotropicE(4, other)).ok
             monkeypatch.setattr(core, "Subspace", SimpleNamespace(from_spanning=lambda *a: other))
             check = core._checked_eigenspace
-
-            def own_inverse(e):
-                object.__setattr__(e, "_b_inv", None)
-                return check(e)
-
-            monkeypatch.setattr(core, "_checked_eigenspace", own_inverse)
+            monkeypatch.setattr(core, "_checked_eigenspace", lambda e, candidate: check(e))
         else:
             # transversality is read off B times the candidate B^-1 from J^T
             check = core._checked_eigenspace
-
-            def wrong_candidate(e):
-                object.__setattr__(e, "_b_inv", e._b_inv.scale(2))
-                return check(e)
-
-            monkeypatch.setattr(core, "_checked_eigenspace", wrong_candidate)
+            monkeypatch.setattr(core, "_checked_eigenspace", lambda e, candidate: check(e, candidate.scale(2)))
         with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
             to_eigenspace(j)
 
     @pytest.mark.parametrize("fault", ["rebuilt", "carried"])
     def test_aut_of_rejects_a_j_off_in_one_entry(self, monkeypatch, fault):
-        e = to_eigenspace(random_gcs(Random(1), 4))
+        # a caller-built E, which carries no J, so that J is rebuilt
+        e = IsotropicE(4, to_eigenspace(random_gcs(Random(1), 4)).e)
+        b_inv = core._checked_eigenspace(e)[1]
         if fault == "rebuilt":
             # the rebuilt J comes out of the one 8 x 8 column selection in _aut_of
             select = Matrix.select_columns
@@ -644,10 +670,10 @@ class TestEigenspaceRoute:
 
             monkeypatch.setattr(Matrix, "select_columns", bump_rebuilt)
         else:
-            # J is rebuilt from the B^-1 that e carries
-            object.__setattr__(e, "_b_inv", bumped(e._b_inv))
+            # J is rebuilt from the B^-1 that E's check carries to _aut_of
+            b_inv = bumped(b_inv)
         with pytest.raises(AssertionError, match="reconstructed automorphism does not act as i on E"):
-            to_aut(e)
+            _aut_of(e, b_inv)
 
     def test_validate_aut_runs_no_complex_elimination(self, monkeypatch):
         rng = Random(2)
@@ -662,6 +688,12 @@ class TestEigenspaceRoute:
         monkeypatch.setattr(Matrix, "rref", counting)
         assert {validate_aut(j).ok for j in structures} == {True, False}
         assert QI not in fields
+
+
+def dualize_eigenspace(e: IsotropicE) -> IsotropicE:
+    """E transported through the summand swap tau, as dualize moves J."""
+    tau = swap_matrix(QI, e.n)
+    return IsotropicE(e.n, e.e.image(tau))
 
 
 class TestDuality:
@@ -708,6 +740,26 @@ class TestTwist:
             t = twist(j)
             assert validate_aut(t).ok
             assert twist(t) == j
+
+
+def _interleave(n_a: int, n_b: int, field) -> Matrix:
+    """Reordering (u, u*, v, v*) -> (u, v, u*, v*) as a permutation matrix."""
+    size = 2 * (n_a + n_b)
+    ones = {}
+    # positions in the source vector
+    for k in range(n_a):
+        ones[k, k] = 1  # u
+        ones[n_a + n_b + k, n_a + k] = 1  # u*
+    for k in range(n_b):
+        ones[n_a + k, 2 * n_a + k] = 1  # v
+        ones[n_a + n_b + n_a + k, 2 * n_a + n_b + k] = 1  # v*
+    return Matrix.from_entries(field, size, size, ones)
+
+
+def direct_sum_eigenspace(a: IsotropicE, b: IsotropicE) -> IsotropicE:
+    """The eigenspace of direct_sum, in its coordinates (u, v, u*, v*)."""
+    nu = _interleave(a.n, b.n, QI)
+    return IsotropicE(a.n + b.n, a.e.direct_sum(b.e).image(nu))
 
 
 class TestDirectSum:
