@@ -19,9 +19,11 @@ from .core import (
     Record,
     TwoForm,
     _carrying,
+    _checked_pair,
     complex_structure,
     conjugate_by_basis,
     direct_sum,
+    standard_two_form,
     symplectic_structure,
     to_eigenspace,
 )
@@ -32,7 +34,7 @@ from .subspaces import (
     induce_on_subspace,
     satisfies_graph_condition,
 )
-from .transforms import _recover, b_transform, classify_type
+from .transforms import _recover, b_transform, b_transform_eigenspace, classify_type
 
 
 def canonical_s(j: GCAut) -> Subspace:
@@ -131,30 +133,36 @@ def reassemble(d: Decomposition) -> GCAut:
 
 
 def decompose(j: GCAut) -> Decomposition:
-    """Factor a structure as a B-field transform of symplectic + complex."""
-    # the spinor layer is imported by its few users only, so that code
-    # which never builds a spinor (most CLI verbs) does not load it
-    from .multivector import two_form_coeff
-    from .spinor import standard_data_for_subspace
+    """Factor a structure as a B-field transform of symplectic + complex.
 
+    E is solved for j at most once.  The B-field b_r read off it moves j in
+    blocks and E by back-substitution (``b_transform_eigenspace``), and
+    the moved pair is checked by both routes (``core._checked_pair``)
+    instead of E being solved again.
+    """
     n = j.n
-    e = to_eigenspace(j).e
-    u, _ = standard_data_for_subspace(e)
-    u_map = two_form_coeff(u).transpose()
+    j = _carrying(j)
+    # the map v -> iota_v u is the transpose of u's coefficient matrix,
+    # which is skew
+    u_map = -standard_two_form(j._e.e)
     b_r = TwoForm(u_map.real_part())
     omega_map = u_map.imag_part()
 
-    moved = _carrying(b_transform(j, b_r))
+    check, moved = _checked_pair(b_transform(j, b_r), b_transform_eigenspace(j._e, b_r))
+    if not check:
+        raise AssertionError(f"B-field transform of a valid structure is invalid: {check.violations}")
     s, ind_s = _canonical_s(moved)
     omega_s = TwoForm((s.basis @ omega_map).mul_t(s.basis))
-    if not omega_s.m.is_invertible():
-        raise AssertionError("real 2-form degenerates on the symplectic part")
+    try:
+        symplectic_s = symplectic_structure(omega_s)
+    except ValueError:
+        raise AssertionError("real 2-form degenerates on the symplectic part") from None
 
     w = s.basis.mul_t(omega_map).kernel()
     if s.dim + w.dim != n or not s.intersect(w).is_zero():
         raise AssertionError("orthogonal complement does not complete the carrier")
 
-    if ind_s.jw != symplectic_structure(omega_s):
+    if ind_s.jw != symplectic_s:
         raise AssertionError("induced structure on the symplectic part is off")
     ind_w = induce_on_subspace(moved, w)
     if not ind_w.is_gc:

@@ -42,7 +42,15 @@ Each entry checks its value once, by two routes that must agree:
 * ``validate_aut``: e:1 to e:7, against J^T S J = S (S the swap) on
   the full matrix, which with either half of the list gives the other;
 * ``to_eigenspace``, ``_validated``: e:1 to e:7, against E = row space
-  of J^T + i passing ``_checked_eigenspace`` and carrying J as i;
+  of J^T + i passing ``_checked_eigenspace`` and carrying J as i
+  (``_checked_pair``, the check of a pair (J, E));
+* a B-transform of a structure that carries E: E needs no new solve, as
+  e^B acts on it by the unipotent shear, and
+  ``transforms.b_transform_eigenspace`` moves its RREF basis by
+  back-substitution.  ``classification.decompose`` pairs e^B J with that
+  E through ``_checked_pair``: e:1 to e:7 on e^B J, against the moved E
+  passing ``_checked_eigenspace`` with e^B J acting as i on it, which
+  is the second route and fails on a wrongly moved E;
 * ``to_aut`` on a caller-built E: ``_checked_eigenspace``, against the
   rebuilt J acting as i on E and satisfying e:1 to e:7 (``_aut_of``).
   An E from ``_validated`` has passed both of its routes with the J it
@@ -388,34 +396,54 @@ def _validated(j: GCAut):
     """(verdict on j, a copy of j that carries its +i eigenspace E, or None
     for an invalid j), for a caller that reports the violations itself.
 
-    E is the row space of J^T + i, one Q(i) elimination, and the second
-    route for the equation list: for real J, "E has dimension n, is
-    isotropic, meets its conjugate only in 0, and J acts as i on it" holds
-    exactly when J^2 = -1 and J preserves the pairing.  (J is then i on E
-    and -i on conj E, which span; conversely E = ker(J - i) has dimension
-    n, and <x, y> = <Jx, Jy> = -<x, y> on it.)  E's check is handed
-    K[F, P], K = J^T, as its candidate B^-1 (see the module docstring), so
-    nothing is inverted, and the E returned carries J's blocks for
-    ``to_aut``.  J acting as i is
-    E J^T = i E on E's own Q(i) rows, and J^2 = -1, the transpose
-    identities and isotropy are decided the same way, by the identity
-    kernels ``Matrix.mul_t_is``, ``mul_is`` and ``is_neg_transpose_of``.
+    E is the row space of J^T + i, one Q(i) elimination, and j is checked
+    against it by ``_checked_pair``.
     """
     n, full = j.n, j.full()
-    violations = _violations(j, full)
     kt = full.transpose()
     # row r of J^T + i is (ints, d e_r) / d for the stored row (ints, d) of
     # J^T, canonical as it stands
     shifted = [(ints, [0] * r + [d] + [0] * (2 * n - 1 - r), d) for r, (ints, d) in enumerate(kt._z)]
     e = IsotropicE(n, Subspace.from_spanning(QI, 2 * n, Matrix._of(QI, shifted, 2 * n)))
+    return _checked_pair(j, e, full, kt)
+
+
+def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None, kt: Matrix | None = None):
+    """(verdict on j, a copy of j that carries e, or None for an invalid j):
+    j checked against an eigenspace e the library has just built for it,
+    by two routes that must agree.  full and kt are j's 2n x 2n matrix
+    and its transpose K = J^T, when the caller has them (both or neither).
+
+    The first route is the equation list (``_violations``).  The second
+    is "e has dimension n, is isotropic, meets its conjugate only in 0,
+    and J acts as i on it": for real J this holds exactly when J^2 = -1
+    and J preserves the pairing, and e is then J's +i eigenspace.  (J is
+    then i on e and -i on conj e, which span; conversely E = ker(J - i)
+    has dimension n, and <x, y> = <Jx, Jy> = -<x, y> on it.)  e's check
+    is handed K[F, P] as its candidate B^-1 (see the module
+    docstring), so nothing is inverted.  J acting as i is E J^T = i E on
+    e's own Q(i) rows, and J^2 = -1, the transpose identities and
+    isotropy are decided the same way, by the identity kernels
+    ``Matrix.mul_t_is``, ``mul_is`` and ``is_neg_transpose_of``.  Routes
+    that disagree raise ``AssertionError``: for the E solved from J they
+    are one theorem, and for a carried E (``decompose`` hands E through a
+    B-transform) a wrong E fails the second route while J passes the
+    first.  The e returned on the copy carries J's blocks for ``to_aut``.
+    """
+    n = j.n
+    if full is None:
+        full = j.full()
+        kt = full.transpose()
+    violations = _violations(j, full)
+    s = e.e
     candidate = None
-    if e.e.dim == n:
-        free = [c for c in range(2 * n) if c not in e.e.pivots]
-        candidate = Matrix._of(QQ, [kt._z[c] for c in free], 2 * n).select_columns(e.e.pivots)
+    if s.dim == n:
+        free = [c for c in range(2 * n) if c not in s.pivots]
+        candidate = Matrix._of(QQ, [kt._z[c] for c in free], 2 * n).select_columns(s.pivots)
     check = _checked_eigenspace(e, candidate)[0]
     # J acts as i on E: E J^T = i E on E's stored rows, that is
     # Re J^T = -Im and Im J^T = Re, the two parts sharing each row's denominator
-    route_ok = check.ok and e.e.basis.mul_t_is(full, I, e.e.basis)
+    route_ok = check.ok and s.basis.mul_t_is(full, I, s.basis)
     if route_ok == bool(violations):
         raise AssertionError("equation list disagrees with the eigenspace of J")
     if violations:
@@ -556,12 +584,66 @@ def conjugate_by_basis(j: GCAut, p: Matrix) -> GCAut:
     """Transport j through the invertible map p: source -> target.
 
     Covectors move by the inverse transpose, so the conjugation is by
-    diag(p, (p^-1)^T), whose inverse is diag(p^-1, p^T): one inversion.
+    diag(p, p^-T), whose inverse is diag(p^-1, p^T), and in blocks it is
+    p J1 p^-1, p J2 p^T, p^-T J3 p^-1 and p^-T J4 p^T: one inversion.
     """
     try:
         p_inv = p.inverse()
     except ValueError:
         raise ValueError("change of basis must be invertible") from None
-    big = Matrix.block_diagonal(QQ, [p, p_inv.transpose()])
-    big_inv = Matrix.block_diagonal(QQ, [p_inv, p.transpose()])
-    return GCAut.from_full(big @ j.full() @ big_inv)
+    p_inv_t = p_inv.transpose()
+    return GCAut(
+        p @ j.j1 @ p_inv,
+        (p @ j.j2).mul_t(p),
+        p_inv_t @ j.j3 @ p_inv,
+        (p_inv_t @ j.j4).mul_t(p),
+    )
+
+
+def standard_two_form(e: Subspace) -> Matrix:
+    """The 2-form u of the standard data (u, f_i) of a maximally isotropic
+    E, annihilator(exp(u) ^ f_1 ^ ... ^ f_k) = E, as its skew n x n
+    coefficient matrix over Q(i): u is the sum of u[a][b] f_a ^ f_b over
+    a < b.  ``spinor.standard_data_for_subspace`` builds the multivector
+    from it, and ``classification.decompose`` reads its B-field and
+    symplectic form off it.
+
+    Read off the canonical RREF basis of E: rows whose pivot lies in V are
+    lifts (v_a, g_a) of the RREF basis of rho(E), and the other rows are
+    E meet V* in RREF, whose covector parts are the f_i.  u is the unique
+    2-form supported on the non-pivot (free) dual coordinates of span(f_i)
+    with u(v_a, v_b) = -g_a(v_b): with M the vector parts on the free
+    coordinates and G[a][b] = g_a(v_b), u = -M^-1 G M^-T on those
+    coordinates.
+    """
+    n = e.ambient_dim // 2
+    # pivots ascend, so the lifts are the first rows
+    lifts = sum(p < n for p in e.pivots)
+    fixed = {p - n for p in e.pivots if p >= n}
+    free = [c for c in range(n) if c not in fixed]
+    if e.dim != n:
+        raise AssertionError("projection dimension violates maximal isotropy")
+    if not lifts:
+        return Matrix.zero(QI, n, n)
+    vecs = e.basis.block(0, lifts, 0, n)
+    gram = e.basis.block(0, lifts, n, 2 * n).mul_t(vecs)
+    if not gram.is_skew():
+        raise AssertionError("lifts pair to a non-skew form; subspace not isotropic?")
+    try:
+        m_inv = vecs.select_columns(free).inverse()
+    except ValueError:
+        raise AssertionError("vector parts are not a basis on the free coordinates") from None
+    # -M^-1 G M^-T spread from the free coordinates over all n
+    at_free = dict(zip(free, (m_inv @ gram).mul_t(m_inv)._z))
+    zero = [0] * n
+    z = []
+    for x in range(n):
+        if x not in at_free:
+            z.append((zero, zero, 1))
+            continue
+        re, im, d = at_free[x]
+        u_re, u_im = [0] * n, [0] * n
+        for c, a, b in zip(free, re, im):
+            u_re[c], u_im[c] = -a, -b
+        z.append((u_re, u_im, d))
+    return Matrix._of(QI, z, n)

@@ -321,23 +321,12 @@ def two_form_from_coeff(matrix: Matrix) -> Multivector:
     Only the upper triangle is read; the matrix is expected skew.
     """
     n = matrix.rows
-    data = matrix.data
     terms = {}
-    for i in range(n):
+    for i, (re, im, d) in enumerate(matrix.to_gaussian()._z):
         for j in range(i + 1, n):
-            c = QI.coerce(data[i][j])
-            if c:
-                terms[(1 << i) | (1 << j)] = c
+            if re[j] or im[j]:
+                terms[(1 << i) | (1 << j)] = GaussianRational.from_rationals(
+                    rational_from_ints(re[j], d), rational_from_ints(im[j], d)
+                )
     return Multivector(n, terms)
 
-
-def two_form_coeff(mv: Multivector) -> Matrix:
-    """Full antisymmetric coefficient matrix of a 2-form."""
-    if mv.grades() not in ([], [2]):
-        raise ValueError("not a homogeneous 2-form")
-    entries = {}
-    for mask, c in mv.terms.items():
-        i, j = mask_to_indices(mask)
-        entries[i, j] = c
-        entries[j, i] = -c
-    return Matrix.from_entries(QI, mv.n, mv.n, entries)

@@ -33,10 +33,10 @@ Each step works on data that already exists.  For a form of T terms:
 
 from __future__ import annotations
 
-from .core import Record, is_isotropic
+from .core import Record, is_isotropic, standard_two_form
 from .fields import QI, GaussianRational, rational_from_ints
 from .linalg import Matrix, Subspace, _gauss_int_row, _null_space, vec_dot
-from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices
+from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices, two_form_from_coeff
 
 
 def clifford_act(x, phi: Multivector) -> Multivector:
@@ -177,43 +177,18 @@ def standard_data_for_subspace(e: Subspace):
     """(u, factors) with annihilator(exp(u)^factors) = e.
 
     Requires e maximally isotropic; purity of the result encodes exactly
-    that.  Read off the canonical RREF basis of e: rows whose pivot lies
-    in V are lifts (v_a, g_a) of the RREF basis of rho(E), and the other
-    rows are E intersect V* in RREF, whose covector parts are the factors.
-    The 2-form u is the unique one supported on the non-pivot (free) dual
-    coordinates of span(f_i) with u(v_a, v_b) = -g_a(v_b): with M the
-    vector parts on the free coordinates and G[a][b] = g_a(v_b),
-    u = -M^-1 G M^-T on those coordinates.
+    that.  u is read off the canonical RREF basis of e as a matrix
+    (``core.standard_two_form``), and the rows whose pivot lies in V* are
+    E intersect V* in RREF, whose covector parts are the factors.
     """
     n = e.ambient_dim // 2
     if e.dim != n:
         raise ValueError("subspace is not half-dimensional")
     if not is_isotropic(e):
         raise ValueError("subspace is not isotropic")
-    # pivots ascend, so the lifts are the first rows
-    lifts = len([p for p in e.pivots if p < n])
-    factor_rows = e.basis.block(lifts, e.dim, n, 2 * n).data
-    fixed = {p - n for p in e.pivots if p >= n}
-    free = [c for c in range(n) if c not in fixed]
-    if lifts != n - len(factor_rows):
-        raise AssertionError("projection dimension violates maximal isotropy")
-    u_terms = {}
-    if lifts:
-        vecs = e.basis.block(0, lifts, 0, n)
-        gram = e.basis.block(0, lifts, n, 2 * n).mul_t(vecs)
-        if not gram.is_skew():
-            raise AssertionError("lifts pair to a non-skew form; subspace not isotropic?")
-        try:
-            m_inv = vecs.select_columns(free).inverse()
-        except ValueError:
-            raise AssertionError("vector parts are not a basis on the free coordinates") from None
-        u_free = (m_inv @ gram).mul_t(m_inv).data
-        for a, x in enumerate(free):
-            for b in range(a + 1, len(free)):
-                if u_free[a][b]:
-                    u_terms[(1 << x) | (1 << free[b])] = -u_free[a][b]
-    u = Multivector(n, u_terms)
-    factors = tuple(Multivector.covector(n, row) for row in factor_rows)
+    u = two_form_from_coeff(standard_two_form(e))
+    lifts = sum(p < n for p in e.pivots)
+    factors = tuple(Multivector.covector(n, row) for row in e.basis.block(lifts, e.dim, n, 2 * n).data)
     return u, factors
 
 

@@ -30,13 +30,14 @@ from .core import (
     _checked_eigenspace,
     conjugate_by_basis,
     direct_sum,
+    standard_two_form,
     to_eigenspace,
     twisted_product,
     validate_aut,
 )
 from .fields import QI, QQ
 from .linalg import Matrix, Subspace
-from .transforms import _recover, beta_transform, classify_type
+from .transforms import _recover, _typed, beta_transform
 
 
 class InducedStructure(Record):
@@ -118,19 +119,14 @@ def restrict_spinor(j: GCAut, w: Subspace):
     """
     # the spinor layer is imported by its few users only, so that code
     # which never builds a spinor (most CLI verbs) does not load it
-    from .multivector import Multivector, two_form_coeff, two_form_from_coeff
-    from .spinor import (
-        SpinorLine,
-        StandardForm,
-        annihilator_subspace,
-        spinor_product,
-        standard_data_for_subspace,
-    )
+    from .multivector import Multivector, two_form_from_coeff
+    from .spinor import SpinorLine, StandardForm, annihilator_subspace, spinor_product
 
     n = j.n
     j = _carrying(j)
     e = to_eigenspace(j).e
-    u, _ = standard_data_for_subspace(e)
+    u_mat = standard_two_form(e)
+    u = two_form_from_coeff(u_mat)
 
     rho_e = Subspace.from_spanning(QI, n, e.basis.block(0, e.dim, 0, n))
     phi_span = rho_e.annihilator()
@@ -151,7 +147,7 @@ def restrict_spinor(j: GCAut, w: Subspace):
     sf = StandardForm(QI.one, u, factors)
 
     wmat = w_ci.basis
-    u_w = two_form_from_coeff((wmat @ two_form_coeff(u)).mul_t(wmat))
+    u_w = two_form_from_coeff((wmat @ u_mat).mul_t(wmat))
     pulled = Matrix(QI, factor_rows[:l], cols=n).mul_t(wmat)
     phi_w = spinor_product(u_w, [Multivector.covector(w.dim, row) for row in pulled.data])
     if phi_w.is_zero():
@@ -325,10 +321,10 @@ def find_split_complement(j: GCAut, w: Subspace) -> Subspace | None:
     is the only candidate.  Complex-with-B: solve the linear system for a
     J-equivariant complement correction that is B-orthogonal to W.
     """
-    types = classify_type(j)
+    types, j2_inv = _typed(j)
     n = j.n
     if types.is_b_symplectic:
-        data = _recover(j, types)
+        data = _recover(j, types, j2_inv)
         cand = w.basis.mul_t(data.omega.m).kernel()
         return cand if verify_split(j, w, cand) else None
     if types.is_b_complex:

@@ -3,7 +3,20 @@
 A two-form B acts through the unipotent block matrix [[1,0],[B,1]] and a
 bivector beta through [[1,beta],[0,1]]; both are orthogonal for the
 standard pairing, so conjugation by them moves one valid structure to
-another.
+another.  The conjugation is done on the blocks, by identities of block
+multiplication that hold for any blocks, and no 2n x 2n matrix is formed:
+
+    e^B:     J1 - J2 B,  J2,  J3 + B J1 - J4' B,  J4' = J4 + B J2;
+    e^beta:  J1' = J1 + beta J3,  J2 + beta J4 - J1' beta,  J3,  J4 - J3 beta.
+
+E moves by the shear itself, a row (v | f) of its RREF basis going to
+(v | f - v B).  A row whose pivot lies among the covector columns has
+v = 0 and stays as it is; every other row keeps its pivot in V and has
+the covector pivot columns cleared with the rows that hold them, so the
+result is again an RREF basis, with the same pivots, and nothing is
+eliminated (``b_transform_eigenspace``).  ``classification.decompose``
+hands E through its B-field transform this way instead of solving for it
+again.
 
 Types are read off the blocks (j2 = 0, j2 invertible, ...) and
 cross-checked against the eigenspace criteria, each a rank or a pivot
@@ -19,6 +32,9 @@ dimension n.
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
+
 from .core import (
     BiVector,
     GCAut,
@@ -31,30 +47,50 @@ from .core import (
     to_eigenspace,
 )
 from .fields import QI, QQ, I
-from .linalg import Matrix, Subspace
-
-
-def _shear(m: Matrix, lower: bool) -> Matrix:
-    """[[1, 0], [m, 1]] (the action of a two-form) or [[1, m], [0, 1]] (of a
-    bivector); the inverse is the shear by -m."""
-    one, z = Matrix.identity(QQ, m.rows), Matrix.zero(QQ, m.rows, m.rows)
-    return Matrix.from_blocks(QQ, [[one, z], [m, one]] if lower else [[one, m], [z, one]])
+from .linalg import Matrix, Subspace, _canon, _scaled
 
 
 def b_transform(j: GCAut, b: TwoForm) -> GCAut:
     if b.n != j.n:
         raise ValueError("two-form dimension mismatch")
-    return GCAut.from_full(_shear(b.m, True) @ j.full() @ _shear(-b.m, True))
+    # B is skew, so X B = -X B^T, which mul_t forms from B's rows
+    bm = b.m
+    j4 = j.j4 + bm @ j.j2
+    return GCAut(j.j1 + j.j2.mul_t(bm), j.j2, j.j3 + bm @ j.j1 + j4.mul_t(bm), j4)
 
 
 def beta_transform(j: GCAut, beta: BiVector) -> GCAut:
     if beta.n != j.n:
         raise ValueError("bivector dimension mismatch")
-    return GCAut.from_full(_shear(beta.m, False) @ j.full() @ _shear(-beta.m, False))
+    # beta is skew, so X beta = -X beta^T, which mul_t forms from beta's rows
+    bm = beta.m
+    j1 = j.j1 + bm @ j.j3
+    return GCAut(j1, j.j2 + bm @ j.j4 + j1.mul_t(bm), j.j3, j.j4 + j.j3.mul_t(bm))
 
 
 def b_transform_eigenspace(e: IsotropicE, b: TwoForm) -> IsotropicE:
-    return IsotropicE(e.n, e.e.image(_shear(b.m, True).to_gaussian()))
+    """e^B E, read off E's RREF basis by back-substitution, with no
+    elimination (see the module docstring)."""
+    n, s = e.n, e.e
+    if b.n != n:
+        raise ValueError("two-form dimension mismatch")
+    # the rows with a pivot in V come first, as pivots ascend
+    k = sum(p < n for p in s.pivots)
+    rows = s.basis._z
+    den = lcm(*(d for _, d in b.m._z))
+    # entry c of -v B is v . B_c for the rows B_c of the skew B, all over den
+    b_rows = [ints for (ints,) in _scaled(b.m._z, den)]
+    fixed = Subspace(QI, 2 * n, Matrix._of(QI, rows[k:], 2 * n), s.pivots[k:])
+    moved = []
+    for re, im, d in rows[:k]:
+        vr, vi = re[:n], im[:n]
+        shifted_re = [x * den for x in vr] + [x * den + sum(map(mul, vr, c)) for x, c in zip(re[n:], b_rows)]
+        shifted_im = [y * den for y in vi] + [y * den + sum(map(mul, vi, c)) for y, c in zip(im[n:], b_rows)]
+        # clear the covector pivot columns with the rows that hold them
+        *parts, dd = fixed._remainder((shifted_re, shifted_im, d * den))
+        moved.append(_canon(dd, *parts))
+    basis = Matrix._of(QI, moved + rows[k:], 2 * n)
+    return IsotropicE(n, Subspace(QI, 2 * n, basis, list(s.pivots)))
 
 
 class StructureType(Record):
@@ -69,13 +105,28 @@ class StructureType(Record):
 def classify_type(j: GCAut) -> StructureType:
     """Block-level type flags, cross-checked against the eigenspace
     criteria as ranks and pivot counts (see the module docstring)."""
+    return _classify(j, j.j2.is_invertible())
+
+
+def _typed(j: GCAut):
+    """(classify_type(j), J2^-1 or None): B-symplecticity decided by the
+    one inversion of J2 that recovering the symplectic form needs."""
+    try:
+        j2_inv = j.j2.inverse()
+    except ValueError:
+        j2_inv = None
+    return _classify(j, j2_inv is not None), j2_inv
+
+
+def _classify(j: GCAut, b_symplectic: bool) -> StructureType:
+    """classify_type, given whether J2 inverts."""
     n = j.n
     flags = StructureType(
         is_complex=j.j2.is_zero() and j.j3.is_zero(),
         is_b_complex=j.j2.is_zero(),
         is_beta_complex=j.j3.is_zero(),
         is_symplectic=j.j1.is_zero(),
-        is_b_symplectic=j.j2.is_invertible(),
+        is_b_symplectic=b_symplectic,
         is_beta_symplectic=j.j3.is_invertible(),
     )
 
@@ -119,15 +170,16 @@ class RecoveredData(Record):
 
 def recover(j: GCAut) -> RecoveredData:
     """Undo a B-field transform of a complex or symplectic structure."""
-    return _recover(j, classify_type(j))
+    return _recover(j, *_typed(j))
 
 
-def _recover(j: GCAut, types: StructureType) -> RecoveredData:
-    """recover, given the flags classify_type(j) has already returned."""
+def _recover(j: GCAut, types: StructureType, j2_inv: Matrix | None = None) -> RecoveredData:
+    """recover, given the flags and the J2^-1 that ``_typed(j)`` has
+    already returned; j2_inv is needed only when j is B-symplectic."""
     half = QQ.coerce("1/2")
     if types.is_b_symplectic:
         n = j.n
-        omega = TwoForm(-j.j2.inverse())
+        omega = TwoForm(-j2_inv)
         if not omega.m.mul_is(j.j2, -1):
             raise AssertionError("omega J2 is not -1")
         # omega = -J2^-1, so b = -J2^-1 J1 = omega J1

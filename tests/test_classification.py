@@ -1,4 +1,5 @@
 import sys
+import time
 from random import Random
 
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,9 @@ def c_by_eigenspace(j):
     c_c = inside.sum(inside.conjugate())
     return Subspace.from_spanning(QI, n, c_c.basis.block(0, c_c.dim, 0, n)).real_form()
 
+
+# Seconds decompose may take on random_gcs(Random(3), 24), in process
+DECOMPOSE_N24_BUDGET = 4
 
 EVERY_EVEN_DIMENSION = {(n, d) for n in (2, 4, 6) for d in range(0, n + 1, 2)}
 
@@ -280,15 +284,40 @@ class TestEigenspaceOncePerCall:
         j = random_gcs(Random(seed), n)
         assert reassemble(decompose(j)) == j
 
-    def test_decompose_computes_two_eigenspaces(self, kernel_eigenspaces):
+    def test_decompose_computes_one_eigenspace(self, kernel_eigenspaces):
         rng = Random(11)
         for _ in range(4):
             j = random_gcs(rng, 4)
             del kernel_eigenspaces[:]
             decompose(j)
-            # the input and its B-moved copy
-            assert len(kernel_eigenspaces) == 2
-            assert kernel_eigenspaces[0] is j
+            # the input's; its B-moved copy takes E through the transform
+            # (2 when that copy's E was solved again)
+            assert kernel_eigenspaces == [j]
+
+    def test_decompose_solves_one_eigenspace_of_the_full_width(self, eliminations):
+        # the row space of J^T + i, 2n x 2n, is the only elimination of that
+        # shape: e^B J takes E through the transform by back-substitution
+        # (2 when E of e^B J was solved again)
+        rng = Random(13)
+        for j in (
+            random_gcs(rng, 4),
+            symplectic_structure(random_symplectic_form(rng, 4)),
+            complex_structure(random_complex_matrix(rng, 4)),
+            direct_sum(symplectic_structure(random_symplectic_form(rng, 2)), complex_structure(ROT)),
+        ):
+            eliminations.clear()
+            decompose(j)
+            assert eliminations[0] == (8, 8) and eliminations.count((8, 8)) == 1
+
+    def test_decompose_at_n24_meets_its_budget(self):
+        # measured at 1.6-2.5 s in process on 2 shared CPUs, where solving E
+        # of e^B J again took the call to 4.8-7.7 s
+        j = random_gcs(Random(3), 24)
+        started = time.perf_counter()
+        d = decompose(j)
+        elapsed = time.perf_counter() - started
+        assert d.s.dim + d.w.dim == 24
+        assert elapsed < DECOMPOSE_N24_BUDGET, f"decompose at n = 24 took {elapsed:.1f}s"
 
     def test_each_call_computes_once_and_stores_nothing_on_the_input(self, kernel_eigenspaces):
         rng = Random(12)
@@ -310,7 +339,7 @@ class TestEigenspaceOncePerCall:
                 except ValueError:
                     assert op is recover  # a structure of mixed type
                 assert kernel_eigenspaces[0] is j
-                assert len(kernel_eigenspaces) == (2 if op is decompose else 1)
+                assert len(kernel_eigenspaces) == 1
                 del kernel_eigenspaces[:]
                 to_eigenspace(j)
                 assert kernel_eigenspaces == [j]

@@ -62,6 +62,15 @@ def test_structure_verbs_load_only_core_modules(verb, structure_file):
     assert "dataclasses" not in loaded
 
 
+def test_decompose_loads_no_spinor_layer(structure_file):
+    # decompose reads its B-field and symplectic form off E as a matrix
+    # (core.standard_two_form), so no multivector is built
+    code, loaded = imported(["-m", "gclin", "decompose", structure_file])
+    assert code == 0
+    assert "gclin.classification" in loaded
+    assert not {"gclin.multivector", "gclin.spinor"} & loaded
+
+
 def test_selftest_loads_every_module_but_not_dataclasses():
     # selftest runs every layer, so no verb can load more of gclin than it
     code, loaded = imported(["-m", "gclin", "selftest", "--seed", "0"])

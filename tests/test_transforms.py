@@ -1,12 +1,18 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gclin.core import (
     BiVector,
+    GCAut,
+    IsotropicE,
     TwoForm,
     _carrying,
+    _checked_pair,
     complex_structure,
+    conjugate_by_basis,
     covector_summand,
     direct_sum,
     dualize,
@@ -14,15 +20,18 @@ from gclin.core import (
     symplectic_structure,
     to_eigenspace,
     validate_aut,
+    validate_eigenspace,
     vector_summand,
 )
-from gclin.classification import canonical_omega
+from gclin import transforms
+from gclin.classification import canonical_omega, decompose
 from gclin.fields import QI, QQ
 from gclin.linalg import Matrix, Subspace
 from gclin.samples import (
     random_bivector,
     random_complex_matrix,
     random_gcs,
+    random_invertible,
     random_matrix,
     random_skew,
     random_symplectic_form,
@@ -233,18 +242,19 @@ class TestRecover:
             assert b_transform(complex_structure(data.jmat), data.b) == j
 
     def test_symplectic_recovery_inverts_j2_once(self, eliminations):
-        # classify_type's 6 (the ranks of J2 and J3, E, whose B^-1 is read
-        # off J^T, rho*(E), and the ranks of the imaginary parts of rho(E),
-        # read off E's pivots, and of rho*(E)), then J2 inverted once; the
-        # reassembly builds the classical structure from J2 and omega, so
-        # omega is not inverted back (9 when it was, and classify_type
-        # eliminated rho(E) and meets of E with the two summands)
+        # J2 inverted once, which also decides B-symplecticity, then the
+        # rest of classify_type's checks (the rank of J3, E, whose B^-1 is
+        # read off J^T, rho*(E), and the ranks of the imaginary parts of
+        # rho(E), read off E's pivots, and of rho*(E)); the reassembly
+        # builds the classical structure from J2 and omega, so omega is not
+        # inverted back (7 when classify_type took J2's rank before the
+        # inversion, 9 when omega was inverted back too)
         rng = Random(12)
         j = b_transform(symplectic_structure(random_symplectic_form(rng, 4)), random_two_form(rng, 4))
         eliminations.clear()
         assert recover(j).kind == "symplectic"
-        assert len(eliminations) == 7
-        assert eliminations[-2:] == [(4, 4), (4, 8)]
+        assert len(eliminations) == 6
+        assert eliminations[0] == (4, 8) and eliminations[1:].count((4, 4)) == 4
 
     def test_pure_symplectic_reports_zero_field(self):
         data = recover(symplectic_structure(OMEGA2))
@@ -359,3 +369,118 @@ class TestTOperator:
         bad = Matrix(QQ, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
         with pytest.raises(ValueError):
             analyze_t(omega, bad)
+
+
+# -- the block transforms and the carried E against full-matrix oracles ------
+
+
+def shear(m, lower):
+    """[[1, 0], [m, 1]] (a two-form's action) or [[1, m], [0, 1]] (a
+    bivector's): the oracles conjugate the full 2n x 2n matrix by it."""
+    one, z = Matrix.identity(QQ, m.rows), Matrix.zero(QQ, m.rows, m.rows)
+    return Matrix.from_blocks(QQ, [[one, z], [m, one]] if lower else [[one, m], [z, one]])
+
+
+def oracle_b_transform(j, b):
+    return GCAut.from_full(shear(b.m, True) @ j.full() @ shear(-b.m, True))
+
+
+def oracle_beta_transform(j, beta):
+    return GCAut.from_full(shear(beta.m, False) @ j.full() @ shear(-beta.m, False))
+
+
+def oracle_conjugate_by_basis(j, p):
+    p_inv = p.inverse()
+    big = Matrix.block_diagonal(QQ, [p, p_inv.transpose()])
+    big_inv = Matrix.block_diagonal(QQ, [p_inv, p.transpose()])
+    return GCAut.from_full(big @ j.full() @ big_inv)
+
+
+def oracle_b_transform_eigenspace(e, b):
+    """E's image under the shear, eliminated afresh."""
+    return IsotropicE(e.n, e.e.image(shear(b.m, True).to_gaussian()))
+
+
+def fraction_matrix(rng, n):
+    return Matrix(QQ, [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+
+
+def fraction_skew(rng, n):
+    m = fraction_matrix(rng, n)
+    return m - m.transpose()
+
+
+class TestBlockForm:
+    """b_transform, beta_transform and conjugate_by_basis in blocks give the
+    stored rows of the 2n x 2n products, on valid structures and on
+    arbitrary blocks alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6), st.booleans())
+    def test_hyp_block_transforms_equal_the_full_products(self, n, seed, valid):
+        rng = Random(seed)
+        if valid and n % 2 == 0:
+            j = random_gcs(rng, n)
+        else:
+            j = GCAut(*(fraction_matrix(rng, n) for _ in range(4)))
+        b, beta = TwoForm(fraction_skew(rng, n)), BiVector(fraction_skew(rng, n))
+        p = random_invertible(rng, n).scale(Fraction(1, rng.randint(1, 3)))
+        for out, oracle in (
+            (b_transform(j, b), oracle_b_transform(j, b)),
+            (beta_transform(j, beta), oracle_beta_transform(j, beta)),
+            (conjugate_by_basis(j, p), oracle_conjugate_by_basis(j, p)),
+        ):
+            assert out.blocks() == oracle.blocks()
+            assert [m._z for m in out.blocks()] == [m._z for m in oracle.blocks()]
+            assert out._e is None
+
+    def test_block_transforms_keep_their_errors(self):
+        rng = Random(3)
+        j = random_gcs(rng, 4)
+        with pytest.raises(ValueError, match="two-form dimension mismatch"):
+            b_transform(j, random_two_form(rng, 2))
+        with pytest.raises(ValueError, match="bivector dimension mismatch"):
+            beta_transform(j, random_bivector(rng, 2))
+        with pytest.raises(ValueError, match="change of basis must be invertible"):
+            conjugate_by_basis(j, Matrix.zero(QQ, 4, 4))
+        with pytest.raises(ValueError, match="two-form dimension mismatch"):
+            b_transform_eigenspace(to_eigenspace(j), random_two_form(rng, 2))
+
+
+class TestCarriedEigenspace:
+    """b_transform_eigenspace moves E's RREF basis by back-substitution; it
+    must equal E's image under the shear and the E solved from e^B J."""
+
+    def test_back_substitution_equals_both_routes_on_every_type(self, typed_structures):
+        rng = Random(22)
+        for j in typed_structures:
+            e = to_eigenspace(j)
+            for b in (random_two_form(rng, j.n), TwoForm(fraction_skew(rng, j.n))):
+                moved = b_transform_eigenspace(e, b)
+                for other in (oracle_b_transform_eigenspace(e, b), to_eigenspace(b_transform(j, b))):
+                    assert moved == other
+                    assert moved.e.basis._z == other.e.basis._z and moved.e.pivots == other.e.pivots
+                assert moved._j is None and e.e.pivots == moved.e.pivots
+
+    def test_decompose_checks_the_carried_eigenspace(self, monkeypatch):
+        # a sign error in the back-substitution, f + v B for f - v B, moves E
+        # by -B: a valid eigenspace, of another structure, on which e^B J
+        # does not act as i
+        j = random_gcs(Random(3), 4)
+        decompose(j)
+        scaled = transforms._scaled
+        monkeypatch.setattr(
+            transforms, "_scaled", lambda rows, den: [tuple([-x for x in p] for p in r) for r in scaled(rows, den)]
+        )
+        with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
+            decompose(j)
+
+    def test_pair_check_rejects_an_eigenspace_moved_by_the_wrong_field(self):
+        j = _carrying(random_gcs(Random(4), 4))
+        b = random_two_form(Random(5), 4)
+        wrong = b_transform_eigenspace(j._e, TwoForm(-b.m))
+        assert validate_eigenspace(wrong).ok
+        with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
+            _checked_pair(b_transform(j, b), wrong)
+        check, carrying = _checked_pair(b_transform(j, b), b_transform_eigenspace(j._e, b))
+        assert check.ok and carrying == b_transform(j, b) and to_eigenspace(carrying) == to_eigenspace(b_transform(j, b))
