@@ -325,8 +325,8 @@ def _cmd_canonical(args) -> int:
 def _cmd_compose(args) -> int:
     from .relations import compose
 
-    first = decode_relation(_load_json(args.rel1))
-    second = decode_relation(_load_json(args.rel2))
+    first = decode_relation(_load_json(args.rel1), _structure_to_aut)
+    second = decode_relation(_load_json(args.rel2), _structure_to_aut)
     _emit(encode_relation(compose(first, second)))
     return 0
 
@@ -334,7 +334,7 @@ def _cmd_compose(args) -> int:
 def _cmd_canonical_rel(args) -> int:
     # canonical relations are the generalized Lagrangian ones: the subspace
     # verb's witness search on the graph in the twisted product
-    rel = decode_relation(_load_json(args.rel))
+    rel = decode_relation(_load_json(args.rel), _structure_to_aut)
     return _emit_witness("lagrangian", rel.twisted, rel.graph)
 
 

@@ -110,8 +110,7 @@ def is_isotropic(e: Subspace) -> bool:
     rows = [row[:-1] for row in e.basis._z]
     swapped = [[p[n:] + p[:n] for p in row] for row in rows]
     for a, row in enumerate(rows):
-        re, im = _dots(row, swapped[a:])
-        if any(re) or any(im):
+        if any(map(any, _dots(row, swapped[a:]))):
             return False
     return True
 
@@ -572,12 +571,6 @@ def vector_summand(n: int) -> Subspace:
 def covector_summand(n: int) -> Subspace:
     """The copy of the complexified V* inside V + V* (vector part zero)."""
     return Subspace.coordinate(QI, 2 * n, range(n, 2 * n))
-
-
-def projection_matrix(n: int, which: str) -> Matrix:
-    """Coordinate projection of V + V* onto V ('vector') or V* ('covector');
-    its rows are the basis of the matching summand."""
-    return (vector_summand(n) if which == "vector" else covector_summand(n)).basis
 
 
 def conjugate_by_basis(j: GCAut, p: Matrix) -> GCAut:

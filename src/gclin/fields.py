@@ -141,10 +141,6 @@ class _RationalField:
     def coerce(x):
         return rational(x)
 
-    @staticmethod
-    def conj(x):
-        return x
-
 
 class _GaussianField:
     """Field tag for Q(i)."""
@@ -158,10 +154,6 @@ class _GaussianField:
         if isinstance(x, GaussianRational):
             return x
         return GaussianRational(rational(x))
-
-    @staticmethod
-    def conj(x: GaussianRational) -> GaussianRational:
-        return x.conjugate()
 
 
 QQ = _RationalField()

@@ -25,32 +25,38 @@ null-space rows, and ``null_rows`` returns those rows with none at all.
 the same way (``_null_rows``), and eliminates once, at width
 ambient - dim(other) + dim(self).
 
-Two operations skip work that the general route would repeat.
-``a.mul_t(b)`` is ``a @ b.transpose()``: the rows of b, brought to one
-denominator, are the columns of the product as they stand, where a
-transpose would rescale them into columns only for ``@`` to read them
-back.  ``Matrix.block_diagonal(field, blocks)`` pads each stored row with
-zeros, which keeps it canonical, where ``from_blocks`` with
-``Matrix.zero`` blocks would rejoin every row over a common denominator.
+Every product of stored rows runs one loop, ``_dots``: the integer parts
+of x . y for a row x against rows y, (re,) over Q and (re, im) when
+either side is over Q(i).  ``@`` and ``mul_t`` make its results
+canonical (``_against``).  ``a.mul_t(b)`` is ``a @ b.transpose()``: the
+rows of b, brought to one denominator, are the columns of the product as
+they stand, where a transpose would rescale them into columns only for
+``@`` to read them back.  ``Matrix.block_diagonal(field, blocks)`` pads
+each stored row with zeros, which keeps it canonical, where
+``from_blocks`` with ``Matrix.zero`` blocks would rejoin every row over a
+common denominator.
 
-Identity kernels decide a @ b = c without building a @ b.
+Identity kernels decide a @ b = c without building a @ b, and one
+kernel, ``_first_miss``, decides every product form.
 ``a.mul_is(b, s, c)`` and ``a.mul_t_is(b, s, c)`` decide a @ b = s*c and
 a @ b^T = s*c for a scalar s, c the identity when omitted (so
 ``j.mul_is(j, -1)`` is J^2 = -1 and ``x.mul_t_is(y, 0)`` is x y^T = 0,
-of any shape).  Each integer dot product of a row of a with a column of
-b is compared with c's entry, both sides brought to the same scale by
-cross-multiplying the denominators, and the first row with a mismatch
-ends the check (``_first_miss``): no gcd, no canonical row, no Matrix.
-The kernel reports that row, which ``a.mul_t_miss(b, s, c)`` returns.
+of any shape).  Each row's dot products are compared with c's row, both
+sides brought to the same scale by cross-multiplying the denominators,
+and the first row with a mismatch ends the check: no gcd, no canonical
+row, no Matrix.
 ``a.zero_product_miss(x, b)`` returns the first row r with
 (a @ x^T @ b^T)[r] != 0, or None: x's rows are brought to one
-denominator once, each middle row a_r @ x^T is a list of plain integer
-dot products, a nonzero multiple of the true row, and a zero test needs
-no other scale (``_first_nonzero``).
-``a.is_neg_transpose_of(b)`` decides a = -b^T the same way, entry
-against entry (``_is_neg_transpose``), and ``is_skew`` is the case b = a.
-The structure checks (J^2 = -1, J preserving the pairing, isotropy, J
-acting as i on an eigenspace) run on these.
+denominator once, and each middle row a_r @ x^T, plain integer dot
+products and so a nonzero multiple of the true row, is formed only when
+the kernel reaches it.  Two checks stay outside the kernel, where it
+would multiply more: ``a.is_neg_transpose_of(b)`` decides a = -b^T entry
+against entry (``_is_neg_transpose``), where a product with the identity
+would cost a factor of n, and ``is_skew`` is the case b = a; and
+``core.is_isotropic`` dots each row only with the rows after it, half of
+a symmetric Gram matrix that the kernel would check whole.  The structure
+checks (J^2 = -1, J preserving the pairing, isotropy, J acting as i on an
+eigenspace) run on these.
 
 Every operation (elimination, products, sums, transposes, blocks,
 reduction modulo a subspace, membership) reads and returns integer rows.
@@ -287,18 +293,11 @@ def _rref_zi(ar, ai, ncols):
     return pivots, (dr, di)
 
 
-def _against(field, a, cols, den):
-    """Stored rows whose entry c is row r of a dotted with cols[c], for
-    stored rows a of field and columns given as integer parts ((ints,) over
-    Q, (re, im) over Q(i)) over the common denominator den."""
-    if field is QQ:
-        return [_canon(d * den, [sum(map(mul, ints, col)) for (col,) in cols]) for ints, d in a]
-    out = []
-    for ar, ai, d in a:
-        re = [sum(map(mul, ar, cr)) - sum(map(mul, ai, ci)) for cr, ci in cols]
-        im = [sum(map(mul, ar, ci)) + sum(map(mul, ai, cr)) for cr, ci in cols]
-        out.append(_canon(d * den, re, im))
-    return out
+def _against(a, cols, den):
+    """Stored rows whose entry c is row r of a, over the result's field,
+    dotted with cols[c], integer parts over the common denominator den of
+    that field or of Q (a real factor is not lifted to Q(i))."""
+    return [_canon(row[-1] * den, *_dots(row[:-1], cols)) for row in a]
 
 
 def _columns(field, rows, ncols):
@@ -313,26 +312,27 @@ def _columns(field, rows, ncols):
 
 
 def _product(field, a, b, ncols):
-    """Stored rows of a @ b, for stored rows a and b of field."""
+    """Stored rows of a @ b, for stored rows a of field and b of it or Q."""
     den, cols = _columns(field, b, ncols)
-    return _against(field, a, cols, den)
+    return _against(a, cols, den)
 
 
 def _dots(x, ys):
-    """The dot products x . y, y in ys, as a list of real parts and a list
-    of imaginary parts, for integer parts of rows ((ints,) over Q, (re,
-    im) over Q(i)); every y has as many parts as ys[0].  Over Q(i),
+    """The integer parts of x . y, y in ys, for integer parts of rows
+    ((ints,) over Q, (re, im) over Q(i)): (re,) when x and the ys are over
+    Q, (re, im) otherwise; every y has as many parts as ys[0].  Over Q(i),
     (xr + i*xi) . (yr + i*yi) = xr.yr - xi.yi + i*(xr.yi + xi.yr)."""
     xr = x[0]
-    gaussian_ys = bool(ys) and len(ys[0]) == 2
-    re = [sum(map(mul, xr, y[0])) for y in ys]
-    im = [sum(map(mul, xr, y[1])) for y in ys] if gaussian_ys else [0] * len(ys)
-    if len(x) == 2:
+    if ys and len(ys[0]) == 2:
+        if len(x) == 1:
+            return [sum(map(mul, xr, yr)) for yr, _ in ys], [sum(map(mul, xr, yi)) for _, yi in ys]
         xi = x[1]
-        if gaussian_ys:
-            re = [p - sum(map(mul, xi, y[1])) for p, y in zip(re, ys)]
-        im = [q + sum(map(mul, xi, y[0])) for q, y in zip(im, ys)]
-    return re, im
+        return (
+            [sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)) for yr, yi in ys],
+            [sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)) for yr, yi in ys],
+        )
+    re = [sum(map(mul, xr, y)) for (y,) in ys]
+    return (re,) if len(x) == 1 else (re, [sum(map(mul, x[1], y)) for (y,) in ys])
 
 
 def _first_miss(a, ys, dbs, scale, target):
@@ -340,10 +340,11 @@ def _first_miss(a, ys, dbs, scale, target):
     fails for some b_k = ys[k] / dbs[k], s = (sr + i*si) / sd given as
     scale = (sr, si, sd); None when every entry holds.
 
-    a and target are rows of integer parts over a nonzero denominator,
-    (ints, den) or (re, im, den), canonical or not, and ys integer parts;
-    target None is the identity, or the zero matrix of any shape when s =
-    0.  With a_r over da, b_k over db and the target row over dt,
+    a (any iterable, read row by row) and target are rows of integer parts
+    over a nonzero denominator, (ints, den) or (re, im, den), canonical or
+    not, and ys integer parts; target None is the identity, or, when s =
+    0, the zero matrix of any shape, for which dbs is not read.  With a_r
+    over da, b_k over db and the target row over dt,
     the entry holds when dot(a_r, b_k) * dt * sd = (sr + i*si) * t * da * db,
     so both sides are compared as integers, row by row, and the first row
     with a mismatch stops the loop: no product is formed, reduced or kept.
@@ -351,7 +352,8 @@ def _first_miss(a, ys, dbs, scale, target):
     sr, si, sd = scale
     for r, row in enumerate(a):
         da = row[-1]
-        re, im = _dots(row[:-1], ys)
+        parts = _dots(row[:-1], ys)
+        re, im = parts if len(parts) == 2 else (parts[0], [0] * len(ys))
         if target is None:
             if sr or si:
                 # s at column r, 0 elsewhere
@@ -370,20 +372,6 @@ def _first_miss(a, ys, dbs, scale, target):
             right = da * db
             if p * left != (sr * u - si * v) * right or q * left != (sr * v + si * u) * right:
                 return r
-    return None
-
-
-def _first_nonzero(a, xs, bs):
-    """Index of the first row a_r of a with a_r . X^T . B^T != 0, or None,
-    for stored rows a, X's rows xs as integer parts over one common
-    denominator and B's rows bs as integer parts over any denominators.
-    The middle row is the integer dot products a_r . x_k, a nonzero
-    multiple of the true one; it is never reduced or made canonical."""
-    for r, row in enumerate(a):
-        re, im = _dots(row[:-1], xs)
-        re, im = _dots((re, im) if any(im) else (re,), bs)
-        if any(re) or any(im):
-            return r
     return None
 
 
@@ -588,7 +576,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         field = self.field if other.field is self.field else QI
-        z = _product(field, self._rows_over(field), other._rows_over(field), other.cols)
+        z = _product(field, self._rows_over(field), other._z, other.cols)
         return Matrix._of(field, z, other.cols)
 
     def mul_t(self, other) -> "Matrix":
@@ -597,9 +585,9 @@ class Matrix:
         if self.cols != other.cols:
             raise ValueError("shape mismatch in product")
         field = self.field if other.field is self.field else QI
-        rows = other._rows_over(field)
+        rows = other._z
         den = lcm(*(row[-1] for row in rows))
-        z = _against(field, self._rows_over(field), _scaled(rows, den), den)
+        z = _against(self._rows_over(field), _scaled(rows, den), den)
         return Matrix._of(field, z, other.rows)
 
     def apply(self, v):
@@ -649,28 +637,24 @@ class Matrix:
     def mul_t_is(self, other, scale, target=None) -> bool:
         """Whether self @ other.transpose() = scale * target, as
         ``mul_is`` with other's stored rows as the columns."""
-        return self.mul_t_miss(other, scale, target) is None
-
-    def mul_t_miss(self, other, scale, target=None):
-        """The first row of self where self @ other.transpose() = scale *
-        target fails (0 if target has another shape), or None."""
         if self.cols != other.cols:
             raise ValueError("shape mismatch in product")
         z = other._z
-        return self._first_miss([row[:-1] for row in z], [row[-1] for row in z], scale, target)
+        return self._first_miss([row[:-1] for row in z], [row[-1] for row in z], scale, target) is None
 
     def zero_product_miss(self, x, b):
         """The first row of self @ x.transpose() @ b.transpose() that is
-        not zero, or None (``_first_nonzero``); no product is formed."""
+        not zero, or None; no product is formed (see the module docstring)."""
         if self.cols != x.cols or x.rows != b.cols:
             raise ValueError("shape mismatch in product")
-        field = QI if QI in (self.field, x.field, b.field) else QQ
-        xz = x._rows_over(field)
-        xs = _scaled(xz, lcm(*(row[-1] for row in xz)))
-        return _first_nonzero(self._rows_over(field), xs, [row[:-1] for row in b._rows_over(field)])
+        xs = _scaled(x._z, lcm(*(row[-1] for row in x._z)))
+        # a_r x^T over 1: a nonzero multiple of the true row, as a zero test needs
+        middle = ((*_dots(row[:-1], xs), 1) for row in self._z)
+        return _first_miss(middle, [row[:-1] for row in b._z], None, (0, 0, 1), None)
 
     def _first_miss(self, ys, dbs, scale, target):
-        """``mul_t_miss`` of self against the columns ys / dbs."""
+        """The first row of self where self @ Y = scale * target fails, for
+        Y's columns ys / dbs (0 when target has another shape), or None."""
         if type(scale) is GaussianRational:
             (sr,), (si,), sd = _gauss_int_row([scale])
         else:  # an int or a Fraction
@@ -910,9 +894,6 @@ class Subspace:
                 return k
         return None
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return self.first_outside(other.basis) is None
-
     def coordinates(self, v):
         """Coefficients of v in the RREF basis; v must lie in the subspace."""
         if not self.contains(v):
@@ -1031,21 +1012,6 @@ class Subspace:
         if self.field is QI:
             return self
         return Subspace(QI, self.ambient_dim, self.basis.to_gaussian(), list(self.pivots))
-
-    def real_form(self) -> "Subspace":
-        """Real subspace R with R_C = self; requires conjugation stability."""
-        if self.field is QQ:
-            return self
-        if not self.is_real():
-            raise ValueError("subspace is not conjugation stable")
-        spanning = []
-        for re, im, d in self.basis._z:
-            spanning.append(_canon(d, re))
-            spanning.append(_canon(d, im))
-        real = Subspace._span(QQ, self.ambient_dim, spanning)
-        if real.dim != self.dim:
-            raise ValueError("real form has wrong dimension")
-        return real
 
     def __repr__(self):
         return f"Subspace({self.field.name}, dim {self.dim} of {self.ambient_dim})"

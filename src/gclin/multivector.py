@@ -213,13 +213,6 @@ class Multivector:
         _, c = self.leading_term()
         return self.scale(QI.one / c)
 
-    def proportional_to(self, other: "Multivector") -> bool:
-        if self.n != other.n:
-            return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        return self.normalized() == other.normalized()
-
     def _check(self, other: "Multivector"):
         if self.n != other.n:
             raise ValueError("multivectors live on different spaces")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .core import GCAut, IsotropicE, to_aut
+from .core import GCAut, IsotropicE
 from .fields import QI, QQ, GaussianRational, format_rational, rational, rational_from_ints
 from .linalg import Matrix, Subspace
 
@@ -227,22 +227,22 @@ def encode_relation(r: LinearRelation) -> dict:
     }
 
 
-def decode_relation(data) -> LinearRelation:
+def decode_relation(data, as_aut) -> LinearRelation:
+    """A relation payload; as_aut turns each endpoint, a decoded aut or E
+    structure, into a checked GCAut, or raises."""
     if not isinstance(data, dict):
         raise PayloadError("relation payload must be an object")
     from .relations import LinearRelation
 
-    def as_aut(payload):
+    def endpoint(payload):
         obj = decode_gcs(payload)
-        if isinstance(obj, GCAut):
-            return obj
-        if isinstance(obj, IsotropicE):
-            return to_aut(obj)
-        raise PayloadError("relation endpoints must be aut or E structures")
+        if not isinstance(obj, (GCAut, IsotropicE)):
+            raise PayloadError("relation endpoints must be aut or E structures")
+        return as_aut(obj)
 
     try:
-        source = as_aut(data["source"])
-        target = as_aut(data["target"])
+        source = endpoint(data["source"])
+        target = endpoint(data["target"])
         graph = decode_subspace(data["graph"], QQ)
     except KeyError as exc:
         raise PayloadError(f"missing relation field {exc}") from None

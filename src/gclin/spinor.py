@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from .core import Record, is_isotropic, standard_two_form
 from .fields import QI, GaussianRational, rational_from_ints
-from .linalg import Matrix, Subspace, _gauss_int_row, _null_space, vec_dot
+from .linalg import Matrix, Subspace, _gauss_int_row, _null_space
 from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices, two_form_from_coeff
 
 
@@ -47,12 +47,6 @@ def clifford_act(x, phi: Multivector) -> Multivector:
     v = x[:n]
     f = Multivector.covector(n, x[n:])
     return phi.contract(v) + f.wedge(phi)
-
-
-def clifford_square_scalar(x):
-    """f(v) for x = (v, f): the scalar with x.x.phi = f(v) phi."""
-    n = len(x) // 2
-    return QI.coerce(vec_dot(x[:n], x[n:]))
 
 
 def annihilator_subspace(phi: Multivector) -> Subspace:

@@ -10,13 +10,15 @@ multiplication that hold for any blocks, and no 2n x 2n matrix is formed:
     e^beta:  J1' = J1 + beta J3,  J2 + beta J4 - J1' beta,  J3,  J4 - J3 beta.
 
 E moves by the shear itself, a row (v | f) of its RREF basis going to
-(v | f - v B).  A row whose pivot lies among the covector columns has
-v = 0 and stays as it is; every other row keeps its pivot in V and has
-the covector pivot columns cleared with the rows that hold them, so the
-result is again an RREF basis, with the same pivots, and nothing is
-eliminated (``b_transform_eigenspace``).  ``classification.decompose``
-hands E through its B-field transform this way instead of solving for it
-again.
+(v | f - v B) = (v | f + v B^T), B being skew.  A row whose pivot lies
+among the covector columns P_f has v = 0 and stays as it is; call those
+rows fixed.  The other rows [V | F] become shifted = [V | F + V B^T],
+and then shifted - shifted[:, P_f] @ fixed, which clears their entries
+at P_f with the rows that hold a 1 there and leaves V as it was.  The
+result is again an RREF basis, with the same pivots, built by products
+and sums of ``Matrix`` alone, and nothing is eliminated
+(``b_transform_eigenspace``).  ``classification.decompose`` hands E
+through its B-field transform this way instead of solving for it again.
 
 Types are read off the blocks (j2 = 0, j2 invertible, ...) and
 cross-checked against the eigenspace criteria, each a rank or a pivot
@@ -32,9 +34,6 @@ dimension n.
 
 from __future__ import annotations
 
-from math import lcm
-from operator import mul
-
 from .core import (
     BiVector,
     GCAut,
@@ -47,7 +46,7 @@ from .core import (
     to_eigenspace,
 )
 from .fields import QI, QQ, I
-from .linalg import Matrix, Subspace, _canon, _scaled
+from .linalg import Matrix, Subspace
 
 
 def b_transform(j: GCAut, b: TwoForm) -> GCAut:
@@ -76,20 +75,13 @@ def b_transform_eigenspace(e: IsotropicE, b: TwoForm) -> IsotropicE:
         raise ValueError("two-form dimension mismatch")
     # the rows with a pivot in V come first, as pivots ascend
     k = sum(p < n for p in s.pivots)
-    rows = s.basis._z
-    den = lcm(*(d for _, d in b.m._z))
-    # entry c of -v B is v . B_c for the rows B_c of the skew B, all over den
-    b_rows = [ints for (ints,) in _scaled(b.m._z, den)]
-    fixed = Subspace(QI, 2 * n, Matrix._of(QI, rows[k:], 2 * n), s.pivots[k:])
-    moved = []
-    for re, im, d in rows[:k]:
-        vr, vi = re[:n], im[:n]
-        shifted_re = [x * den for x in vr] + [x * den + sum(map(mul, vr, c)) for x, c in zip(re[n:], b_rows)]
-        shifted_im = [y * den for y in vi] + [y * den + sum(map(mul, vi, c)) for y, c in zip(im[n:], b_rows)]
+    v, f = s.basis.block(0, k, 0, n), s.basis.block(0, k, n, 2 * n)
+    fixed = s.basis.block(k, s.dim, 0, 2 * n)
+    shifted = Matrix.from_blocks(QI, [[v, f + v.mul_t(b.m)]])
+    if fixed.rows:
         # clear the covector pivot columns with the rows that hold them
-        *parts, dd = fixed._remainder((shifted_re, shifted_im, d * den))
-        moved.append(_canon(dd, *parts))
-    basis = Matrix._of(QI, moved + rows[k:], 2 * n)
+        shifted = shifted - shifted.select_columns(s.pivots[k:]) @ fixed
+    basis = Matrix.from_blocks(QI, [[shifted], [fixed]])
     return IsotropicE(n, Subspace(QI, 2 * n, basis, list(s.pivots)))
 
 

@@ -1,0 +1,39 @@
+"""Test helpers that the library itself does not need: each answers a
+question the tests ask of the library's values, through public API."""
+
+from gclin.core import covector_summand, vector_summand
+from gclin.fields import QQ
+from gclin.linalg import Subspace
+
+
+def projection_matrix(n, which):
+    """Coordinate projection of V + V* onto V ('vector') or V* ('covector');
+    its rows are the basis of the matching summand."""
+    return (vector_summand(n) if which == "vector" else covector_summand(n)).basis
+
+
+def contains_subspace(s, other):
+    """Whether the subspace s contains the subspace other."""
+    return s.first_outside(other.basis) is None
+
+
+def real_form(s):
+    """The real subspace R with R_C = s; s must be conjugation stable."""
+    if s.field is QQ:
+        return s
+    if not s.is_real():
+        raise ValueError("subspace is not conjugation stable")
+    spanning = s.basis.real_part().data + s.basis.imag_part().data
+    real = Subspace.from_spanning(QQ, s.ambient_dim, spanning)
+    if real.dim != s.dim:
+        raise ValueError("real form has wrong dimension")
+    return real
+
+
+def proportional_to(phi, psi):
+    """Whether two multivectors span the same line (two zeros do)."""
+    if phi.n != psi.n:
+        return False
+    if phi.is_zero() or psi.is_zero():
+        return phi.is_zero() and psi.is_zero()
+    return phi.normalized() == psi.normalized()

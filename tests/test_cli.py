@@ -11,7 +11,7 @@ import pytest
 from gclin import classification, cli, core, relations, spinor
 from gclin.classification import canonical_omega
 from gclin.cli import main
-from gclin.core import TwoForm, complex_structure, symplectic_structure, to_eigenspace
+from gclin.core import GCAut, TwoForm, complex_structure, symplectic_structure, to_eigenspace
 from gclin.fields import QQ
 from gclin.linalg import Matrix, Subspace
 from gclin.relations import identity_relation, map_relation
@@ -430,6 +430,19 @@ def test_compose_and_canonical_rel(write, capsys):
     code, out = run(capsys, "canonical-rel", write("bad.json", bad))
     if code == 1:
         assert "witness" in json.loads(out)
+
+
+@pytest.mark.parametrize("verb", ["compose", "canonical-rel"])
+def test_relation_endpoints_are_checked_as_structures(write, capsys, verb):
+    # J = 0 squares to 0, not -1: an identity graph between two such
+    # endpoints is no relation of structures, though it would pass the
+    # class tests
+    z = Matrix.zero(QQ, 2, 2)
+    zero = GCAut(z, z, z, z)
+    path = write("zero.json", encode_relation(map_relation(Matrix.identity(QQ, 2), zero, zero)))
+    code, out = run(capsys, verb, *[path] * (2 if verb == "compose" else 1))
+    assert code == 2
+    assert json.loads(out)["error"].startswith("invalid structure: e:1 ")
 
 
 def test_demo_subnotquot_payload(capsys):

@@ -16,7 +16,6 @@ from gclin.core import (
     dualize,
     is_isotropic,
     pairing,
-    projection_matrix,
     quadratic_form,
     swap_matrix,
     symplectic_structure,
@@ -37,6 +36,7 @@ from gclin.samples import (
     random_symplectic_form,
 )
 from gclin.spinor import annihilator_subspace, spinor_from_subspace
+from helpers import projection_matrix, proportional_to
 
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
 OMEGA2 = TwoForm(Matrix(QQ, [[0, -1], [1, 0]]))
@@ -803,7 +803,7 @@ class TestDirectSum:
         lifted = Multivector(4, dict(la.terms))
         product = lifted.wedge(shifted)
         expected = spinor_from_subspace(to_eigenspace(direct_sum(a, b)).e).rep
-        assert product.proportional_to(expected)
+        assert proportional_to(product, expected)
 
     def test_zero_dimensional_identity(self):
         rng = Random(12)

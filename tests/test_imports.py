@@ -6,6 +6,7 @@ run the real ``python -m gclin`` with ``-X importtime``, which reports
 every module the import system loads.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -104,3 +105,28 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError):
         gclin.no_such_name
     assert gclin.core is importlib.import_module("gclin.core")
+
+
+def test_private_linalg_names_stay_behind_its_boundary():
+    # the stored integer rows are linalg's format: outside it only these
+    # private helpers are imported, and no module reduces rows by hand
+    private = {}
+    for path in sorted((SRC / "gclin").glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        source = path.read_text(encoding="utf-8")
+        names = {
+            alias.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        if names:
+            private[path.stem] = names
+        assert "_remainder" not in source, path.stem
+    assert private == {
+        "core": {"_dots"},
+        "multivector": {"_gauss_int_row"},
+        "spinor": {"_gauss_int_row", "_null_space"},
+    }

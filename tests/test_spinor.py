@@ -19,7 +19,6 @@ from gclin.spinor import (
     StandardForm,
     annihilator_subspace,
     clifford_act,
-    clifford_square_scalar,
     check_mukai_formula,
     is_pure,
     mukai_formula_ratio,
@@ -30,6 +29,7 @@ from gclin.spinor import (
     subspace_from_standard_form,
 )
 from gclin.transforms import b_transform, b_transform_eigenspace
+from helpers import proportional_to
 
 I = GaussianRational(0, 1)
 
@@ -39,6 +39,12 @@ def mv(n, *terms):
     for indices, coeff in terms:
         out = out + Multivector(n, {sum(1 << (i - 1) for i in indices): coeff})
     return out
+
+
+def clifford_square_scalar(x):
+    """f(v) for x = (v, f): the scalar with x.x.phi = f(v) phi."""
+    n = len(x) // 2
+    return QI.coerce(vec_dot(x[:n], x[n:]))
 
 
 def omega_std(n=2):
@@ -164,7 +170,7 @@ class TestSpinorFromSubspace:
         u = two_form_from_coeff(
             (-b.m.to_gaussian() + omega.m.to_gaussian().scale(I)).transpose()
         )
-        assert line.rep.proportional_to(u.exp())
+        assert proportional_to(line.rep, u.exp())
 
     def test_bijection_with_maximal_isotropics(self):
         rng = Random(4)
@@ -308,9 +314,7 @@ class TestTransformAndTwistOnSpinors:
                 phi = spinor_from_subspace(e.e).rep
                 moved = b_transform_eigenspace(e, b)
                 exp_part = two_form_from_coeff((-b.m).transpose().to_gaussian()).exp()
-                assert spinor_from_subspace(moved.e).rep.proportional_to(
-                    exp_part.wedge(phi)
-                )
+                assert proportional_to(spinor_from_subspace(moved.e).rep, exp_part.wedge(phi))
 
     def test_twist_negates_exponent(self):
         rng = Random(11)
@@ -321,7 +325,7 @@ class TestTransformAndTwistOnSpinors:
             for f in sf.factors:
                 flipped = flipped.wedge(f)
             expected = spinor_from_subspace(to_eigenspace(twist(j)).e).rep
-            assert flipped.proportional_to(expected)
+            assert proportional_to(flipped, expected)
 
 
 def _random_multivector(rng, n):

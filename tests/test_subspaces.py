@@ -50,6 +50,7 @@ from gclin.subspaces import (
     verify_split,
 )
 from gclin.transforms import _recover, b_transform, beta_transform, classify_type
+from helpers import contains_subspace, proportional_to
 
 I = GaussianRational(0, 1)
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
@@ -245,7 +246,7 @@ class TestRestrictSpinor:
         j = random_gcs(rng, 4)
         sf, l, line_w = restrict_spinor(j, Subspace.full(QQ, 4))
         phi = spinor_from_subspace(to_eigenspace(j).e).rep
-        assert line_w.rep.proportional_to(phi)
+        assert proportional_to(line_w.rep, phi)
 
     def test_transform_restricts_to_restricted_transform(self):
         rng = Random(8)
@@ -292,9 +293,9 @@ class TestGeneralizedClasses:
             perp = Matrix(
                 QQ, [omega.m.apply(x) for x in w.basis.data], cols=4
             ).kernel()
-            assert is_generalized_coisotropic(j, w) == w.contains_subspace(perp)
+            assert is_generalized_coisotropic(j, w) == contains_subspace(w, perp)
             assert is_generalized_lagrangian(j, w) == (
-                classically_isotropic and w.contains_subspace(perp)
+                classically_isotropic and contains_subspace(w, perp)
             )
 
     def test_complex_all_classes_match_invariance(self):

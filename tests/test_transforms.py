@@ -16,14 +16,13 @@ from gclin.core import (
     covector_summand,
     direct_sum,
     dualize,
-    projection_matrix,
     symplectic_structure,
     to_eigenspace,
     validate_aut,
     validate_eigenspace,
     vector_summand,
 )
-from gclin import transforms
+from gclin import classification
 from gclin.classification import canonical_omega, decompose
 from gclin.fields import QI, QQ
 from gclin.linalg import Matrix, Subspace
@@ -49,6 +48,7 @@ from gclin.transforms import (
     satisfies_star,
     t_operator,
 )
+from helpers import projection_matrix
 
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
 OMEGA2 = TwoForm(Matrix(QQ, [[0, -1], [1, 0]]))
@@ -468,9 +468,8 @@ class TestCarriedEigenspace:
         # does not act as i
         j = random_gcs(Random(3), 4)
         decompose(j)
-        scaled = transforms._scaled
         monkeypatch.setattr(
-            transforms, "_scaled", lambda rows, den: [tuple([-x for x in p] for p in r) for r in scaled(rows, den)]
+            classification, "b_transform_eigenspace", lambda e, b: b_transform_eigenspace(e, TwoForm(-b.m))
         )
         with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
             decompose(j)
