@@ -17,13 +17,12 @@ vectors), direct sums on complementary coordinate blocks, graphs of maps,
 conjugates, sign flips of coordinates and projections onto leading
 coordinates have bases already in that form, so ``coordinate``,
 ``direct_sum``, ``graph``, ``conjugate``, ``negate_first`` and
-``project_first`` build them without elimination.  The annihilator is
-read off the stored RREF basis and its pivots, as ``kernel`` reads it off
-a fresh RREF (``_null_space``), so it costs one elimination, of the
-null-space rows, and ``null_rows`` returns those rows with none at all.
-``intersect`` pairs one basis with the other's null-space rows, read off
-the same way (``_null_rows``), and eliminates once, at width
-ambient - dim(other) + dim(self).
+``project_first`` build them without elimination.  The null rows, which
+span the annihilator, are read off the stored RREF basis and its pivots
+as ``kernel`` reads them off a fresh RREF (``_null_space``), with no
+elimination, and kept on the subspace (``null_rows``).  ``annihilator``
+eliminates them once, and ``intersect`` pairs one basis with the other's
+null rows and eliminates once, at width ambient - dim(other) + dim(self).
 
 Every product of stored rows runs one loop, ``_dots``: the integer parts
 of x . y for a row x against rows y, (re,) over Q and (re, im) when
@@ -343,24 +342,25 @@ def _first_miss(a, ys, dbs, scale, target):
     a (any iterable, read row by row) and target are rows of integer parts
     over a nonzero denominator, (ints, den) or (re, im, den), canonical or
     not, and ys integer parts; target None is the identity, or, when s =
-    0, the zero matrix of any shape, for which dbs is not read.  With a_r
-    over da, b_k over db and the target row over dt,
+    0, the zero matrix of any shape, which reads the dot products alone.
+    With a_r over da, b_k over db and the target row over dt,
     the entry holds when dot(a_r, b_k) * dt * sd = (sr + i*si) * t * da * db,
     so both sides are compared as integers, row by row, and the first row
     with a mismatch stops the loop: no product is formed, reduced or kept.
     """
     sr, si, sd = scale
+    if target is None and not (sr or si):
+        return next((r for r, row in enumerate(a) if any(map(any, _dots(row[:-1], ys)))), None)
     for r, row in enumerate(a):
         da = row[-1]
         parts = _dots(row[:-1], ys)
         re, im = parts if len(parts) == 2 else (parts[0], [0] * len(ys))
         if target is None:
-            if sr or si:
-                # s at column r, 0 elsewhere
-                right = da * dbs[r]
-                if re[r] * sd != sr * right or im[r] * sd != si * right:
-                    return r
-                re[r] = im[r] = 0
+            # s at column r, 0 elsewhere
+            right = da * dbs[r]
+            if re[r] * sd != sr * right or im[r] * sd != si * right:
+                return r
+            re[r] = im[r] = 0
             if any(re) or any(im):
                 return r
             continue
@@ -764,13 +764,14 @@ class Matrix:
 class Subspace:
     """Linear subspace of F^ambient_dim with a canonical RREF basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_null")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self._null = None  # the null rows, set only by null_rows
 
     @staticmethod
     def from_spanning(field, ambient_dim, vectors) -> "Subspace":
@@ -943,14 +944,15 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace (in dual coordinates): the
-        null space of the stored RREF basis, which needs no second
-        elimination of that basis."""
-        return _null_space(self.field, self.ambient_dim, self.basis._z, self.pivots)
+        span of the kept null rows, with no elimination of the basis."""
+        return Subspace._span(self.field, self.ambient_dim, self.null_rows()._z)
 
     def null_rows(self) -> Matrix:
-        """Rows spanning the annihilator, read off as ``_null_rows``."""
-        n = self.ambient_dim
-        return Matrix._of(self.field, _null_rows(self.field, n, self.basis._z, self.pivots), n)
+        """Rows spanning the annihilator, read off as ``_null_rows`` once and kept."""
+        if self._null is None:
+            n = self.ambient_dim
+            self._null = Matrix._of(self.field, _null_rows(self.field, n, self.basis._z, self.pivots), n)
+        return self._null
 
     def negate_first(self, k) -> "Subspace":
         """The image under the map negating the first k coordinates.

@@ -26,11 +26,7 @@ from functools import cached_property
 from .core import GCAut, Record, twisted_product
 from .fields import QQ
 from .linalg import Matrix, Subspace
-from .subspaces import (
-    is_generalized_coisotropic,
-    is_generalized_isotropic,
-    is_generalized_lagrangian,
-)
+from .subspaces import is_generalized_coisotropic, is_generalized_isotropic
 
 
 class LinearRelation(Record):
@@ -47,9 +43,19 @@ class LinearRelation(Record):
     @cached_property
     def twisted(self) -> GCAut:
         """The twisted product of the endpoints, for which the class tests
-        run; built on first use and kept, not a field, so equality and
-        hashing do not see it."""
+        run; built on first use and kept, as the two verdicts below are,
+        not a field, so equality and hashing do not see it."""
         return twisted_product(self.source, self.target)
+
+    @cached_property
+    def isotropic(self) -> bool:
+        """Whether the graph is generalized isotropic for ``twisted``."""
+        return is_generalized_isotropic(self.twisted, self.graph)
+
+    @cached_property
+    def coisotropic(self) -> bool:
+        """Whether the graph is generalized coisotropic for ``twisted``."""
+        return is_generalized_coisotropic(self.twisted, self.graph)
 
 
 def identity_relation(j: GCAut) -> LinearRelation:
@@ -87,16 +93,16 @@ def compose(phi: LinearRelation, gamma: LinearRelation) -> LinearRelation:
 
 
 def is_isotropic_relation(r: LinearRelation) -> bool:
-    return is_generalized_isotropic(r.twisted, r.graph)
+    return r.isotropic
 
 
 def is_coisotropic_relation(r: LinearRelation) -> bool:
-    return is_generalized_coisotropic(r.twisted, r.graph)
+    return r.coisotropic
 
 
 def is_canonical(r: LinearRelation) -> bool:
     """Canonical relations are the generalized Lagrangian ones."""
-    return is_generalized_lagrangian(r.twisted, r.graph)
+    return r.isotropic and r.coisotropic
 
 
 _CLASS_TESTS = {
@@ -150,11 +156,10 @@ def _conjugates(mu: Matrix, a: GCAut, b: GCAut) -> bool:
 def graph_iso_test(mu: Matrix, a: GCAut, b: GCAut) -> bool:
     """Graph of mu canonical iff mu conjugates one structure to the other.
 
-    Both evaluations run and must agree.  The conjugation is decided by
-    mu J1a = J1b mu, mu J2a mu^T = J2b, mu^T J3b mu = J3a and
-    J4a mu^T = mu^T J4b: the blocks of diag(mu, mu^-T) J_a = J_b
-    diag(mu, mu^-T), multiplied by mu^T on the covector side, which
-    cancels every mu^-T, so mu is inverted by neither criterion.
+    Both evaluations run and must agree: the graph is a new relation on
+    each call, so no verdict kept by an earlier one answers for it, and
+    the conjugation is decided by the block identities of the module
+    docstring (``_conjugates``), so mu is inverted by neither criterion.
     """
     if not mu.is_invertible():
         raise ValueError("the map must be invertible")

@@ -11,11 +11,11 @@ Coordinates on W are the coefficients in the reduced-echelon basis of W;
 coordinates on V/W are the images of the non-pivot coordinate vectors.
 
 The classes are identities on W's RREF rows W and its null rows N, which
-``Subspace.null_rows`` reads off that RREF with no elimination and which
-span Ann(W): W is generalized isotropic, J(W) in W + Ann(W), when
-N J1 W^T = 0 and W J3 W^T = 0, coisotropic, J(Ann W) in W + Ann(W), when
-N J2 N^T = 0 and W J4 N^T = 0, and Lagrangian when all four hold.  Only
-a coisotropic witness, a row of Ann(W)'s RREF basis, costs an elimination.
+span Ann(W), read off that RREF with no elimination and kept on W
+(``Subspace.null_rows``): W is generalized isotropic, J(W) in W + Ann(W),
+when N J1 W^T = 0 and W J3 W^T = 0, coisotropic, J(Ann W) in W + Ann(W),
+when N J2 N^T = 0 and W J4 N^T = 0, and Lagrangian when all four hold.
+Only a coisotropic witness, a row of Ann(W)'s basis, costs an elimination.
 """
 
 from __future__ import annotations
@@ -165,16 +165,16 @@ def _null_rows_in(j: GCAut, w: Subspace) -> Matrix:
     return w.null_rows()
 
 
-def _first_escape(j: GCAut, w: Subspace, null_w: Matrix, gens: Matrix, coisotropic=False):
-    """Index of the first generator (a row of gens, in W for the isotropic
-    test and in Ann(W) for the coisotropic one) whose image under J leaves
-    W + Ann(W), its vector part pairing nonzero with a null row of W or
-    its covector part with a row of W; None when every image stays inside.
-    Each of the two identities, gens X^T N^T = 0 for the block X (J1 or
-    J2) that gives the vector part and gens Y^T W^T = 0 for the block Y
-    (J3 or J4) that gives the covector part, is one call of the
-    zero-product kernel ``Matrix.zero_product_miss``, which forms no
-    product."""
+def _first_escape(j: GCAut, w: Subspace, coisotropic=False, gens=None):
+    """Index of the first generator (a row of gens, by default W for the
+    isotropic test and N for the coisotropic one) whose image under J
+    leaves W + Ann(W), or None: gens X^T N^T = 0 and gens Y^T W^T = 0 for
+    the blocks X (J1 or J2) and Y (J3 or J4) that give the vector and the
+    covector part, each decided by one call of the zero-product kernel
+    ``Matrix.zero_product_miss``, which forms no product."""
+    null_w = _null_rows_in(j, w)
+    if gens is None:
+        gens = null_w if coisotropic else w.basis
     to_v, to_dual = (j.j2, j.j4) if coisotropic else (j.j1, j.j3)
     found = [gens.zero_product_miss(to_v, null_w), gens.zero_product_miss(to_dual, w.basis)]
     return min((k for k in found if k is not None), default=None)
@@ -182,38 +182,32 @@ def _first_escape(j: GCAut, w: Subspace, null_w: Matrix, gens: Matrix, coisotrop
 
 def generalized_isotropic_witness(j: GCAut, w: Subspace):
     """None if J(W) lies inside W + Ann(W); else an escaping generator."""
-    k = _first_escape(j, w, _null_rows_in(j, w), w.basis)
+    k = _first_escape(j, w)
     return None if k is None else list(w.basis.data[k]) + [QQ.zero] * j.n
 
 
 def generalized_coisotropic_witness(j: GCAut, w: Subspace):
     """None if J(Ann(W)) lies inside W + Ann(W); else an escaping generator
     among the RREF rows of Ann(W), which are eliminated only then."""
-    null_w = _null_rows_in(j, w)
-    if _first_escape(j, w, null_w, null_w, True) is None:
+    if _first_escape(j, w, True) is None:
         return None
     ann = w.annihilator().basis
-    return [QQ.zero] * j.n + list(ann.data[_first_escape(j, w, null_w, ann, True)])
+    return [QQ.zero] * j.n + list(ann.data[_first_escape(j, w, True, ann)])
 
 
 def is_generalized_isotropic(j: GCAut, w: Subspace) -> bool:
     """J(W) lies inside W + Ann(W)."""
-    return generalized_isotropic_witness(j, w) is None
+    return _first_escape(j, w) is None
 
 
 def is_generalized_coisotropic(j: GCAut, w: Subspace) -> bool:
     """J(Ann(W)) lies inside W + Ann(W)."""
-    null_w = _null_rows_in(j, w)
-    return _first_escape(j, w, null_w, null_w, True) is None
+    return _first_escape(j, w, True) is None
 
 
 def is_generalized_lagrangian(j: GCAut, w: Subspace) -> bool:
-    """Both tests above, on one set of null rows of W."""
-    null_w = _null_rows_in(j, w)
-    return (
-        _first_escape(j, w, null_w, w.basis) is None
-        and _first_escape(j, w, null_w, null_w, True) is None
-    )
+    """Both tests above."""
+    return is_generalized_isotropic(j, w) and is_generalized_coisotropic(j, w)
 
 
 def satisfies_graph_condition(j: GCAut, w: Subspace, k: GCAut) -> bool:

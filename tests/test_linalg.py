@@ -1,3 +1,4 @@
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -6,10 +7,17 @@ from random import Random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from gclin import linalg
 from gclin.core import to_eigenspace
 from gclin.fields import QI, QQ, GaussianRational
 from gclin.linalg import Matrix, Subspace, vec_dot
 from gclin.samples import random_gcs, random_subspace
+from gclin.serialize import encode_subspace
+from gclin.subspaces import (
+    is_generalized_coisotropic,
+    is_generalized_isotropic,
+    is_generalized_lagrangian,
+)
 from helpers import real_form
 
 
@@ -1132,6 +1140,16 @@ def test_zero_product_kernel_sees_every_outcome():
     assert a.zero_product_miss(x, Matrix.zero(QQ, 0, 2)) is None
 
 
+def test_zero_tests_read_the_imaginary_part():
+    # a @ b^T is (0, i): row 1 is zero in its real part alone
+    i = GaussianRational(0, 1)
+    a, b = Matrix(QI, [[1, 1], [i, 0]]), Matrix(QQ, [[1, -1]])
+    assert not a.mul_t_is(b, 0) and not a.mul_is(b.transpose(), 0)
+    assert mul_t_miss(a, b, 0) == 1
+    assert a.zero_product_miss(Matrix.identity(QQ, 2), b) == 1
+    assert a.block(0, 1, 0, 2).mul_t_is(b, 0)
+
+
 def test_identity_kernels_see_both_verdicts():
     rng = Random(5)
     verdicts = {"mul_is": set(), "identity": set(), "neg_transpose": set(), "skew": set()}
@@ -1146,3 +1164,57 @@ def test_identity_kernels_see_both_verdicts():
                 verdicts["identity"].add(m.mul_is(m.inverse(), 1))
                 verdicts["identity"].add(m.mul_is(m, -1))
     assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+# -- null rows kept on the subspace ------------------------------------------
+
+
+def test_null_rows_are_read_off_once_per_subspace(monkeypatch):
+    rng = Random(41)
+    j = random_gcs(rng, 4)
+    w, other = random_subspace(rng, 4, 2), random_subspace(rng, 4, 3)
+    calls = []
+    null_rows = linalg._null_rows
+
+    def counting_null_rows(field, n, rows, pivots):
+        calls.append(n)
+        return null_rows(field, n, rows, pivots)
+
+    monkeypatch.setattr(linalg, "_null_rows", counting_null_rows)
+    kept = w.null_rows()
+    assert w.null_rows() is kept
+    assert w.annihilator().basis.mul_t(w.basis).is_zero()
+    assert other.intersect(w).dim == 1
+    for test in (is_generalized_isotropic, is_generalized_coisotropic, is_generalized_lagrangian):
+        test(j, w)
+    # once for w; other's null rows are never read
+    assert calls == [4]
+
+
+@FIELDS
+def test_kept_null_rows_leave_equality_hash_repr_and_encoding_alone(field):
+    rng = Random(42)
+    for _ in range(6):
+        s = Subspace.from_spanning(field, 5, seeded_matrix(rng, field, rng.randint(0, 5), 5))
+        fresh = Subspace.from_spanning(field, 5, s.basis)
+        s.null_rows()
+        s.annihilator()
+        assert s == fresh and fresh == s
+        assert hash(s) == hash(fresh)
+        assert repr(s) == repr(fresh)
+        assert encode_subspace(s) == encode_subspace(fresh)
+
+
+@FIELDS
+def test_kept_null_rows_are_not_changed_by_the_eliminations_that_read_them(field):
+    rng = Random(43)
+    for _ in range(6):
+        s = Subspace.from_spanning(field, 6, seeded_matrix(rng, field, rng.randint(1, 5), 6))
+        other = Subspace.from_spanning(field, 6, seeded_matrix(rng, field, rng.randint(1, 6), 6))
+        kept = s.null_rows()
+        before = deepcopy(kept._z)
+        other.intersect(s)
+        kept.rref()
+        s.annihilator()
+        assert kept._z == before
+        assert s.null_rows() is kept

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gclin import relations
+from gclin import relations, subspaces
 from gclin.core import (
     GCAut,
     TwoForm,
@@ -38,6 +38,8 @@ from gclin.samples import (
     random_symplectic_form,
     random_two_form,
 )
+from gclin.serialize import encode_relation
+from gclin.subspaces import is_generalized_coisotropic, is_generalized_isotropic
 from gclin.transforms import b_transform, beta_transform
 
 OMEGA2 = TwoForm(Matrix(QQ, [[0, -1], [1, 0]]))
@@ -161,6 +163,16 @@ class TestClosure:
             for cls in ("isotropic", "coisotropic", "lagrangian"):
                 assert closure_check(r2, r1, cls)
 
+    def test_a_composite_outside_the_class_raises(self, monkeypatch):
+        rng = Random(39)
+        r1, r2 = random_relation_chain(rng, 2, 2)
+        spans = (LinearRelation(r1.source, r2.target, random_subspace(rng, 4)) for _ in range(40))
+        outside = next(r for r in spans if not r.isotropic)
+        monkeypatch.setattr(relations, "compose", lambda phi, gamma: outside)
+        for cls in ("isotropic", "lagrangian"):
+            with pytest.raises(AssertionError, match=f"composition left the {cls} class"):
+                closure_check(r2, r1, cls)
+
     def test_isotropic_only_inputs(self):
         # compositions of mismatched-endpoint identity graphs stay isotropic
         # without becoming Lagrangian
@@ -277,16 +289,44 @@ class TestConjugationIdentities:
             twisted.append((x.n, y.n))
             return twisted_product(x, y)
 
+        escapes = []
+        first_escape = subspaces._first_escape
+
+        def counting_escape(*args):
+            escapes.append(args[2:])
+            return first_escape(*args)
+
         rng = Random(36)
-        rel, _ = _iso_relation(rng, random_gcs(rng, 4))
+        a = random_gcs(rng, 4)
+        rel, _ = _iso_relation(rng, a)
         monkeypatch.setattr(Matrix, "mul_t", counting_mul_t)
         monkeypatch.setattr(relations, "twisted_product", counting_twisted)
+        monkeypatch.setattr(subspaces, "_first_escape", counting_escape)
         assert is_isotropic_relation(rel) and is_coisotropic_relation(rel) and is_canonical(rel)
         assert products == []
         assert twisted == [(4, 4)]
-        # the kept product is not a field
+        # 4 escape tests when each class test ran its own: the two verdicts
+        # are kept, and asking again runs none
+        assert escapes == [(), (True,)]
+        assert is_canonical(rel) and is_isotropic_relation(rel) and is_coisotropic_relation(rel)
+        assert len(escapes) == 2 and twisted == [(4, 4)]
+        # graph_iso_test decides a fresh map relation on every call
+        assert graph_iso_test(Matrix.identity(QQ, 4), a, a) and graph_iso_test(Matrix.identity(QQ, 4), a, a)
+        assert len(escapes) == 6 and len(twisted) == 3
+        # the kept product and verdicts are not fields
         same = LinearRelation(rel.source, rel.target, rel.graph)
         assert rel == same and hash(rel) == hash(same)
+
+    def test_kept_state_leaves_equality_hash_repr_and_encoding_alone(self):
+        rng = Random(37)
+        for n in (2, 4):
+            rel, _ = _iso_relation(rng, random_gcs(rng, n))
+            fresh = LinearRelation(rel.source, rel.target, Subspace.from_spanning(QQ, 2 * n, rel.graph.basis))
+            assert is_canonical(rel) and rel.graph.annihilator().dim == n
+            assert rel == fresh and fresh == rel
+            assert hash(rel) == hash(fresh)
+            assert repr(rel) == repr(fresh)
+            assert encode_relation(rel) == encode_relation(fresh)
 
 
 def _iso_relation(rng, a):
@@ -332,7 +372,64 @@ def complex_subspace_pair(rng, n):
     return relation(a, b), relation(b, c)
 
 
+def varied_relation(rng, a):
+    """The graph of a random invertible map from a to a conjugate of a, to
+    that conjugate's twist or to an unrelated structure; a quarter of the
+    graphs are widened as the relations benchmark widens them (spanned
+    again with the zero subspace), a quarter by a random vector, and a
+    quarter cut by a random hyperplane."""
+    n = a.n
+    mu = random_invertible(rng, n)
+    b = conjugate_by_basis(a, mu)
+    target = rng.choice([b, twist(b), random_gcs(rng, n)])
+    graph = Subspace.graph(mu)
+    change = rng.randrange(4)
+    if change == 1:
+        graph = graph.sum(Subspace.zero(QQ, 2 * n))
+    elif change == 2:
+        graph = graph.sum(random_subspace(rng, 2 * n, 1))
+    elif change == 3:
+        graph = graph.intersect(random_subspace(rng, 2 * n, 2 * n - 1))
+    return LinearRelation(a, target, graph)
+
+
+def assert_kept_verdicts_hold(rel):
+    """The kept verdicts against the class tests of a fresh twisted product
+    on a copy of the graph that holds no kept null rows."""
+    tp = twisted_product(rel.source, rel.target)
+    copy = Subspace.from_spanning(QQ, rel.graph.ambient_dim, rel.graph.basis)
+    assert is_canonical(rel) == (rel.isotropic and rel.coisotropic)
+    assert is_isotropic_relation(rel) == rel.isotropic == is_generalized_isotropic(tp, copy)
+    assert is_coisotropic_relation(rel) == rel.coisotropic == is_generalized_coisotropic(tp, copy)
+
+
 class TestTheorems:
+    @SIZES
+    @settings(max_examples=12, deadline=None)
+    @given(seed_value=seeds)
+    def test_kept_verdicts_equal_the_class_tests(self, n, seed_value):
+        rng = Random(seed_value)
+        gamma = varied_relation(rng, random_gcs(rng, n))
+        phi = varied_relation(rng, gamma.target)
+        composed = compose(phi, gamma)
+        for rel in (gamma, phi, composed):
+            assert_kept_verdicts_hold(rel)
+        expected = {"isotropic": composed.isotropic, "coisotropic": composed.coisotropic}
+        expected["lagrangian"] = is_canonical(composed)
+        for cls, verdict in expected.items():
+            # raises when both inputs are in the class and the composite is not
+            assert closure_check(phi, gamma, cls) == verdict
+
+    def test_varied_relations_reach_every_verdict(self):
+        rng = Random(38)
+        verdicts = set()
+        for n in (2, 4):
+            for _ in range(12):
+                rel = varied_relation(rng, random_gcs(rng, n))
+                assert_kept_verdicts_hold(rel)
+                verdicts.add((rel.isotropic, rel.coisotropic))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}, verdicts
+
     @SIZES
     @settings(max_examples=12, deadline=None)
     @given(seed_value=seeds)
