@@ -18,7 +18,6 @@ from .core import (
     GCAut,
     Record,
     TwoForm,
-    _carrying,
     _checked_pair,
     complex_structure,
     conjugate_by_basis,
@@ -44,11 +43,11 @@ def canonical_s(j: GCAut) -> Subspace:
     of the vector-part images of the eigenspace and its conjugate, and
     it is checked to carry a valid induced structure of the expected type.
     """
-    return _canonical_s(_carrying(j))[0]
+    return _canonical_s(j)[0]
 
 
 def _canonical_s(j: GCAut):
-    """canonical_s of a structure carrying its eigenspace, with the induced structure on S."""
+    """canonical_s, with the induced structure on S."""
     n = j.n
     # J2 is skew, so its rows span its image
     s = Subspace.from_spanning(QQ, n, j.j2)
@@ -82,7 +81,6 @@ def canonical_c(j: GCAut):
     is checked.
     """
     n = j.n
-    j = _carrying(j)
     e = to_eigenspace(j).e
     c = j.j3.kernel()
     images = c.basis.mul_t(j.j1)
@@ -141,14 +139,14 @@ def decompose(j: GCAut) -> Decomposition:
     instead of E being solved again.
     """
     n = j.n
-    j = _carrying(j)
+    e = to_eigenspace(j)
     # the map v -> iota_v u is the transpose of u's coefficient matrix,
     # which is skew
-    u_map = -standard_two_form(j._e.e)
+    u_map = -standard_two_form(e.e)
     b_r = TwoForm(u_map.real_part())
     omega_map = u_map.imag_part()
 
-    check, moved = _checked_pair(b_transform(j, b_r), b_transform_eigenspace(j._e, b_r))
+    check, moved = _checked_pair(b_transform(j, b_r), b_transform_eigenspace(e, b_r))
     if not check:
         raise AssertionError(f"B-field transform of a valid structure is invalid: {check.violations}")
     s, ind_s = _canonical_s(moved)

@@ -90,10 +90,10 @@ def _load_json(path: str):
 
 def _structure_to_aut(obj) -> GCAut:
     if isinstance(obj, GCAut):
-        check, carrying = _validated(obj)
+        check = _validated(obj)[0]
         if not check:
             raise CliError("invalid structure: " + ", ".join(_labeled(check.violations)))
-        return carrying
+        return obj
     if isinstance(obj, IsotropicE):
         try:
             return to_aut(obj)
@@ -444,7 +444,7 @@ def _selftest_checks(seed: int):
             for _ in range(3):
                 j = random_gcs(rng, n)
                 e = to_eigenspace(j)
-                # a fresh E carries no J, so J is rebuilt from it and checked
+                # a fresh E keeps no J, so J is rebuilt from it and checked
                 if to_aut(IsotropicE(n, e.e)) != j:
                     return False
                 line = spinor_from_subspace(e.e)

@@ -13,18 +13,17 @@ A structure is handled in two interchangeable forms:
 The third form, a pure spinor line, is derived on demand by the spinor
 module rather than stored.
 
-The two forms carry each other where the library makes one from the
-other.  A ``GCAut`` built by ``to_aut`` carries the eigenspace it was
-built from, and ``to_eigenspace`` returns that instead of solving for it
-again; an E that ``_validated`` solved from J carries J's blocks, and
-``to_aut`` returns a ``GCAut`` of those blocks (carrying E) instead of
-rebuilding J.  E holds the blocks and not the ``GCAut``, so the two
-forms reference each other without a cycle and are freed by reference
-counting.  A value built any other way carries nothing, and neither
-function stores onto its argument: the one function that validates a
-structure and solves for E, ``_validated``, returns a private copy that
-carries E (``_carrying`` raises on an invalid structure), so no result
-outlives the call on the caller's objects.
+A structure keeps its checked eigenspace.  The first call that needs E
+of a ``GCAut`` j, ``to_eigenspace`` or any operation that reads E through
+it, solves for E and checks j against it (``_validated``); a valid j
+keeps E in its ``_e`` slot, and every later question about j reads it.
+An invalid j keeps nothing and is refused on every call.  A ``GCAut``
+refuses assignment, so a kept E cannot go stale.  ``to_aut`` of an E
+returns a ``GCAut`` that keeps E, and an E solved from J keeps J's
+blocks, which ``to_aut`` returns instead of rebuilding J.  E holds the
+blocks and not the ``GCAut``, so the two forms reference each other
+without a cycle and are freed by reference counting.  Equality, hashing
+and printing read the blocks alone.
 
 Every eigenspace is checked by one function, ``_checked_eigenspace``.
 In (pivot P, free F) column order E's RREF basis is Re E = [1 | A] and
@@ -42,9 +41,10 @@ Each entry checks its value once, by two routes that must agree:
 * ``validate_aut``: e:1 to e:7, against J^T S J = S (S the swap) on
   the full matrix, which with either half of the list gives the other;
 * ``to_eigenspace``, ``_validated``: e:1 to e:7, against E = row space
-  of J^T + i passing ``_checked_eigenspace`` and carrying J as i
-  (``_checked_pair``, the check of a pair (J, E));
-* a B-transform of a structure that carries E: E needs no new solve, as
+  of J^T + i passing ``_checked_eigenspace`` with J acting as i on it
+  (``_checked_pair``, the check of a pair (J, E)), once per valid J,
+  which keeps E;
+* a B-transform of a structure that keeps E: E needs no new solve, as
   e^B acts on it by the unipotent shear, and
   ``transforms.b_transform_eigenspace`` moves its RREF basis by
   back-substitution.  ``classification.decompose`` pairs e^B J with that
@@ -53,8 +53,8 @@ Each entry checks its value once, by two routes that must agree:
   is the second route and fails on a wrongly moved E;
 * ``to_aut`` on a caller-built E: ``_checked_eigenspace``, against the
   rebuilt J acting as i on E and satisfying e:1 to e:7 (``_aut_of``).
-  An E from ``_validated`` has passed both of its routes with the J it
-  carries, and ``to_aut`` checks nothing again.
+  An E from ``_validated`` has passed both of its routes with the J
+  whose blocks it keeps, and ``to_aut`` checks nothing again.
 
 All two-forms B (and bivectors beta) are identified with the linear maps
 v -> iota_v B they induce; as matrices these are skew.  The bilinear form
@@ -67,6 +67,7 @@ from .fields import QI, QQ, I, rational_from_ints
 from .linalg import Matrix, Subspace, _dots, vec_dot
 
 _MINUS_HALF = rational_from_ints(-1, 2)
+_set = object.__setattr__
 
 # Block equations characterizing a valid automorphism, used as violation
 # labels in validation results and CLI errors.
@@ -165,7 +166,7 @@ class Record:
             "def __hash__(self):",
             f"    return hash(({mine}))",
         ]
-        namespace = {"_set": object.__setattr__}
+        namespace = {"_set": _set}
         exec("\n".join(source), namespace)
         namespace["__init__"].__defaults__ = defaults or None
         # a class's own __eq__ stays; defining it left __hash__ = None in the
@@ -240,7 +241,8 @@ class BiVector(Record):
 
 
 class GCAut:
-    """Automorphism form of a generalized complex structure."""
+    """Automorphism form of a generalized complex structure, whose fields
+    refuse assignment, as a ``Record``'s do, so a kept E stays its E."""
 
     __slots__ = ("n", "j1", "j2", "j3", "j4", "_e")
 
@@ -249,9 +251,15 @@ class GCAut:
         for blk in (j1, j2, j3, j4):
             if blk.rows != n or blk.cols != n or blk.field is not QQ:
                 raise ValueError("blocks must be rational n x n matrices")
-        self.n = n
-        self.j1, self.j2, self.j3, self.j4 = j1, j2, j3, j4
-        self._e = None  # the checked +i eigenspace, set only by to_aut, _aut_of and _validated
+        _set(self, "n", n)
+        _set(self, "j1", j1)
+        _set(self, "j2", j2)
+        _set(self, "j3", j3)
+        _set(self, "j4", j4)
+        _set(self, "_e", None)  # the checked +i eigenspace, kept by _checked_pair, to_aut, _aut_of
+
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     @staticmethod
     def from_full(full: Matrix) -> "GCAut":
@@ -286,14 +294,14 @@ class GCAut:
 class IsotropicE(Record):
     """Eigenspace form: E inside the complexified V + V*.
 
-    An E that ``_validated`` solved from J carries J's blocks, which
-    ``to_aut`` returns as they are; an E built any other way carries
+    An E that a valid J keeps (``_checked_pair``) keeps J's blocks, which
+    ``to_aut`` returns as they are; an E built any other way keeps
     nothing, and ``to_aut`` rebuilds J from it and checks both.
     """
 
     n: int
     e: Subspace
-    _j = None  # J's blocks (j1, j2, j3, j4), set only on the E _validated solves from J
+    _j = None  # J's blocks (j1, j2, j3, j4), kept on the E that J keeps
 
     def __post_init__(self):
         if self.e.field is not QI or self.e.ambient_dim != 2 * self.n:
@@ -392,8 +400,8 @@ def _checked_eigenspace(e: IsotropicE, candidate: Matrix | None = None):
 
 
 def _validated(j: GCAut):
-    """(verdict on j, a copy of j that carries its +i eigenspace E, or None
-    for an invalid j), for a caller that reports the violations itself.
+    """(verdict on j, j), for a caller that reports the violations itself:
+    a valid j keeps its +i eigenspace E, and an invalid j keeps nothing.
 
     E is the row space of J^T + i, one Q(i) elimination, and j is checked
     against it by ``_checked_pair``.
@@ -408,10 +416,10 @@ def _validated(j: GCAut):
 
 
 def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None, kt: Matrix | None = None):
-    """(verdict on j, a copy of j that carries e, or None for an invalid j):
-    j checked against an eigenspace e the library has just built for it,
-    by two routes that must agree.  full and kt are j's 2n x 2n matrix
-    and its transpose K = J^T, when the caller has them (both or neither).
+    """(verdict on j, j): j checked against an eigenspace e the library has
+    just built for it, by two routes that must agree.  full and kt are j's
+    2n x 2n matrix and its transpose K = J^T, when the caller has them
+    (both or neither).
 
     The first route is the equation list (``_violations``).  The second
     is "e has dimension n, is isotropic, meets its conjugate only in 0,
@@ -427,7 +435,8 @@ def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None, kt: Matri
     that disagree raise ``AssertionError``: for the E solved from J they
     are one theorem, and for a carried E (``decompose`` hands E through a
     B-transform) a wrong E fails the second route while J passes the
-    first.  The e returned on the copy carries J's blocks for ``to_aut``.
+    first.  A valid j keeps e, and e keeps J's blocks for ``to_aut``; an
+    invalid j keeps nothing.
     """
     n = j.n
     if full is None:
@@ -445,32 +454,25 @@ def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None, kt: Matri
     route_ok = check.ok and s.basis.mul_t_is(full, I, s.basis)
     if route_ok == bool(violations):
         raise AssertionError("equation list disagrees with the eigenspace of J")
-    if violations:
-        return ValidationResult(False, violations), None
-    carrying = GCAut(j.j1, j.j2, j.j3, j.j4)
-    carrying._e = e
-    object.__setattr__(e, "_j", carrying.blocks())
-    return ValidationResult(True, violations), carrying
-
-
-def _carrying(j: GCAut) -> GCAut:
-    """j itself if it carries its eigenspace, else a copy that does."""
-    if j._e is not None:
-        return j
-    check, carrying = _validated(j)
-    if not check:
-        raise ValueError(f"invalid automorphism: {', '.join(check.violations)}")
-    return carrying
+    if not violations:
+        _set(j, "_e", e)
+        _set(e, "_j", j.blocks())
+    return ValidationResult(not violations, violations), j
 
 
 def to_eigenspace(j: GCAut) -> IsotropicE:
     """The +i eigenspace of the complexified automorphism.
 
-    A structure that carries its eigenspace returns it; otherwise it is
-    computed and checked against the block equations (``_validated``),
-    and not stored on j.
+    The first call on j computes E and checks it against the block
+    equations (``_validated``), and a valid j keeps it: later calls, and
+    every operation that reads E through this one, return the kept E.  An
+    invalid j keeps nothing and raises ``ValueError`` on every call.
     """
-    return _carrying(j)._e
+    if j._e is None:
+        check = _validated(j)[0]
+        if not check:
+            raise ValueError(f"invalid automorphism: {', '.join(check.violations)}")
+    return j._e
 
 
 def to_aut(e: IsotropicE) -> GCAut:
@@ -479,7 +481,7 @@ def to_aut(e: IsotropicE) -> GCAut:
     An E that ``_validated`` solved from J gives J's blocks back, checked
     there by both routes; any other E is checked here
     (``_checked_eigenspace``), which inverts B once, and J is rebuilt from
-    it (``_aut_of``).  The result carries e.
+    it (``_aut_of``).  The result keeps e.
     """
     if e._j is None:
         check, b_inv = _checked_eigenspace(e)
@@ -487,7 +489,7 @@ def to_aut(e: IsotropicE) -> GCAut:
             raise ValueError(f"invalid eigenspace: {', '.join(check.violations)}")
         return _aut_of(e, b_inv)
     j = GCAut(*e._j)
-    j._e = e
+    _set(j, "_e", e)
     return j
 
 
@@ -520,7 +522,7 @@ def _aut_of(e: IsotropicE, b_inv: Matrix) -> GCAut:
     violations = _violations(j, full)
     if violations:
         raise AssertionError(f"reconstructed automorphism invalid: {violations}")
-    j._e = e
+    _set(j, "_e", e)
     return j
 
 

@@ -26,7 +26,6 @@ from .core import (
     IsotropicE,
     Record,
     _aut_of,
-    _carrying,
     _checked_eigenspace,
     conjugate_by_basis,
     direct_sum,
@@ -123,7 +122,6 @@ def restrict_spinor(j: GCAut, w: Subspace):
     from .spinor import SpinorLine, StandardForm, annihilator_subspace, spinor_product
 
     n = j.n
-    j = _carrying(j)
     e = to_eigenspace(j).e
     u_mat = standard_two_form(e)
     u = two_form_from_coeff(u_mat)

@@ -19,9 +19,9 @@ from gclin.transforms import b_transform, beta_transform
 def kernel_eigenspaces(monkeypatch):
     """Records each structure whose eigenspace core computes.
 
-    to_eigenspace validates a structure that carries no eigenspace, and
+    to_eigenspace validates a structure that keeps no eigenspace, and
     solves for its eigenspace, in one call of core._validated, and a
-    carried eigenspace skips it, so each call is one eigenspace computed.
+    kept eigenspace skips it, so each call is one eigenspace computed.
     """
     computed = []
     validated = core._validated

@@ -15,6 +15,7 @@ from gclin.classification import (
     reassemble,
 )
 from gclin.core import (
+    GCAut,
     TwoForm,
     complex_structure,
     direct_sum,
@@ -38,6 +39,28 @@ from helpers import contains_subspace, projection_matrix, real_form
 
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
 OMEGA2 = TwoForm(Matrix(QQ, [[0, -1], [1, 0]]))
+
+
+def seven_operations(w):
+    """The operations that read a structure's eigenspace, W fixed for the
+    two inductions."""
+    return (
+        decompose,
+        canonical_s,
+        canonical_c,
+        classify_type,
+        recover,
+        lambda j: induce_on_subspace(j, w),
+        lambda j: induce_on_quotient(j, w),
+    )
+
+
+def outcome(op, j):
+    """op(j), or the type and message of the ValueError it raises."""
+    try:
+        return op(j)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def s_by_eigenspace(j):
@@ -319,27 +342,35 @@ class TestEigenspaceOncePerCall:
         assert d.s.dim + d.w.dim == 24
         assert elapsed < DECOMPOSE_N24_BUDGET, f"decompose at n = 24 took {elapsed:.1f}s"
 
-    def test_each_call_computes_once_and_stores_nothing_on_the_input(self, kernel_eigenspaces):
+    def test_one_solve_serves_every_operation(self, kernel_eigenspaces):
+        # the first operation solves E and j keeps it; the other six and
+        # to_eigenspace read the kept E (seven solves when each operation
+        # solved its own)
         rng = Random(12)
         for _ in range(4):
             j = random_gcs(rng, 4)
-            w = random_subspace(rng, 4)
-            for op in (
-                decompose,
-                canonical_s,
-                canonical_c,
-                classify_type,
-                recover,
-                lambda j: induce_on_subspace(j, w),
-                lambda j: induce_on_quotient(j, w),
-            ):
-                del kernel_eigenspaces[:]
+            del kernel_eigenspaces[:]
+            for op in seven_operations(random_subspace(rng, 4)):
                 try:
                     op(j)
                 except ValueError:
                     assert op is recover  # a structure of mixed type
-                assert kernel_eigenspaces[0] is j
-                assert len(kernel_eigenspaces) == 1
-                del kernel_eigenspaces[:]
-                to_eigenspace(j)
-                assert kernel_eigenspaces == [j]
+            assert to_eigenspace(j) is j._e
+            assert len(kernel_eigenspaces) == 1 and kernel_eigenspaces[0] is j
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([2, 4]),
+        st.integers(min_value=0, max_value=10**6),
+        st.booleans(),
+        st.permutations(range(7)),
+    )
+    def test_a_kept_eigenspace_answers_as_a_fresh_structure(self, n, seed, with_beta, order):
+        rng = Random(seed)
+        j = random_gcs(rng, n, with_beta)
+        ops = seven_operations(random_subspace(rng, n))
+        for k in order:
+            mine, fresh = outcome(ops[k], j), outcome(ops[k], GCAut(*j.blocks()))
+            assert mine == fresh
+            assert j._e is not None
+        assert j._e == to_eigenspace(GCAut(*j.blocks()))

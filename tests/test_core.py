@@ -35,6 +35,7 @@ from gclin.samples import (
     random_maximal_isotropic,
     random_symplectic_form,
 )
+from gclin.serialize import encode_aut
 from gclin.spinor import annihilator_subspace, spinor_from_subspace
 from helpers import projection_matrix, proportional_to
 
@@ -241,7 +242,7 @@ structure_seeds = st.tuples(st.sampled_from([2, 4]), st.integers(min_value=0, ma
 
 
 def kernel_route(j):
-    """The eigenspace solved for on a copy that carries nothing."""
+    """The eigenspace solved for on a copy that keeps nothing."""
     return to_eigenspace(GCAut(*j.blocks()))
 
 
@@ -280,10 +281,47 @@ class TestCarriedEigenspace:
         with pytest.raises(ValueError, match="invalid automorphism"):
             to_eigenspace(GCAut(*blocks))
 
-    def test_to_eigenspace_stores_nothing_on_its_argument(self, kernel_eigenspaces):
+    def test_to_eigenspace_keeps_e_on_its_argument(self, kernel_eigenspaces):
         j = random_gcs(Random(5), 4)
-        assert to_eigenspace(j) == to_eigenspace(j)
-        assert kernel_eigenspaces == [j, j]
+        e = to_eigenspace(j)
+        assert to_eigenspace(j) is e and j._e is e and e._j == j.blocks()
+        assert len(kernel_eigenspaces) == 1 and kernel_eigenspaces[0] is j
+
+    def test_invalid_structure_keeps_nothing(self, kernel_eigenspaces):
+        blocks = list(random_gcs(Random(5), 4).blocks())
+        blocks[0] = blocks[0] + Matrix.identity(QQ, 4)
+        j = GCAut(*blocks)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ValueError, match="invalid automorphism") as raised:
+                to_eigenspace(j)
+            messages.append(str(raised.value))
+            assert j._e is None
+        assert len(set(messages)) == 1 and kernel_eigenspaces == [j, j, j]
+
+    def test_fields_refuse_assignment(self):
+        j = random_gcs(Random(8), 4)
+        to_eigenspace(j)
+        for name in ("n", "j1", "j2", "j3", "j4", "_e"):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(j, name, getattr(j, name))
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(j, name)
+        with pytest.raises(AttributeError):
+            j.j5 = j.j1
+
+    def test_kept_eigenspace_leaves_equality_hash_repr_and_encoding_alone(self):
+        rng = Random(44)
+        for n in (0, 2, 4, 6):
+            j = random_gcs(rng, n)
+            fresh = GCAut(*j.blocks())
+            e = to_eigenspace(j)
+            assert j._e is e and fresh._e is None
+            assert j == fresh and fresh == j
+            assert hash(j) == hash(fresh)
+            assert repr(j) == repr(fresh)
+            assert encode_aut(j) == encode_aut(fresh)
+            assert to_aut(e) == fresh and to_aut(e)._e is e
 
     def test_to_aut_result_is_not_solved_again(self, kernel_eigenspaces):
         e = to_eigenspace(random_gcs(Random(6), 4))

@@ -130,3 +130,20 @@ def test_private_linalg_names_stay_behind_its_boundary():
         "multivector": {"_gauss_int_row"},
         "spinor": {"_gauss_int_row", "_null_space"},
     }
+
+
+def test_no_module_imports_the_removed_carrying_copy():
+    # a structure keeps its checked eigenspace (core.to_eigenspace), so no
+    # caller asks core for a copy that carries it, as core._carrying did
+    assert not hasattr(importlib.import_module("gclin.core"), "_carrying")
+    tests = Path(__file__).resolve().parent
+    for path in sorted([*(SRC / "gclin").glob("*.py"), *tests.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported_names = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("core", "gclin.core")
+            for alias in node.names
+        }
+        attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "_carrying" not in imported_names | attributes, path.name

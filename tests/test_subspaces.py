@@ -11,7 +11,6 @@ from gclin.core import (
     BiVector,
     GCAut,
     TwoForm,
-    _carrying,
     complex_structure,
     conjugate_by_basis,
     direct_sum,
@@ -156,9 +155,10 @@ class TestInduceOnQuotient:
         assert bad.contains(witness)
 
     def test_cut_eliminates_no_annihilator(self, eliminations):
-        # on a J that carries its E: the cut of E, the induced E and its
+        # on a J that keeps its E: the cut of E, the induced E and its
         # B^-1 (4 when the window's Ann(W) was eliminated before the cut)
-        j, w = _carrying(random_gcs(Random(5), 4)), random_subspace(Random(5), 4, 2)
+        j, w = random_gcs(Random(5), 4), random_subspace(Random(5), 4, 2)
+        to_eigenspace(j)
         eliminations.clear()
         assert induce_on_quotient(j, w).is_gc
         assert len(eliminations) == 3
@@ -656,7 +656,7 @@ class TestSplit:
         # and J^3 were inverted to average the projection, 9 when the
         # projection came from inverting [W; complement]^T)
         j, w = next(b_complex_split_cases(Random(0), 6))
-        j = _carrying(j)
+        to_eigenspace(j)
         eliminations.clear()
         assert find_split_complement(j, w) is None
         assert len(eliminations) == 8

@@ -9,7 +9,6 @@ from gclin.core import (
     GCAut,
     IsotropicE,
     TwoForm,
-    _carrying,
     _checked_pair,
     complex_structure,
     conjugate_by_basis,
@@ -201,7 +200,8 @@ class TestClassify:
             symplectic_structure(random_symplectic_form(rng, 2)),
             complex_structure(random_complex_matrix(rng, 2)),
         )
-        j = _carrying(beta_transform(b_transform(split, random_two_form(rng, 4)), random_bivector(rng, 4)))
+        j = beta_transform(b_transform(split, random_two_form(rng, 4)), random_bivector(rng, 4))
+        to_eigenspace(j)
         eliminations.clear()
         t = classify_type(j)
         assert not (t.is_b_complex or t.is_b_symplectic or t.is_beta_complex or t.is_beta_symplectic)
@@ -475,7 +475,8 @@ class TestCarriedEigenspace:
             decompose(j)
 
     def test_pair_check_rejects_an_eigenspace_moved_by_the_wrong_field(self):
-        j = _carrying(random_gcs(Random(4), 4))
+        j = random_gcs(Random(4), 4)
+        to_eigenspace(j)
         b = random_two_form(Random(5), 4)
         wrong = b_transform_eigenspace(j._e, TwoForm(-b.m))
         assert validate_eigenspace(wrong).ok
