@@ -17,12 +17,16 @@ vectors), direct sums on complementary coordinate blocks, graphs of maps,
 conjugates, sign flips of coordinates and projections onto leading
 coordinates have bases already in that form, so ``coordinate``,
 ``direct_sum``, ``graph``, ``conjugate``, ``negate_first`` and
-``project_first`` build them without elimination.  The null rows, which
+``project_first`` build them without elimination.  The null rows N, which
 span the annihilator, are read off the stored RREF basis and its pivots
-as ``kernel`` reads them off a fresh RREF (``_null_space``), with no
-elimination, and kept on the subspace (``null_rows``).  ``annihilator``
-eliminates them once, and ``intersect`` pairs one basis with the other's
-null rows and eliminates once, at width ambient - dim(other) + dim(self).
+with no elimination and kept on the subspace (``null_rows``).  They are
+the one route for membership: W is the annihilator of its annihilator,
+so x lies in W exactly when x N^T = 0, which ``contains``,
+``first_outside`` and ``coordinates`` decide with the zero test of
+``_first_miss``.  ``annihilator`` eliminates N once, ``kernel`` is the
+annihilator of the row space (two eliminations), and ``intersect`` pairs
+one basis with the other's N and eliminates once, at width
+ambient - dim(other) + dim(self).
 
 Every product of stored rows runs one loop, ``_dots``: the integer parts
 of x . y for a row x against rows y, (re,) over Q and (re, im) when
@@ -218,6 +222,8 @@ def _rref_z(a, ncols):
     d = 1
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pr = next((i for i in range(r, nrows) if a[i][c]), None)
         if pr is None:
             continue
@@ -236,8 +242,6 @@ def _rref_z(a, ncols):
         pivots.append(c)
         d = p
         r += 1
-        if r == nrows:
-            break
     return pivots, d
 
 
@@ -254,6 +258,8 @@ def _rref_zi(ar, ai, ncols):
     dr, di = 1, 0
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pr = next((k for k in range(r, nrows) if ar[k][c] or ai[k][c]), None)
         if pr is None:
             continue
@@ -287,8 +293,6 @@ def _rref_zi(ar, ai, ncols):
         pivots.append(c)
         dr, di = pr_, pi_
         r += 1
-        if r == nrows:
-            break
     return pivots, (dr, di)
 
 
@@ -414,12 +418,6 @@ def _null_rows(field, n, rows, pivots):
                 part[pc] = -p[c]
         null_rows.append((*v, 1))
     return null_rows
-
-
-def _null_space(field, n, rows, pivots) -> "Subspace":
-    """The null space of reduced rows (see ``_null_rows``); one
-    elimination puts the null rows in RREF."""
-    return Subspace._span(field, n, _null_rows(field, n, rows, pivots))
 
 
 class Matrix:
@@ -697,17 +695,17 @@ class Matrix:
                 ]
             else:
                 z = [_canon(dr, ar[r], ai[r]) for r in range(len(pivots))]
-        z += [_zero_row(field, n)] * (self.rows - len(pivots))
+        if self.rows > len(pivots):
+            z += [_zero_row(field, n)] * (self.rows - len(pivots))
         return Matrix._of(field, z, n), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> "Subspace":
-        """Right kernel {x : self @ x = 0} as a subspace of F^cols, read
-        off the RREF (see ``_null_space``)."""
-        red, pivots = self.rref()
-        return _null_space(self.field, self.cols, red._z[: len(pivots)], pivots)
+        """Right kernel {x : self @ x = 0} as a subspace of F^cols: the
+        annihilator of the row space, two eliminations."""
+        return Subspace._span(self.field, self.cols, self._z).annihilator()
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -836,64 +834,32 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
 
-    def _remainder(self, row):
-        """The stored row of a vector minus its projection onto the basis,
-        as integer parts over a positive (unreduced) denominator.
-
-        The basis is in RREF, so the projection of v is sum_p v[p] * b_p;
-        with L the lcm of the denominators d_p involved, the remainder times
-        L * den(v) is v*L - sum_p v[p] * (L / d_p) * b_p, all in integers.
-        """
-        pivots, basis = self.pivots, self.basis._z
-        if self.field is QQ:
-            ints, den = row
-            terms = [(ints[p], b) for p, b in zip(pivots, basis) if ints[p]]
-            if not terms:
-                return row
-            big = lcm(*(b[1] for _, b in terms))
-            acc = [x * big for x in ints]
-            for f, (b, d) in terms:
-                f *= big // d
-                acc = [x - f * y for x, y in zip(acc, b)]
-            return acc, den * big
-        re, im, den = row
-        terms = [(re[p], im[p], b) for p, b in zip(pivots, basis) if re[p] or im[p]]
-        if not terms:
-            return row
-        big = lcm(*(b[2] for _, _, b in terms))
-        ar, ai = [x * big for x in re], [y * big for y in im]
-        for fr, fi, (br, bi, d) in terms:
-            s = big // d
-            fr, fi = fr * s, fi * s
-            # subtract (fr + fi*i) * (u + v*i)
-            ar, ai = (
-                [x - fr * u + fi * v for x, u, v in zip(ar, br, bi)],
-                [y - fr * v - fi * u for y, u, v in zip(ai, br, bi)],
-            )
-        return ar, ai, den * big
-
     def _row(self, v):
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         return _row_of(self.field, v)
 
     def reduce(self, v):
-        """Remainder of v after subtracting its projection onto the basis."""
-        *parts, den = self._remainder(self._row(v))
-        return list(_scalars(self.field, _canon(den, *parts)))
+        """Remainder of v after subtracting its projection onto the basis:
+        the basis is in RREF, so that projection is v[P] @ basis for the
+        pivot columns P, one product."""
+        x = Matrix._of(self.field, [self._row(v)], self.ambient_dim)
+        return list((x - x.select_columns(self.pivots) @ self.basis).data[0])
 
     def contains(self, v) -> bool:
-        return _is_zero_row(self._remainder(self._row(v)))
+        return self.first_outside(Matrix._of(self.field, [self._row(v)], self.ambient_dim)) is None
 
     def first_outside(self, m: Matrix):
         """Index of the first row of m that lies outside the subspace, or
-        None when every row lies inside."""
+        None when every row lies inside: the first row x with x N^T != 0
+        for the kept null rows N (see the module docstring).  N is
+        (m - k) x m for a k-dimensional W in F^m; every caller in the
+        library tests against an ambient dimension of at most 2n, for a
+        structure already held as 2n x 2n."""
         if m.cols != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        for k, row in enumerate(m._rows_over(self.field)):
-            if not _is_zero_row(self._remainder(row)):
-                return k
-        return None
+        null = self.null_rows()._z
+        return _first_miss(m._rows_over(self.field), [row[:-1] for row in null], None, (0, 0, 1), None)
 
     def coordinates(self, v):
         """Coefficients of v in the RREF basis; v must lie in the subspace."""

@@ -25,7 +25,8 @@ Each step works on data that already exists.  For a form of T terms:
   permutation of masks per generator gives a (<= 2^n) x 2n integer matrix
   M, O(T n).  Only r of its rows are eliminated, from n (enough for a
   pure form) up to rank M <= 2n, once per row added, and every row is
-  tested once for membership in their span, O(2^n n^2).  The result is
+  tested once for membership in their span: 2n - r dot products of
+  length 2n against the span's kept null rows, O(2^n n^2).  The result is
   exact: the kernel of some rows of M contains ker M, and is contained
   in it once every row of M lies in their span.  The library calls it
   only in cross-checks and in the CLI's ``selftest``.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from .core import Record, is_isotropic, standard_two_form
 from .fields import QI, GaussianRational, rational_from_ints
-from .linalg import Matrix, Subspace, _gauss_int_row, _null_space
+from .linalg import Matrix, Subspace, _gauss_int_row
 from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices, two_form_from_coeff
 
 
@@ -98,10 +99,9 @@ def annihilator_subspace(phi: Multivector) -> Subspace:
             break
         start += outside + 1
         chosen.append(z[start - 1])
-    # the span's rows in (e, f) order: no longer echelon, but each still
-    # has 1 at its pivot column where the others have 0, all _null_space reads
-    swapped = [(a[n:] + a[:n], b[n:] + b[:n], d) for a, b, d in span.basis._z]
-    return _null_space(QI, width, swapped, [(p + n) % width for p in span.pivots])
+    # ker M is the span's annihilator: its kept null rows, in (e, f) order
+    swapped = [(a[n:] + a[:n], b[n:] + b[:n], d) for a, b, d in span.null_rows()._z]
+    return Subspace._span(QI, width, swapped)
 
 
 def is_pure(phi: Multivector) -> bool:

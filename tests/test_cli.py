@@ -69,6 +69,25 @@ def test_validate_eigenspace_payload(write, capsys):
     assert code == 0 and json.loads(out)["result"] is True
 
 
+def test_empty_basis_in_a_huge_ambient_space_is_answered_at_once(write, capsys):
+    # a basis of no rows is eliminated without walking its 10**9 columns
+    e = write("e.json", {"n": 5 * 10**8, "repr": "E", "E": {"ambient_dim": 10**9, "basis": []}})
+    w = write("w.json", {"ambient_dim": 10**9, "basis": []})
+    structure = write("s.json", encode_aut(symplectic_structure(OMEGA2)))
+    for argv, code, line in (
+        (["validate", e], 1, {"result": False, "violations": ["dim"]}),
+        (
+            ["subspace", "--test", "isotropic", "--w", w, structure],
+            2,
+            {"error": "subspace ambient dimension does not match the structure"},
+        ),
+    ):
+        start = time.perf_counter()
+        got, out = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (got, json.loads(out)) == (code, line)
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

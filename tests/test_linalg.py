@@ -534,6 +534,15 @@ def test_hyp_intersect_matches_oracle(field, data):
     assert got == b.intersect(a)
 
 
+@FIELDS
+def test_an_elimination_of_no_rows_walks_no_column(field):
+    # neither the column scan nor the zero rows it appends depend on the width
+    m = Matrix(field, [], cols=10**9)
+    red, pivots = m.rref()
+    assert (red.rows, red.cols, red._z, pivots) == (0, 10**9, [], [])
+    assert Subspace.from_spanning(field, 10**9, m).is_zero()
+
+
 def test_zero_dimensional_vector_operations():
     for field in (QQ, QI):
         z = Subspace.zero(field, 3)
@@ -1150,6 +1159,47 @@ def test_zero_tests_read_the_imaginary_part():
     assert a.block(0, 1, 0, 2).mul_t_is(b, 0)
 
 
+def rows_in_or_near(rng, field, count, s):
+    """count rows over field of s's ambient space: combinations of two
+    rows of s's basis (which must lie over field) with random fractions,
+    so that the rows' denominators differ, or fresh random rows."""
+    basis = s.basis_rows()
+    out = []
+    for _ in range(count):
+        if basis and rng.random() < 0.6:
+            p, q = (field.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 5))) for _ in range(2))
+            out.append([p * x + q * y for x, y in zip(rng.choice(basis), rng.choice(basis))])
+        else:
+            out.append(list(seeded_matrix(rng, field, 1, s.ambient_dim).data[0]))
+    return Matrix(field, out, cols=s.ambient_dim)
+
+
+@FIELDS
+@SIZES
+@seed(20261021)
+@settings(max_examples=60, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_first_outside_is_the_first_row_with_a_remainder(field, n, seed_value):
+    # Q rows and rows of the subspace's field, against a subspace of any
+    # dimension over that field and against the zero and the full one
+    rng = Random(seed_value)
+    inner = Subspace.from_spanning(QQ, n, seeded_matrix(rng, QQ, rng.randint(0, n + 1), n))
+    extra = Subspace.from_spanning(field, n, seeded_matrix(rng, field, rng.randint(0, 2), n))
+    s = (inner if field is QQ else inner.to_gaussian()).sum(extra)
+    for w in (s, Subspace.zero(field, n), Subspace.full(field, n)):
+        for rows_of in (inner, s):
+            m = rows_in_or_near(rng, rows_of.field, rng.randint(0, n + 1), rows_of)
+            outside = [k for k, row in enumerate(m.data) if any(oracle_reduce(w, row))]
+            assert w.first_outside(m) == (outside[0] if outside else None)
+
+
+def test_first_outside_refuses_q_i_rows_against_a_q_subspace():
+    with pytest.raises(TypeError):
+        Subspace.full(QQ, 2).first_outside(Matrix.identity(QI, 2))
+    with pytest.raises(ValueError):
+        Subspace.full(QQ, 2).first_outside(Matrix.identity(QQ, 3))
+
+
 def test_identity_kernels_see_both_verdicts():
     rng = Random(5)
     verdicts = {"mul_is": set(), "identity": set(), "neg_transpose": set(), "skew": set()}
@@ -1169,7 +1219,7 @@ def test_identity_kernels_see_both_verdicts():
 # -- null rows kept on the subspace ------------------------------------------
 
 
-def test_null_rows_are_read_off_once_per_subspace(monkeypatch):
+def test_null_rows_are_read_off_once_per_subspace(monkeypatch, eliminations):
     rng = Random(41)
     j = random_gcs(rng, 4)
     w, other = random_subspace(rng, 4, 2), random_subspace(rng, 4, 3)
@@ -1189,6 +1239,23 @@ def test_null_rows_are_read_off_once_per_subspace(monkeypatch):
         test(j, w)
     # once for w; other's null rows are never read
     assert calls == [4]
+    # membership reads the kept null rows: no elimination, one read for other
+    eliminations.clear()
+    for s in (w, other):
+        inside = list(s.basis.data[-1])
+        assert s.contains(inside) and s.first_outside(s.basis) is None
+        assert s.coordinates(inside) == [0] * (s.dim - 1) + [1]
+        assert s.first_outside(Matrix.identity(QQ, 4)) == 0
+        assert not s.contains([1, 0, 0, 0])
+    assert eliminations == []
+    assert calls == [4, 4]
+
+
+def test_kernel_runs_two_eliminations(eliminations):
+    # the row space, then its annihilator
+    m = Matrix(QQ, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]])
+    assert m.kernel().dim == 2
+    assert eliminations == [(3, 4), (2, 4)]
 
 
 @FIELDS
