@@ -23,10 +23,10 @@ with no elimination and kept on the subspace (``null_rows``).  They are
 the one route for membership: W is the annihilator of its annihilator,
 so x lies in W exactly when x N^T = 0, which ``contains``,
 ``first_outside`` and ``coordinates`` decide with the zero test of
-``_first_miss``.  ``annihilator`` eliminates N once, ``kernel`` is the
-annihilator of the row space (two eliminations), and ``intersect`` pairs
-one basis with the other's N and eliminates once, at width
-ambient - dim(other) + dim(self).
+``_first_miss``.  ``annihilator`` eliminates N once and keeps the
+result, ``kernel`` is the annihilator of the row space (two
+eliminations), and ``intersect`` pairs one basis with the other's N and
+eliminates once, at width ambient - dim(other) + dim(self).
 
 Every product of stored rows runs one loop, ``_dots``: the integer parts
 of x . y for a row x against rows y, (re,) over Q and (re, im) when
@@ -762,7 +762,7 @@ class Matrix:
 class Subspace:
     """Linear subspace of F^ambient_dim with a canonical RREF basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_null")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_null", "_ann")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         self.field = field
@@ -770,6 +770,7 @@ class Subspace:
         self.basis = basis
         self.pivots = pivots
         self._null = None  # the null rows, set only by null_rows
+        self._ann = None  # the annihilator, set only by annihilator
 
     @staticmethod
     def from_spanning(field, ambient_dim, vectors) -> "Subspace":
@@ -910,8 +911,10 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace (in dual coordinates): the
-        span of the kept null rows, with no elimination of the basis."""
-        return Subspace._span(self.field, self.ambient_dim, self.null_rows()._z)
+        span of the kept null rows, eliminated once and kept."""
+        if self._ann is None:
+            self._ann = Subspace._span(self.field, self.ambient_dim, self.null_rows()._z)
+        return self._ann
 
     def null_rows(self) -> Matrix:
         """Rows spanning the annihilator, read off as ``_null_rows`` once and kept."""

@@ -4,7 +4,15 @@ A relation from V to W is any subspace of V + W; morphisms carry their
 endpoint structures so that canonicity (generalized Lagrangian for the
 twisted product) is a property of the relation alone.  Composition is an
 exact subspace computation and is total: no transversality condition is
-needed in the linear theory.
+needed in the linear theory.  It lifts through phi's RREF.  Phi's rows
+with a pivot in W are (X | Z_k), X the RREF basis of phi's projection to
+W, and its other rows (0 | z') span phi meet 0 + Z.  A vector (v, w) of
+gamma meet V + span X, which is gamma when X spans W, lifts to
+(v, w[P] Z_k) for X's pivots P; these and the (0 | z') span phi . gamma.
+Gamma is met with (0 | X's null rows), one elimination when X is proper.
+When no row of phi pivots in Z and every pivot of the meet lies in V,
+the lifted rows are the RREF basis as they stand, so composing two
+graphs eliminates nothing; otherwise they are eliminated once.
 
 The graph of an invertible mu: V -> W is canonical exactly when mu
 conjugates a to b, that is when diag(mu, mu^-T) J_a = J_b diag(mu, mu^-T).
@@ -71,15 +79,19 @@ def map_relation(mu: Matrix, a: GCAut, b: GCAut) -> LinearRelation:
 
 
 def compose_subspaces(phi: Subspace, gamma: Subspace, nv: int, nw: int, nz: int) -> Subspace:
-    """Composition of plain relation subspaces (gamma: V to W, phi: W to Z)."""
+    """Composition of plain relation subspaces (gamma: V to W, phi: W to Z),
+    lifted through phi's RREF (module docstring): at most two eliminations."""
     if gamma.ambient_dim != nv + nw or phi.ambient_dim != nw + nz:
         raise ValueError("relation ambient dimensions do not chain")
-    # gamma + Z meets V + phi inside V + W + Z
-    chained = gamma.direct_sum(Subspace.full(QQ, nz)).intersect(
-        Subspace.full(QQ, nv).direct_sum(phi)
-    )
-    kept = list(range(nv)) + list(range(nv + nw, nv + nw + nz))
-    return Subspace.from_spanning(QQ, nv + nz, chained.basis.select_columns(kept))
+    field, x = phi.field, phi.project_first(nw)
+    k, empty = x.dim, Matrix.zero(field, 0, nv)
+    cut = gamma._meet(Matrix.block_diagonal(field, [empty, x.null_rows()]))
+    lift = Matrix.block_diagonal(field, [Matrix.identity(field, nv), phi.basis.block(0, k, nw, nw + nz)])
+    rows = cut.basis.select_columns([*range(nv), *(nv + p for p in x.pivots)]) @ lift
+    if k == phi.dim and all(p < nv for p in cut.pivots):
+        return Subspace(field, nv + nz, rows, list(cut.pivots))
+    rest = Matrix.block_diagonal(field, [empty, phi.basis.block(k, phi.dim, nw, nw + nz)])
+    return Subspace._span(field, nv + nz, rows._z + rest._z)
 
 
 def compose(phi: LinearRelation, gamma: LinearRelation) -> LinearRelation:

@@ -37,3 +37,15 @@ def proportional_to(phi, psi):
     if phi.is_zero() or psi.is_zero():
         return phi.is_zero() and psi.is_zero()
     return phi.normalized() == psi.normalized()
+
+
+def oracle_compose(phi, gamma, nv, nw, nz):
+    """phi after gamma for plain relation subspaces (gamma in V + W, phi in
+    W + Z), by the definition: gamma + Z meets V + phi inside V + W + Z,
+    and the meet is projected to V + Z by one more elimination."""
+    field = phi.field
+    chained = gamma.direct_sum(Subspace.full(field, nz)).intersect(
+        Subspace.full(field, nv).direct_sum(phi)
+    )
+    kept = list(range(nv)) + list(range(nv + nw, nv + nw + nz))
+    return Subspace.from_spanning(field, nv + nz, chained.basis.select_columns(kept))

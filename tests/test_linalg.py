@@ -944,9 +944,12 @@ def test_hyp_annihilator_equals_kernel_of_basis(field, n, seed_value):
     rng = Random(seed_value)
     s = Subspace.from_spanning(field, n, seeded_matrix(rng, field, rng.randint(0, n + 1), n))
     ann = s.annihilator()
-    assert ann == s.basis.kernel()
+    # the kernel of the basis by the per-entry oracle; kernel() itself is
+    # the annihilator of the row space, so it would compare a route with itself
+    kernel = oracle_kernel(field, s.basis_rows(), n)
+    assert ann.basis.data == oracle_basis(field, kernel, n)
     assert ann.dim == s.ambient_dim - s.dim
-    assert ann.pivots == s.basis.kernel().pivots
+    assert ann.pivots == oracle_rref(field, kernel, n)[1]
     assert_canonical(ann.basis)
     assert s.basis.mul_t(ann.basis).is_zero()
     assert ann.annihilator() == s

@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from gclin import relations, subspaces
 from gclin.core import (
@@ -13,7 +13,7 @@ from gclin.core import (
     twist,
     twisted_product,
 )
-from gclin.fields import QQ
+from gclin.fields import QI, QQ, GaussianRational
 from gclin.linalg import Matrix, Subspace
 from gclin.relations import (
     LinearRelation,
@@ -21,6 +21,7 @@ from gclin.relations import (
     annihilator_composition_identity,
     closure_check,
     compose,
+    compose_subspaces,
     graph_iso_test,
     identity_relation,
     is_canonical,
@@ -41,6 +42,7 @@ from gclin.samples import (
 from gclin.serialize import encode_relation
 from gclin.subspaces import is_generalized_coisotropic, is_generalized_isotropic
 from gclin.transforms import b_transform, beta_transform
+from helpers import oracle_compose
 
 OMEGA2 = TwoForm(Matrix(QQ, [[0, -1], [1, 0]]))
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
@@ -500,6 +502,87 @@ class TestTheorems:
         assert verdicts == {True, False}
 
 
+# -- composition against the meet inside V + W + Z ---------------------------
+
+
+def _relation_subspace(rng, field, n, dim, head=None, tail=None):
+    """A subspace of F^n spanned by dim random rows. With head given, rows
+    draw their first head entries from a random proper subspace of F^head;
+    with tail given, the first row is zero on its first n - tail entries."""
+
+    def entry():
+        x = rng.randint(-3, 3)
+        return x if field is QQ else GaussianRational(x, rng.randint(-2, 2))
+
+    rows = [[entry() for _ in range(n)] for _ in range(dim)]
+    if head:
+        gens = [[entry() for _ in range(head)] for _ in range(rng.randint(0, head - 1))]
+        for row in rows:
+            coeffs = [entry() for _ in gens]
+            row[:head] = [sum((c * g[i] for c, g in zip(coeffs, gens)), field.zero) for i in range(head)]
+    if tail and rows:
+        rows[0][: n - tail] = [field.zero] * (n - tail)
+    return Subspace.from_spanning(field, n, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=["Q", "Qi"])
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(min_value=0, max_value=4)] * 3),
+    proper=st.booleans(),
+    gamma_in_w=st.booleans(),
+    seed_value=seeds,
+)
+def test_hyp_composition_equals_the_meet_in_v_w_z(field, dims, proper, gamma_in_w, seed_value):
+    rng = Random(seed_value)
+    nv, nw, nz = dims
+    gamma_tail = nw if gamma_in_w else None
+    gamma = _relation_subspace(rng, field, nv + nw, rng.randint(0, nv + nw + 1), tail=gamma_tail)
+    phi_head = nw if proper else None
+    phi = _relation_subspace(rng, field, nw + nz, rng.randint(0, nw + nz + 1), head=phi_head)
+    if proper and nw:
+        assert phi.project_first(nw).dim < nw
+    composed = compose_subspaces(phi, gamma, nv, nw, nz)
+    expected = oracle_compose(phi, gamma, nv, nw, nz)
+    assert composed == expected
+    assert composed.pivots == expected.pivots
+    assert composed.field is field
+
+
+def test_composition_cases_are_reached(eliminations):
+    # the cases the property above is meant to reach, by the same draws:
+    # zero dimensions, a proper projection of phi to W, gamma rows with a
+    # pivot in W, phi rows with a pivot in Z, and compositions that run
+    # no, one and two eliminations
+    rng = Random(45)
+    seen = set()
+    for _ in range(300):
+        nv, nw, nz = (rng.randint(0, 4) for _ in range(3))
+        tail, head = rng.choice([nw, None]), rng.choice([nw, None])
+        gamma = _relation_subspace(rng, QQ, nv + nw, rng.randint(0, nv + nw + 1), tail=tail)
+        phi = _relation_subspace(rng, QQ, nw + nz, rng.randint(0, nw + nz + 1), head=head)
+        x = phi.project_first(nw)
+        seen.add("zero" if 0 in (nv, nw, nz) else "positive")
+        if x.dim < nw:
+            seen.add("proper")
+        if any(p >= nv for p in gamma.pivots):
+            seen.add("gamma in W")
+        if phi.dim > x.dim:
+            seen.add("phi in Z")
+        eliminations.clear()
+        composed = compose_subspaces(phi, gamma, nv, nw, nz)
+        seen.add(f"{len(eliminations)} eliminations")
+        assert composed == oracle_compose(phi, gamma, nv, nw, nz)
+    expected = {"zero", "positive", "proper", "gamma in W", "phi in Z"}
+    assert seen == expected | {f"{k} eliminations" for k in (0, 1, 2)}, seen
+
+
+def test_compose_rejects_dimensions_that_do_not_chain():
+    with pytest.raises(ValueError):
+        compose_subspaces(Subspace.full(QQ, 3), Subspace.full(QQ, 4), 2, 2, 2)
+
+
 # -- eliminations on the relation path ---------------------------------------
 
 
@@ -512,6 +595,9 @@ def test_annihilator_runs_one_elimination(eliminations):
         ann = s.annihilator()
         assert len(eliminations) == 1
         assert ann.dim == s.ambient_dim - s.dim
+        # kept: a second call eliminates nothing
+        assert s.annihilator() is ann
+        assert len(eliminations) == 1
 
 
 def test_twisted_product_runs_no_elimination(eliminations):
@@ -544,7 +630,23 @@ def test_annihilator_identity_eliminations_on_a_fixed_pair(eliminations):
     gamma, phi = map_relation(ROT, a, b), map_relation(ROT, b, c)
     eliminations.clear()
     assert annihilator_composition_identity(phi, gamma)
-    assert len(eliminations) == 7
+    # the three annihilators; both compositions lift graphs through graphs
+    # (7 when each composition met inside V + W + Z and eliminated again)
+    assert eliminations == [(2, 4)] * 3
+    # Ann(gamma) and Ann(phi) are kept; the composite is new on each call
+    eliminations.clear()
+    assert annihilator_composition_identity(phi, gamma)
+    assert eliminations == [(2, 4)]
+
+
+def test_composing_two_graphs_runs_no_elimination(eliminations):
+    rng = Random(39)
+    for n in (2, 4):
+        gamma, phi, mu1, mu2 = graph_pair(rng, n)
+        eliminations.clear()
+        composed = compose(phi, gamma)
+        assert eliminations == []
+        assert composed.graph == Subspace.graph(mu2 @ mu1)
 
 
 def test_graph_iso_test_runs_one_elimination(eliminations):
