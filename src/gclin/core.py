@@ -59,12 +59,13 @@ Each entry checks its value once, by two routes that must agree:
 All two-forms B (and bivectors beta) are identified with the linear maps
 v -> iota_v B they induce; as matrices these are skew.  The bilinear form
 pairing against the coefficient matrix is recovered via transpose.
+Matrices are read and built through ``linalg``'s public operations alone.
 """
 
 from __future__ import annotations
 
 from .fields import QI, QQ, I, rational_from_ints
-from .linalg import Matrix, Subspace, _dots, vec_dot
+from .linalg import Matrix, Subspace, vec_dot
 
 _MINUS_HALF = rational_from_ints(-1, 2)
 _set = object.__setattr__
@@ -98,22 +99,12 @@ def is_isotropic(e: Subspace) -> bool:
 
     With basis vectors x_a = (v_a, f_a) stacked as X and S the swap of
     V and V*, the pairing of x_a and x_b is -(X S X^T)[a][b] / 2, so the
-    check is X (X S)^T = 0, X S being X with the two halves of each
-    stored row swapped.  That Gram matrix is symmetric, so each pair of
-    rows is checked once, row a against rows b >= a, as integer dot
-    products of the stored rows (``linalg._dots``): a row's denominator
-    is nonzero, so a dot product is 0 exactly when the pairing is, and no
-    Gram matrix is formed.
+    check is X S X^T = 0 (``Matrix.swap_form_vanishes``), which dots each
+    pair of basis rows once and forms no Gram matrix.
     """
     if e.ambient_dim % 2:
         raise ValueError("isotropy needs an even ambient dimension")
-    n = e.ambient_dim // 2
-    rows = [row[:-1] for row in e.basis._z]
-    swapped = [[p[n:] + p[:n] for p in row] for row in rows]
-    for a, row in enumerate(rows):
-        if any(map(any, _dots(row, swapped[a:]))):
-            return False
-    return True
+    return e.basis.swap_form_vanishes()
 
 
 def quadratic_form(x):
@@ -135,8 +126,7 @@ class Record:
     class attribute gives a field its default.  Records are built
     positionally or by keyword, run the class's ``__post_init__`` when it
     has one, refuse assignment, and compare, hash and print field by
-    field; records of different classes never compare equal.  A class
-    that defines ``__eq__`` keeps it, and hashes by its fields.
+    field; records of different classes never compare equal.
 
     Each subclass gets its own straight-line ``__init__``, ``__eq__`` and
     ``__hash__``, generated from its fields as ``collections.namedtuple``
@@ -169,9 +159,7 @@ class Record:
         namespace = {"_set": _set}
         exec("\n".join(source), namespace)
         namespace["__init__"].__defaults__ = defaults or None
-        # a class's own __eq__ stays; defining it left __hash__ = None in the
-        # class body, so the field hash is installed either way
-        for name in ("__init__", "__hash__", *(() if "__eq__" in cls.__dict__ else ("__eq__",))):
+        for name in ("__init__", "__eq__", "__hash__"):
             fn = namespace[name]
             fn.__qualname__ = f"{cls.__qualname__}.{name}"
             fn.__module__ = cls.__module__
@@ -401,25 +389,18 @@ def _checked_eigenspace(e: IsotropicE, candidate: Matrix | None = None):
 
 def _validated(j: GCAut):
     """(verdict on j, j), for a caller that reports the violations itself:
-    a valid j keeps its +i eigenspace E, and an invalid j keeps nothing.
-
-    E is the row space of J^T + i, one Q(i) elimination, and j is checked
-    against it by ``_checked_pair``.
-    """
+    E, the row space of J^T + i (one Q(i) elimination), checked with j by
+    ``_checked_pair``, which keeps E on a valid j and nothing otherwise."""
     n, full = j.n, j.full()
-    kt = full.transpose()
-    # row r of J^T + i is (ints, d e_r) / d for the stored row (ints, d) of
-    # J^T, canonical as it stands
-    shifted = [(ints, [0] * r + [d] + [0] * (2 * n - 1 - r), d) for r, (ints, d) in enumerate(kt._z)]
-    e = IsotropicE(n, Subspace.from_spanning(QI, 2 * n, Matrix._of(QI, shifted, 2 * n)))
-    return _checked_pair(j, e, full, kt)
+    shifted = full.transpose().to_gaussian() + Matrix.identity(QI, 2 * n).scale(I)
+    e = IsotropicE(n, Subspace.from_spanning(QI, 2 * n, shifted))
+    return _checked_pair(j, e, full)
 
 
-def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None, kt: Matrix | None = None):
+def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None):
     """(verdict on j, j): j checked against an eigenspace e the library has
-    just built for it, by two routes that must agree.  full and kt are j's
-    2n x 2n matrix and its transpose K = J^T, when the caller has them
-    (both or neither).
+    just built for it, by two routes that must agree.  full is j's 2n x 2n
+    matrix, when the caller has it.
 
     The first route is the equation list (``_violations``).  The second
     is "e has dimension n, is isotropic, meets its conjugate only in 0,
@@ -427,27 +408,25 @@ def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None, kt: Matri
     and J preserves the pairing, and e is then J's +i eigenspace.  (J is
     then i on e and -i on conj e, which span; conversely E = ker(J - i)
     has dimension n, and <x, y> = <Jx, Jy> = -<x, y> on it.)  e's check
-    is handed K[F, P] as its candidate B^-1 (see the module
-    docstring), so nothing is inverted.  J acting as i is E J^T = i E on
-    e's own Q(i) rows, and J^2 = -1, the transpose identities and
-    isotropy are decided the same way, by the identity kernels
-    ``Matrix.mul_t_is``, ``mul_is`` and ``is_neg_transpose_of``.  Routes
+    is handed K[F, P] = J[P, F]^T, K = J^T, as its candidate B^-1 (see
+    the module docstring), so nothing is inverted.  J acting as i is
+    E J^T = i E on e's own Q(i) rows, and it, J^2 = -1 and the transpose
+    identities are decided by the identity kernels ``Matrix.mul_t_is``,
+    ``mul_is`` and ``is_neg_transpose_of``, isotropy by
+    ``Matrix.swap_form_vanishes`` (``is_isotropic``).  Routes
     that disagree raise ``AssertionError``: for the E solved from J they
     are one theorem, and for a carried E (``decompose`` hands E through a
     B-transform) a wrong E fails the second route while J passes the
     first.  A valid j keeps e, and e keeps J's blocks for ``to_aut``; an
     invalid j keeps nothing.
     """
-    n = j.n
-    if full is None:
-        full = j.full()
-        kt = full.transpose()
+    n, full = j.n, j.full() if full is None else full
     violations = _violations(j, full)
     s = e.e
     candidate = None
     if s.dim == n:
         free = [c for c in range(2 * n) if c not in s.pivots]
-        candidate = Matrix._of(QQ, [kt._z[c] for c in free], 2 * n).select_columns(s.pivots)
+        candidate = full.select_columns(free).transpose().select_columns(s.pivots)
     check = _checked_eigenspace(e, candidate)[0]
     # J acts as i on E: E J^T = i E on E's stored rows, that is
     # Re J^T = -Im and Im J^T = Re, the two parts sharing each row's denominator
@@ -608,8 +587,9 @@ def standard_two_form(e: Subspace) -> Matrix:
     E meet V* in RREF, whose covector parts are the f_i.  u is the unique
     2-form supported on the non-pivot (free) dual coordinates of span(f_i)
     with u(v_a, v_b) = -g_a(v_b): with M the vector parts on the free
-    coordinates and G[a][b] = g_a(v_b), u = -M^-1 G M^-T on those
-    coordinates.
+    coordinates and G[a][b] = g_a(v_b), skew, u = -M^-1 G M^-T =
+    M^-1 G^T M^-T on those coordinates, spread over all n
+    (``Matrix.spread``).
     """
     n = e.ambient_dim // 2
     # pivots ascend, so the lifts are the first rows
@@ -621,24 +601,11 @@ def standard_two_form(e: Subspace) -> Matrix:
     if not lifts:
         return Matrix.zero(QI, n, n)
     vecs = e.basis.block(0, lifts, 0, n)
-    gram = e.basis.block(0, lifts, n, 2 * n).mul_t(vecs)
-    if not gram.is_skew():
+    gram_t = vecs.mul_t(e.basis.block(0, lifts, n, 2 * n))
+    if not gram_t.is_skew():
         raise AssertionError("lifts pair to a non-skew form; subspace not isotropic?")
     try:
         m_inv = vecs.select_columns(free).inverse()
     except ValueError:
         raise AssertionError("vector parts are not a basis on the free coordinates") from None
-    # -M^-1 G M^-T spread from the free coordinates over all n
-    at_free = dict(zip(free, (m_inv @ gram).mul_t(m_inv)._z))
-    zero = [0] * n
-    z = []
-    for x in range(n):
-        if x not in at_free:
-            z.append((zero, zero, 1))
-            continue
-        re, im, d = at_free[x]
-        u_re, u_im = [0] * n, [0] * n
-        for c, a, b in zip(free, re, im):
-            u_re[c], u_im[c] = -a, -b
-        z.append((u_re, u_im, d))
-    return Matrix._of(QI, z, n)
+    return (m_inv @ gram_t).mul_t(m_inv).spread(n, free)

@@ -11,6 +11,7 @@ conjugation.  Everything here is immutable and hashable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 _ratio = Fraction
 
@@ -32,6 +33,25 @@ def rational(x):
 def rational_from_ints(num, den=1):
     """The reduced rational num/den (den != 0)."""
     return _ratio(num, den)
+
+
+def int_row(row):
+    """(ints, den) with rationals row = ints / den and gcd(den, *ints) = 1."""
+    dens = [x.denominator for x in row]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // d) for x, d in zip(row, dens)], den
+
+
+def gauss_int_row(row):
+    """(re, im, den) with Gaussian rationals row = (re + i*im) / den."""
+    re, re_den = int_row([x.re for x in row])
+    im, im_den = int_row([x.im for x in row])
+    if re_den == im_den:
+        return re, im, re_den
+    den = lcm(re_den, im_den)
+    return [x * (den // re_den) for x in re], [x * (den // im_den) for x in im], den
 
 
 def format_rational(x) -> str:
@@ -63,14 +83,8 @@ class GaussianRational:
         object.__setattr__(z, "im", im)
         return z
 
-    @staticmethod
-    def of(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(rational(x))
-
     def __add__(self, other):
-        other = GaussianRational.of(other)
+        other = QI.coerce(other)
         return GaussianRational.from_rationals(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -79,13 +93,13 @@ class GaussianRational:
         return GaussianRational.from_rationals(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
+        return self + (-QI.coerce(other))
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
+        return QI.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussianRational.of(other)
+        other = QI.coerce(other)
         return GaussianRational.from_rationals(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -94,14 +108,14 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.of(other)
+        other = QI.coerce(other)
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
         return self * GaussianRational.from_rationals(other.re / n, -other.im / n)
 
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
+        return QI.coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational.from_rationals(self.re, -self.im)
@@ -143,7 +157,7 @@ class _RationalField:
 
 
 class _GaussianField:
-    """Field tag for Q(i)."""
+    """Field tag for Q(i); ``coerce`` also serves ``GaussianRational`` arithmetic."""
 
     name = "Qi"
     zero = GaussianRational(0)

@@ -26,7 +26,8 @@ so x lies in W exactly when x N^T = 0, which ``contains``,
 ``_first_miss``.  ``annihilator`` eliminates N once and keeps the
 result, ``kernel`` is the annihilator of the row space (two
 eliminations), and ``intersect`` pairs one basis with the other's N and
-eliminates once, at width ambient - dim(other) + dim(self).
+eliminates once, at width ambient - dim(other) + dim(self)
+(``orthogonal_to``, the same for any rows in place of N).
 
 Every product of stored rows runs one loop, ``_dots``: the integer parts
 of x . y for a row x against rows y, (re,) over Q and (re, im) when
@@ -37,10 +38,10 @@ they stand, where a transpose would rescale them into columns only for
 ``@`` to read them back.  ``Matrix.block_diagonal(field, blocks)`` pads
 each stored row with zeros, which keeps it canonical, where
 ``from_blocks`` with ``Matrix.zero`` blocks would rejoin every row over a
-common denominator.
+common denominator; ``spread`` places rows on chosen coordinates alike.
 
 Identity kernels decide a @ b = c without building a @ b, and one
-kernel, ``_first_miss``, decides every product form.
+kernel, ``_first_miss``, decides every product form:
 ``a.mul_is(b, s, c)`` and ``a.mul_t_is(b, s, c)`` decide a @ b = s*c and
 a @ b^T = s*c for a scalar s, c the identity when omitted (so
 ``j.mul_is(j, -1)`` is J^2 = -1 and ``x.mul_t_is(y, 0)`` is x y^T = 0,
@@ -56,18 +57,19 @@ the kernel reaches it.  Two checks stay outside the kernel, where it
 would multiply more: ``a.is_neg_transpose_of(b)`` decides a = -b^T entry
 against entry (``_is_neg_transpose``), where a product with the identity
 would cost a factor of n, and ``is_skew`` is the case b = a; and
-``core.is_isotropic`` dots each row only with the rows after it, half of
-a symmetric Gram matrix that the kernel would check whole.  The structure
-checks (J^2 = -1, J preserving the pairing, isotropy, J acting as i on an
-eigenspace) run on these.
+``swap_form_vanishes`` (isotropy, x S y^T = 0 for S the swap of the
+column halves; ``swap_orthogonal`` is the orthogonal space under S) dots
+each row only with the rows after it, half of the symmetric Gram matrix
+that the kernel would check whole.
 
-Every operation (elimination, products, sums, transposes, blocks,
-reduction modulo a subspace, membership) reads and returns integer rows.
-Exact scalars (``Fraction`` and ``GaussianRational``) appear only at the
-edge: ``Matrix(field, rows)`` and ``Subspace.from_spanning`` convert them
-in, and ``Matrix.data`` builds them out when read, as a read-only tuple
-of row tuples that is not kept, as do the vector-valued ``apply``,
-``solve``, ``reduce`` and ``vec_dot``.
+Every operation reads and returns integer rows, and no other module
+reads, builds or joins them.  Exact scalars (``Fraction`` and
+``GaussianRational``) appear only at the edge: ``Matrix(field, rows)``
+and ``Subspace.from_spanning`` convert them in (``fields.int_row``),
+``Matrix.from_gaussian_ints`` takes integer rows as they are, and
+``Matrix.data`` builds scalars out when read, as a read-only tuple that
+is not kept, as do ``upper_entries`` (over Q(i)) and the vector-valued
+``apply``, ``solve``, ``reduce`` and ``vec_dot``.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .fields import QI, QQ, GaussianRational, rational, rational_from_ints
+from .fields import QI, QQ, GaussianRational, gauss_int_row, int_row, rational, rational_from_ints
 
 _EXACT = (Fraction, int)
 
@@ -93,26 +95,6 @@ def _has_gaussian(v):
     return any(type(x) is GaussianRational for x in v)
 
 
-def _int_row(row):
-    """(ints, den): the rational row equals ints / den, canonical since
-    every entry is a reduced fraction or an int."""
-    dens = [x.denominator for x in row]
-    den = lcm(*dens)
-    if den == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (den // d) for x, d in zip(row, dens)], den
-
-
-def _gauss_int_row(row):
-    """(re ints, im ints, den): the Q(i) row equals (re + i*im) / den."""
-    re, re_den = _int_row([x.re for x in row])
-    im, im_den = _int_row([x.im for x in row])
-    if re_den == im_den:
-        return re, im, re_den
-    den = lcm(re_den, im_den)
-    return [x * (den // re_den) for x in re], [x * (den // im_den) for x in im], den
-
-
 def _row_of(field, row):
     """The stored row of a sequence of scalars; entries that are not yet
     exact scalars of the field are coerced first."""
@@ -122,11 +104,11 @@ def _row_of(field, row):
     if field is QQ:
         if not all(type(x) in _EXACT for x in row):
             row = [rational(x) for x in row]
-        return _int_row(row)
+        return int_row(row)
     if not all(type(x) is GaussianRational for x in row):
         # exact rationals need no coercion, only an imaginary part
         row = [GaussianRational.from_rationals(x, 0) if type(x) in _EXACT else QI.coerce(x) for x in row]
-    return _gauss_int_row(row)
+    return gauss_int_row(row)
 
 
 def _canon(den, *parts):
@@ -456,6 +438,17 @@ class Matrix:
         field = self.field
         return tuple([_scalars(field, row) for row in self._z])
 
+    def upper_entries(self) -> dict:
+        """The nonzero entries above the diagonal as {(r, c): x}, r < c, x
+        a Gaussian rational; no scalar is built for an entry below it."""
+        out, cols = {}, self.cols
+        for r, (re, im, d) in enumerate(self._rows_over(QI)):
+            for c in range(r + 1, cols):
+                if re[c] or im[c]:
+                    x, y = rational_from_ints(re[c], d), rational_from_ints(im[c], d)
+                    out[r, c] = GaussianRational.from_rationals(x, y)
+        return out
+
     @staticmethod
     def zero(field, rows, cols) -> "Matrix":
         return Matrix._of(field, [_zero_row(field, cols)] * rows, cols)
@@ -469,6 +462,11 @@ class Matrix:
         for (r, c), x in entries.items():
             dense[r][c] = x
         return Matrix(field, dense, cols=cols)
+
+    @staticmethod
+    def from_gaussian_ints(rows, cols) -> "Matrix":
+        """The Q(i) matrix of rows re + i*im, integer lists kept as handed over."""
+        return Matrix._of(QI, [(re, im, 1) for re, im in rows], cols)
 
     @staticmethod
     def identity(field, n) -> "Matrix":
@@ -525,6 +523,20 @@ class Matrix:
         z = [_canon(row[-1], *[[p[c] for c in columns] for p in row[:-1]]) for row in self._z]
         return Matrix._of(self.field, z, len(columns))
 
+    def spread(self, size, at) -> "Matrix":
+        """The size x size matrix with entry (a, b) of the square self at
+        (at[a], at[b]) and zeros elsewhere; spread rows stay canonical."""
+        z = [_zero_row(self.field, size)] * size
+        for x, row in zip(at, self._z):
+            parts = []
+            for part in row[:-1]:
+                spread = [0] * size
+                for c, v in zip(at, part):
+                    spread[c] = v
+                parts.append(spread)
+            z[x] = (*parts, row[-1])
+        return Matrix._of(self.field, z, size)
+
     def transpose(self) -> "Matrix":
         den, cols = _columns(self.field, self._z, self.cols)
         z = [_canon(den, *map(list, col)) for col in cols]
@@ -559,7 +571,7 @@ class Matrix:
             cn, cd = c.numerator, c.denominator
             z = [_canon(d * cd, [x * cn for x in ints]) for ints, d in self._z]
         else:
-            (cr,), (ci,), cd = _gauss_int_row([c])
+            (cr,), (ci,), cd = gauss_int_row([c])
             z = [
                 _canon(
                     d * cd,
@@ -622,6 +634,19 @@ class Matrix:
         field = self.field if other.field is self.field else QI
         return _is_neg_transpose(self._rows_over(field), other._rows_over(field))
 
+    def swap_form_vanishes(self) -> bool:
+        """Whether x S y^T = 0 for all rows x, y, S swapping the column
+        halves; symmetric, so each row is dotted only with the later rows."""
+        if self.cols % 2:
+            raise ValueError("the swap needs an even number of columns")
+        h = self.cols // 2
+        rows = [row[:-1] for row in self._z]
+        swapped = [[p[h:] + p[:h] for p in row] for row in rows]
+        for a, row in enumerate(rows):
+            if any(map(any, _dots(row, swapped[a:]))):
+                return False
+        return True
+
     def mul_is(self, other, scale, target=None) -> bool:
         """Whether self @ other = scale * target, target None being the
         identity (any zero matrix when scale is 0); decided entry by entry
@@ -654,7 +679,7 @@ class Matrix:
         """The first row of self where self @ Y = scale * target fails, for
         Y's columns ys / dbs (0 when target has another shape), or None."""
         if type(scale) is GaussianRational:
-            (sr,), (si,), sd = _gauss_int_row([scale])
+            (sr,), (si,), sd = gauss_int_row([scale])
         else:  # an int or a Fraction
             sr, si, sd = scale.numerator, 0, scale.denominator
         if target is None:
@@ -791,6 +816,21 @@ class Subspace:
         return Subspace(field, ambient_dim, basis, pivots)
 
     @staticmethod
+    def from_scan(m: Matrix, start) -> "Subspace":
+        """The span of m's rows, eliminating its first start rows and then
+        each row that ``first_outside`` finds outside the span so far; a
+        row inside a span lies inside every larger one."""
+        field, n, z = m.field, m.cols, m._z
+        chosen = z[:start]
+        while True:
+            span = Subspace._span(field, n, chosen)
+            outside = span.first_outside(Matrix._of(field, z[start:], n))
+            if outside is None:
+                return span
+            start += outside + 1
+            chosen.append(z[start - 1])
+
+    @staticmethod
     def coordinate(field, ambient_dim, indices) -> "Subspace":
         """The span of the unit vectors e_c for c in indices (ascending)."""
         pivots = list(indices)
@@ -853,10 +893,7 @@ class Subspace:
     def first_outside(self, m: Matrix):
         """Index of the first row of m that lies outside the subspace, or
         None when every row lies inside: the first row x with x N^T != 0
-        for the kept null rows N (see the module docstring).  N is
-        (m - k) x m for a k-dimensional W in F^m; every caller in the
-        library tests against an ambient dimension of at most 2n, for a
-        structure already held as 2n x 2n."""
+        for the kept null rows N (see the module docstring)."""
         if m.cols != self.ambient_dim:
             raise ValueError("vector length mismatch")
         null = self.null_rows()._z
@@ -886,12 +923,12 @@ class Subspace:
         self._check_compatible(other)
         if other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        return self._meet(other.null_rows())
+        return self.orthogonal_to(other.null_rows())
 
-    def _meet(self, null: Matrix) -> "Subspace":
-        """The vectors of this subspace with x . r = 0 for every row r of
-        null, the null rows N of some other subspace (those of other in
-        ``intersect``); only the span of N matters.
+    def orthogonal_to(self, null: Matrix) -> "Subspace":
+        """The vectors x of this subspace with x . r = 0 for every row r of
+        null, say the null rows N of some other subspace (those of other
+        in ``intersect``); only the span of N matters.
 
         x = y A lies in the meet when y (A N^T) = 0.  The RREF of
         [A N^T | 1] ends in rows [0 | y] that are an RREF basis of that
@@ -908,6 +945,14 @@ class Subspace:
         y = [_canon(row[-1], *[p[width:] for p in row[:-1]]) for row in red._z[k : len(pivots)]]
         basis = Matrix._of(field, _product(field, y, a, n), n)
         return Subspace(field, n, basis, [self.pivots[q - width] for q in pivots[k:]])
+
+    def swap_orthogonal(self) -> "Subspace":
+        """The y with x S y^T = 0 for all x in the subspace, S swapping the
+        (even) coordinate halves: the null rows, halves swapped, eliminated once."""
+        h, null = self.ambient_dim // 2, self.null_rows()._z
+        if self.field is QQ:
+            return Subspace._span(QQ, 2 * h, [(a[h:] + a[:h], d) for a, d in null])
+        return Subspace._span(QI, 2 * h, [(a[h:] + a[:h], b[h:] + b[:h], d) for a, b, d in null])
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace (in dual coordinates): the

@@ -13,8 +13,8 @@ costs one pass over the terms, and one scalar is built per output term.
 
 from __future__ import annotations
 
-from .fields import QI, GaussianRational, rational_from_ints
-from .linalg import Matrix, _gauss_int_row
+from .fields import QI, GaussianRational, gauss_int_row, rational_from_ints
+from .linalg import Matrix
 
 
 def _wedge_sign(a: int, b: int) -> int:
@@ -241,7 +241,7 @@ def exp_wedge_ints(u: Multivector, factors=()):
     """
     if u.grades() not in ([], [2]):
         raise ValueError("exp is defined for homogeneous 2-forms")
-    res, ims, d_u = _gauss_int_row(list(u.terms.values()))
+    res, ims, d_u = gauss_int_row(list(u.terms.values()))
     # the term u_ij f_i ^ f_j (i < j), keyed by f_i's bit
     partners = {}
     support = 0
@@ -275,7 +275,7 @@ def exp_wedge_ints(u: Multivector, factors=()):
     for f in factors:
         if f.n != u.n or any(not m or m & (m - 1) for m in f.terms):
             raise ValueError("factors must be 1-forms on the space of u")
-        res, ims, d = _gauss_int_row(list(f.terms.values()))
+        res, ims, d = gauss_int_row(list(f.terms.values()))
         entries = list(zip(f.terms, res, ims))
         wedged = {}
         for mask, (pr, pi) in terms.items():
@@ -298,7 +298,7 @@ def exp_wedge_ints(u: Multivector, factors=()):
 
 def from_int_terms(n: int, terms, den, c=1) -> Multivector:
     """c times the form (terms, den) of exp_wedge_ints, one scalar per term."""
-    (cr,), (ci,), cd = _gauss_int_row([QI.coerce(c)])
+    (cr,), (ci,), cd = gauss_int_row([QI.coerce(c)])
     out = {}
     for mask, (re, im) in terms.items():
         q = den(mask) * cd
@@ -313,13 +313,6 @@ def two_form_from_coeff(matrix: Matrix) -> Multivector:
 
     Only the upper triangle is read; the matrix is expected skew.
     """
-    n = matrix.rows
-    terms = {}
-    for i, (re, im, d) in enumerate(matrix.to_gaussian()._z):
-        for j in range(i + 1, n):
-            if re[j] or im[j]:
-                terms[(1 << i) | (1 << j)] = GaussianRational.from_rationals(
-                    rational_from_ints(re[j], d), rational_from_ints(im[j], d)
-                )
-    return Multivector(n, terms)
+    terms = {(1 << i) | (1 << j): x for (i, j), x in matrix.upper_entries().items()}
+    return Multivector(matrix.rows, terms)
 

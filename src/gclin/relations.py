@@ -85,13 +85,13 @@ def compose_subspaces(phi: Subspace, gamma: Subspace, nv: int, nw: int, nz: int)
         raise ValueError("relation ambient dimensions do not chain")
     field, x = phi.field, phi.project_first(nw)
     k, empty = x.dim, Matrix.zero(field, 0, nv)
-    cut = gamma._meet(Matrix.block_diagonal(field, [empty, x.null_rows()]))
+    cut = gamma.orthogonal_to(Matrix.block_diagonal(field, [empty, x.null_rows()]))
     lift = Matrix.block_diagonal(field, [Matrix.identity(field, nv), phi.basis.block(0, k, nw, nw + nz)])
     rows = cut.basis.select_columns([*range(nv), *(nv + p for p in x.pivots)]) @ lift
     if k == phi.dim and all(p < nv for p in cut.pivots):
         return Subspace(field, nv + nz, rows, list(cut.pivots))
     rest = Matrix.block_diagonal(field, [empty, phi.basis.block(k, phi.dim, nw, nw + nz)])
-    return Subspace._span(field, nv + nz, rows._z + rest._z)
+    return Subspace.from_spanning(field, nv + nz, Matrix.from_blocks(field, [[rows], [rest]]))
 
 
 def compose(phi: LinearRelation, gamma: LinearRelation) -> LinearRelation:
@@ -141,15 +141,14 @@ def closure_check(phi: LinearRelation, gamma: LinearRelation, cls: str) -> bool:
 def annihilator_composition_identity(phi: LinearRelation, gamma: LinearRelation) -> bool:
     """Ann(phi . gamma) equals the relation composition of the annihilators.
 
-    The right-hand side pairs (f, h) through some middle functional g
-    with (f, g) annihilating gamma and (-g, h) annihilating phi.
+    The right-hand side R pairs (f, h) through some middle functional g
+    with (f, g) annihilating gamma and (-g, h) annihilating phi.  It is
+    Ann(C), C = phi . gamma, when C R^T = 0 and dim R = dim Ann(C).
     """
     nv, nw, nz = gamma.source.n, gamma.target.n, phi.target.n
-    lhs = compose(phi, gamma).graph.annihilator()
-    ann_gamma = gamma.graph.annihilator()
-    ann_phi = phi.graph.annihilator()
-    rhs = compose_subspaces(ann_phi.negate_first(nw), ann_gamma, nv, nw, nz)
-    return lhs == rhs
+    composed = compose(phi, gamma).graph
+    rhs = compose_subspaces(phi.graph.annihilator().negate_first(nw), gamma.graph.annihilator(), nv, nw, nz)
+    return rhs.dim == nv + nz - composed.dim and composed.basis.mul_t_is(rhs.basis, 0)
 
 
 def _conjugates(mu: Matrix, a: GCAut, b: GCAut) -> bool:

@@ -35,8 +35,8 @@ Each step works on data that already exists.  For a form of T terms:
 from __future__ import annotations
 
 from .core import Record, is_isotropic, standard_two_form
-from .fields import QI, GaussianRational, rational_from_ints
-from .linalg import Matrix, Subspace, _gauss_int_row
+from .fields import QI, GaussianRational, gauss_int_row, rational_from_ints
+from .linalg import Matrix, Subspace
 from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices, two_form_from_coeff
 
 
@@ -60,23 +60,20 @@ def annihilator_subspace(phi: Multivector) -> Subspace:
     the resulting (masks x 2n) matrix M, whose rows are built on phi's
     integer coefficients over one denominator.
 
-    Only a few rows of M are eliminated.  The kernel of a set of rows
-    contains ker M, and is contained in it when every row of M lies in
-    the span of the set, as that kernel is the annihilator of the span.
-    Rows are taken lowest output degree first, n of them to start (ker M
-    is isotropic, so M has rank at least n).  Every other row is tested
-    exactly for membership in their span, and the first row outside
-    joins them; the test then resumes after that row, since a row inside
-    a span lies inside every larger one.  The wedge columns come first
-    in the elimination: the n rows of degree 1 of c exp(u) are then
-    c [1 | +-u], in echelon form as they stand.
+    Only a few rows of M are eliminated (``Subspace.from_scan``): the
+    kernel of a set of rows contains ker M, and equals it once every row
+    of M lies in their span.  Rows are taken lowest output degree first,
+    n of them to start (ker M is isotropic, so M has rank at least n).
+    The wedge columns come first in the elimination: the n rows of
+    degree 1 of c exp(u) are then c [1 | +-u], in echelon form as they
+    stand.
     """
     if phi.is_zero():
         raise ValueError("zero spinor has no annihilator subspace")
     n = phi.n
     width = 2 * n
     masks = list(phi.terms)
-    re, im, _ = _gauss_int_row([phi.terms[m] for m in masks])
+    re, im, _ = gauss_int_row([phi.terms[m] for m in masks])
     rows = {}
     for mask, x, y in zip(masks, re, im):
         for i in range(n):
@@ -84,24 +81,15 @@ def annihilator_subspace(phi: Multivector) -> Subspace:
             # column i is the wedge with f_i, column n + i the contraction with e_i
             out, col = (mask ^ bit, n + i) if mask & bit else (mask | bit, i)
             if out not in rows:
-                rows[out] = ([0] * width, [0] * width, 1)
-            row = rows[out]
+                rows[out] = ([0] * width, [0] * width)
+            row_re, row_im = rows[out]
             if (mask & (bit - 1)).bit_count() & 1:
-                row[0][col], row[1][col] = -x, -y
+                row_re[col], row_im[col] = -x, -y
             else:
-                row[0][col], row[1][col] = x, y
+                row_re[col], row_im[col] = x, y
     z = [rows[m] for m in sorted(rows, key=lambda m: (m.bit_count(), m))]
-    chosen, start = z[:n], n
-    while True:
-        span = Subspace._span(QI, width, chosen)
-        outside = span.first_outside(Matrix._of(QI, z[start:], width))
-        if outside is None:
-            break
-        start += outside + 1
-        chosen.append(z[start - 1])
-    # ker M is the span's annihilator: its kept null rows, in (e, f) order
-    swapped = [(a[n:] + a[:n], b[n:] + b[:n], d) for a, b, d in span.null_rows()._z]
-    return Subspace._span(QI, width, swapped)
+    # ker M, the span's annihilator in (f, e) order, read in (e, f) order
+    return Subspace.from_scan(Matrix.from_gaussian_ints(z, width), n).swap_orthogonal()
 
 
 def is_pure(phi: Multivector) -> bool:
@@ -126,11 +114,6 @@ class SpinorLine(Record):
     @property
     def n(self) -> int:
         return self.rep.n
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinorLine):
-            return NotImplemented
-        return self.rep == other.rep
 
 
 class StandardForm(Record):
@@ -292,8 +275,8 @@ def mukai_pairing(alpha: Multivector, beta: Multivector) -> GaussianRational:
     full = (1 << alpha.n) - 1
     odd = sum(1 << i for i in range(1, alpha.n, 2))
     masks = [m for m in alpha.terms if full ^ m in beta.terms]
-    ar, ai, ad = _gauss_int_row([alpha.terms[m] for m in masks])
-    br, bi, bd = _gauss_int_row([beta.terms[full ^ m] for m in masks])
+    ar, ai, ad = gauss_int_row([alpha.terms[m] for m in masks])
+    br, bi, bd = gauss_int_row([beta.terms[full ^ m] for m in masks])
     re = im = 0
     for m, w, x, y, z in zip(masks, ar, ai, br, bi):
         tr, ti = w * y - x * z, w * z + x * y

@@ -84,7 +84,7 @@ def _cut(j: GCAut, w: Subspace, quotient: bool) -> Matrix:
     e = to_eigenspace(j).e
     empty = Matrix.zero(QQ, 0, n)
     null = Matrix.block_diagonal(QQ, [empty, w.basis] if quotient else [w.null_rows(), empty])
-    return e._meet(null).basis
+    return e.orthogonal_to(null).basis
 
 
 def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
@@ -126,16 +126,15 @@ def restrict_spinor(j: GCAut, w: Subspace):
     u_mat = standard_two_form(e)
     u = two_form_from_coeff(u_mat)
 
-    rho_e = Subspace.from_spanning(QI, n, e.basis.block(0, e.dim, 0, n))
+    rho_e = e.project_first(n)
     phi_span = rho_e.annihilator()
     w_ci = w.to_gaussian()
     deep = rho_e.sum(w_ci).annihilator()
     ordered = deep.basis_rows()
-    keep = Subspace.from_spanning(QI, n, ordered)
     lead = []
     for row in phi_span.basis.data:
         trial = Subspace.from_spanning(QI, n, ordered + lead + [list(row)])
-        if trial.dim > keep.dim + len(lead):
+        if trial.dim > deep.dim + len(lead):
             lead.append(list(row))
     factor_rows = lead + ordered
     l = len(lead)

@@ -116,15 +116,15 @@ class TestBlockRoutes:
     def test_intersections_only_inside_the_induced_structures(self, typed_structures, monkeypatch):
         # canonical_s and canonical_c meet E only with the window of
         # induce_on_subspace / induce_on_quotient (subspaces._cut), and
-        # Subspace.intersect of two nonzero subspaces runs Subspace._meet
+        # Subspace.intersect of two nonzero subspaces runs Subspace.orthogonal_to
         callers = []
-        meet = Subspace._meet
+        meet = Subspace.orthogonal_to
 
         def recording(self, null):
             callers.append(sys._getframe(1).f_code.co_name)
             return meet(self, null)
 
-        monkeypatch.setattr(Subspace, "_meet", recording)
+        monkeypatch.setattr(Subspace, "orthogonal_to", recording)
         for j in typed_structures[::5]:
             canonical_s(j)
             canonical_c(j)

@@ -108,28 +108,27 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_private_linalg_names_stay_behind_its_boundary():
-    # the stored integer rows are linalg's format: outside it only these
-    # private helpers are imported, and no module reduces rows by hand
-    private = {}
+    # the stored integer rows are linalg's format: no other module imports a
+    # private linalg name, or reads, builds or joins stored rows through
+    # linalg's private attributes
+    stored = {"_z", "_of", "_span", "_meet", "_rows_over"}
     for path in sorted((SRC / "gclin").glob("*.py")):
         if path.stem == "linalg":
             continue
         source = path.read_text(encoding="utf-8")
-        names = {
+        tree = ast.parse(source)
+        private = {
             alias.name
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in ((1, "linalg"), (0, "gclin.linalg"))
             for alias in node.names
             if alias.name.startswith("_")
         }
-        if names:
-            private[path.stem] = names
+        attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not private, (path.stem, private)
+        assert not attributes & stored, (path.stem, attributes & stored)
         assert "_remainder" not in source, path.stem
-    assert private == {
-        "core": {"_dots"},
-        "multivector": {"_gauss_int_row"},
-        "spinor": {"_gauss_int_row"},
-    }
     # membership and kernels read a subspace's kept null rows
     linalg = ast.parse((SRC / "gclin" / "linalg.py").read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(linalg) if isinstance(node, ast.FunctionDef)}

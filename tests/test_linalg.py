@@ -1288,3 +1288,124 @@ def test_kept_null_rows_are_not_changed_by_the_eliminations_that_read_them(field
         s.annihilator()
         assert kept._z == before
         assert s.null_rows() is kept
+
+
+# -- the public operations that stand in for hand-built rows ------------------
+
+
+def test_gaussian_int_rows_are_read_entry_by_entry():
+    rng = Random(51)
+    for rows, cols in ((0, 3), (1, 1), (4, 5), (6, 2)):
+        pairs = [([rng.randint(-9, 9) for _ in range(cols)], [rng.randint(-9, 9) for _ in range(cols)]) for _ in range(rows)]
+        m = Matrix.from_gaussian_ints(pairs, cols)
+        assert (m.field, m.rows, m.cols) == (QI, rows, cols)
+        assert_canonical(m)
+        assert m.data == tuple(tuple(GaussianRational(x, y) for x, y in zip(re, im)) for re, im in pairs)
+
+
+@FIELDS
+def test_spread_places_each_entry_at_its_coordinates(field):
+    rng = Random(52)
+    for size in range(6):
+        for k in range(size + 1):
+            at = sorted(rng.sample(range(size), k)) if rng.random() < 0.5 else rng.sample(range(size), k)
+            m = seeded_matrix(rng, field, k, k)
+            out = m.spread(size, at)
+            assert (out.field, out.rows, out.cols) == (field, size, size)
+            assert_canonical(out)
+            entries = {(at[a], at[b]): x for a, row in enumerate(m.data) for b, x in enumerate(row)}
+            assert out.data == tuple(
+                tuple(entries.get((r, c), field.zero) for c in range(size)) for r in range(size)
+            )
+
+
+@FIELDS
+def test_upper_entries_are_the_nonzero_entries_above_the_diagonal(field):
+    rng = Random(53)
+    for rows, cols in ((0, 0), (1, 1), (3, 3), (4, 6), (5, 2)):
+        m = seeded_matrix(rng, field, rows, cols)
+        got = m.upper_entries()
+        assert got == {(r, c): x for r, row in enumerate(m.data) for c, x in enumerate(row) if c > r and x}
+        assert all(type(x) is GaussianRational for x in got.values())
+
+
+def oracle_swap_form_vanishes(m):
+    """x S y^T = 0 for every pair of rows, one exact dot product each."""
+    h = m.cols // 2
+    rows = m.data
+    return all(vec_dot(x, [*y[h:], *y[:h]]) == 0 for x in rows for y in rows)
+
+
+@FIELDS
+def test_swap_form_vanishes_agrees_with_the_pairwise_oracle(field):
+    rng = Random(54)
+    seen = set()
+    for _ in range(40):
+        n = rng.choice([2, 4])
+        rows = [list(row) for row in seeded_matrix(rng, field, rng.randint(0, 2 * n), 2 * n).data]
+        if field is QI and rng.random() < 0.5:
+            # the rows of a maximal isotropic subspace
+            rows = [list(row) for row in to_eigenspace(random_gcs(rng, n)).e.basis.data]
+        elif rng.random() < 0.5:
+            # vectors of V alone pair to zero
+            rows = [row[:n] + [field.zero] * n for row in rows]
+        if rows and rng.random() < 0.3:
+            rows[rng.randrange(len(rows))][rng.randrange(2 * n)] += 1
+        m = Matrix(field, rows, cols=2 * n)
+        verdict = m.swap_form_vanishes()
+        assert verdict == oracle_swap_form_vanishes(m)
+        seen.add(verdict)
+    assert seen == {True, False}
+    with pytest.raises(ValueError, match="even number of columns"):
+        Matrix(field, [[1, 0, 0]]).swap_form_vanishes()
+    # no row, no column read: an empty basis of a huge space is answered at once
+    assert Matrix(field, [], cols=10**9).swap_form_vanishes()
+
+
+@FIELDS
+def test_from_scan_spans_every_row_and_eliminates_only_the_rows_it_keeps(field, eliminations):
+    rng = Random(55)
+    for _ in range(12):
+        cols = rng.randint(1, 6)
+        m = seeded_matrix(rng, field, rng.randint(1, 9), cols)
+        start = rng.randint(0, m.rows)
+        eliminations.clear()
+        got = Subspace.from_scan(m, start)
+        heights = [rows for rows, _ in eliminations]
+        assert got == Subspace.from_spanning(field, cols, m)
+        red, pivots = oracle_rref(field, m.data, cols)
+        assert got.basis.data == tuple(tuple(row) for row in red[: len(pivots)]) and got.pivots == pivots
+        # the start rows, then one elimination per row found outside
+        assert heights == list(range(start, start + len(heights))) and len(heights) <= got.dim + 1
+
+
+@FIELDS
+def test_orthogonal_to_keeps_the_vectors_that_dot_to_zero_with_every_row(field):
+    rng = Random(56)
+    for _ in range(12):
+        cols = rng.randint(1, 6)
+        s = Subspace.from_spanning(field, cols, seeded_matrix(rng, field, rng.randint(0, cols), cols))
+        rows = seeded_matrix(rng, field, rng.randint(0, 3), cols)
+        got = s.orthogonal_to(rows)
+        assert all(s.contains(x) for x in got.basis.data)
+        assert all(vec_dot(x, r) == 0 for x in got.basis.data for r in rows.data)
+        # dim = dim s - rank of the pairing of s's basis with the rows
+        pairing = [[vec_dot(x, r) for r in rows.data] for x in s.basis.data]
+        rank = len(oracle_rref(field, pairing, rows.rows)[1]) if pairing and rows.rows else 0
+        assert got.dim == s.dim - rank
+        assert got == Subspace.from_spanning(field, cols, got.basis)
+
+
+@FIELDS
+def test_swap_orthogonal_is_the_orthogonal_space_under_the_swap(field, eliminations):
+    rng = Random(57)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        s = Subspace.from_spanning(field, 2 * n, seeded_matrix(rng, field, rng.randint(0, 2 * n), 2 * n))
+        s.null_rows()
+        eliminations.clear()
+        got = s.swap_orthogonal()
+        assert len(eliminations) == 1
+        assert got.dim == 2 * n - s.dim
+        assert all(vec_dot(x, [*y[n:], *y[:n]]) == 0 for x in s.basis.data for y in got.basis.data)
+        assert got == Subspace.from_spanning(field, 2 * n, got.basis)

@@ -102,7 +102,7 @@ def test_records_of_different_classes_differ():
     assert len({TwoForm(SKEW), TwoForm(SKEW), BiVector(SKEW)}) == 2
 
 
-def test_spinor_line_keeps_its_own_equality_and_hashes_with_it():
+def test_spinor_lines_compare_and_hash_by_their_normalized_representative():
     e = to_eigenspace(random_gcs(Random(4), 4)).e
     line = spinor_from_subspace(e)
     same = SpinorLine.of(line.rep.scale(QI.coerce(3)))

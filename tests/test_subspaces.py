@@ -277,6 +277,19 @@ class TestRestrictSpinor:
             assert annihilator_subspace(line_w.rep) == induce_on_subspace(j, w).ew
             assert 0 <= l <= sf.k
 
+    def test_eliminations_on_fixed_structures(self, eliminations):
+        # rho(E) is read off E's RREF basis (Subspace.project_first), and
+        # Ann(rho(E) + W) is used as its one elimination left it
+        rng = Random(7)
+        counts = []
+        for n, k in ((2, 1), (4, 2), (4, 3)):
+            j, w = random_gcs(rng, n), random_subspace(rng, n, k)
+            to_eigenspace(j), w.null_rows()
+            eliminations.clear()
+            restrict_spinor(j, w)
+            counts.append(len(eliminations))
+        assert counts == [10, 9, 11]
+
 
 class TestGeneralizedClasses:
     def test_symplectic_matches_classical(self):

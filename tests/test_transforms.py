@@ -431,7 +431,7 @@ class TestBlockForm:
             (conjugate_by_basis(j, p), oracle_conjugate_by_basis(j, p)),
         ):
             assert out.blocks() == oracle.blocks()
-            assert [m._z for m in out.blocks()] == [m._z for m in oracle.blocks()]
+            assert [m.data for m in out.blocks()] == [m.data for m in oracle.blocks()]
             assert out._e is None
 
     def test_block_transforms_keep_their_errors(self):
@@ -459,7 +459,7 @@ class TestCarriedEigenspace:
                 moved = b_transform_eigenspace(e, b)
                 for other in (oracle_b_transform_eigenspace(e, b), to_eigenspace(b_transform(j, b))):
                     assert moved == other
-                    assert moved.e.basis._z == other.e.basis._z and moved.e.pivots == other.e.pivots
+                    assert moved.e.basis.data == other.e.basis.data and moved.e.pivots == other.e.pivots
                 assert moved._j is None and e.e.pivots == moved.e.pivots
 
     def test_decompose_checks_the_carried_eigenspace(self, monkeypatch):
