@@ -146,22 +146,25 @@ def decompose(j: GCAut) -> Decomposition:
     b_r = TwoForm(u_map.real_part())
     omega_map = u_map.imag_part()
 
-    check, moved = _checked_pair(b_transform(j, b_r), b_transform_eigenspace(e, b_r))
+    moved = b_transform(j, b_r)
+    check = _checked_pair(moved, b_transform_eigenspace(e, b_r))
     if not check:
         raise AssertionError(f"B-field transform of a valid structure is invalid: {check.violations}")
     s, ind_s = _canonical_s(moved)
     omega_s = TwoForm((s.basis @ omega_map).mul_t(s.basis))
-    try:
-        symplectic_s = symplectic_structure(omega_s)
-    except ValueError:
-        raise AssertionError("real 2-form degenerates on the symplectic part") from None
+    # ind_s.jw is symplectic_structure(omega_s), (0, -omega_s^-1, omega_s,
+    # 0), exactly when these hold; J2 omega_s = -1 also proves omega_s
+    # nondegenerate, with no inversion
+    j_s = ind_s.jw
+    if not j_s.j2.mul_is(omega_s.m, -1):
+        raise AssertionError("induced J2 does not invert the real 2-form on the symplectic part")
+    if not (j_s.j1.is_zero() and j_s.j4.is_zero() and j_s.j3 == omega_s.m):
+        raise AssertionError("induced structure on the symplectic part is off")
 
     w = s.basis.mul_t(omega_map).kernel()
     if s.dim + w.dim != n or not s.intersect(w).is_zero():
         raise AssertionError("orthogonal complement does not complete the carrier")
 
-    if ind_s.jw != symplectic_s:
-        raise AssertionError("induced structure on the symplectic part is off")
     ind_w = induce_on_subspace(moved, w)
     if not ind_w.is_gc:
         raise AssertionError("complementary subspace carries no structure")

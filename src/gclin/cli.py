@@ -88,9 +88,17 @@ def _load_json(path: str):
         raise CliError(f"malformed JSON in {path}: nested too deeply") from None
 
 
+# What the loader prints for each label of spinor.structure_from_spinor
+_SPINOR_ERRORS = {
+    "zero": "zero spinor",
+    "purity": "spinor is not pure",
+    "conjugate-pairing": "spinor pairs to zero with its conjugate",
+}
+
+
 def _structure_to_aut(obj) -> GCAut:
     if isinstance(obj, GCAut):
-        check = _validated(obj)[0]
+        check = _validated(obj)
         if not check:
             raise CliError("invalid structure: " + ", ".join(_labeled(check.violations)))
         return obj
@@ -102,22 +110,12 @@ def _structure_to_aut(obj) -> GCAut:
     from .multivector import Multivector
 
     if isinstance(obj, Multivector):
-        from .spinor import mukai_pairing, standard_form, subspace_from_standard_form
+        from .spinor import structure_from_spinor
 
-        if obj.is_zero():
-            raise CliError("invalid structure: zero spinor")
-        try:
-            sf = standard_form(obj) if obj.n % 2 == 0 else None
-        except ValueError:
-            sf = None
-        if sf is None:
-            raise CliError("invalid structure: spinor is not pure")
-        if not mukai_pairing(obj, obj.conjugate()):
-            raise CliError("invalid structure: spinor pairs to zero with its conjugate")
-        try:
-            return to_aut(IsotropicE(obj.n, subspace_from_standard_form(sf)))
-        except ValueError as exc:
-            raise CliError(f"invalid structure: {exc}") from None
+        j = structure_from_spinor(obj)
+        if isinstance(j, str):
+            raise CliError("invalid structure: " + _SPINOR_ERRORS[j])
+        return j
     raise CliError("unsupported structure payload")
 
 
@@ -147,12 +145,11 @@ def _cmd_validate(args) -> int:
     elif isinstance(obj, IsotropicE):
         violations = validate_eigenspace(obj).violations
     else:
-        from .spinor import is_pure, mukai_pairing
+        from .spinor import structure_from_spinor
 
-        ok = bool(obj) and obj.n % 2 == 0 and is_pure(obj)
-        violations = [] if ok else ["purity"]
-        if ok and not mukai_pairing(obj, obj.conjugate()):
-            violations = ["conjugate-pairing"]
+        verdict = structure_from_spinor(obj)
+        # a zero form is not a pure spinor, and validate reports it so
+        violations = [] if isinstance(verdict, GCAut) else ["purity" if verdict == "zero" else verdict]
     _emit({"result": not violations, "violations": _labeled(violations)})
     return 1 if violations else 0
 
@@ -164,9 +161,12 @@ def _cmd_convert(args) -> int:
     elif args.to == "E":
         _emit(encode_eigenspace(to_eigenspace(j)))
     else:
-        from .spinor import spinor_with_standard_form
+        from .spinor import mukai_pairing, spinor_with_standard_form
 
         line, sf = spinor_with_standard_form(to_eigenspace(j).e)
+        # Chevalley's criterion: E meets its conjugate only in 0
+        if not mukai_pairing(line.rep, line.rep.conjugate()):
+            raise AssertionError("the spinor of a structure pairs to zero with its conjugate")
         payload = encode_spinor(line.rep)
         payload["standard_form"] = encode_standard_form(sf)
         _emit(payload)

@@ -52,7 +52,9 @@ Each entry checks its value once, by two routes that must agree:
   passing ``_checked_eigenspace`` with e^B J acting as i on it, which
   is the second route and fails on a wrongly moved E;
 * ``to_aut`` on a caller-built E: ``_checked_eigenspace``, against the
-  rebuilt J acting as i on E and satisfying e:1 to e:7 (``_aut_of``).
+  rebuilt J acting as i on E and satisfying e:1 to e:7 (``_aut_of``);
+  ``spinor.structure_from_spinor`` also checks the E it builds from a
+  spinor against (phi, conj phi) != 0.
   An E from ``_validated`` has passed both of its routes with the J
   whose blocks it keeps, and ``to_aut`` checks nothing again.
 
@@ -387,8 +389,8 @@ def _checked_eigenspace(e: IsotropicE, candidate: Matrix | None = None):
     return ValidationResult(not violations, tuple(violations)), b_inv
 
 
-def _validated(j: GCAut):
-    """(verdict on j, j), for a caller that reports the violations itself:
+def _validated(j: GCAut) -> ValidationResult:
+    """The verdict on j, for a caller that reports the violations itself:
     E, the row space of J^T + i (one Q(i) elimination), checked with j by
     ``_checked_pair``, which keeps E on a valid j and nothing otherwise."""
     n, full = j.n, j.full()
@@ -397,8 +399,8 @@ def _validated(j: GCAut):
     return _checked_pair(j, e, full)
 
 
-def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None):
-    """(verdict on j, j): j checked against an eigenspace e the library has
+def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None) -> ValidationResult:
+    """The verdict on j, checked against an eigenspace e the library has
     just built for it, by two routes that must agree.  full is j's 2n x 2n
     matrix, when the caller has it.
 
@@ -436,7 +438,7 @@ def _checked_pair(j: GCAut, e: IsotropicE, full: Matrix | None = None):
     if not violations:
         _set(j, "_e", e)
         _set(e, "_j", j.blocks())
-    return ValidationResult(not violations, violations), j
+    return ValidationResult(not violations, violations)
 
 
 def to_eigenspace(j: GCAut) -> IsotropicE:
@@ -448,7 +450,7 @@ def to_eigenspace(j: GCAut) -> IsotropicE:
     invalid j keeps nothing and raises ``ValueError`` on every call.
     """
     if j._e is None:
-        check = _validated(j)[0]
+        check = _validated(j)
         if not check:
             raise ValueError(f"invalid automorphism: {', '.join(check.violations)}")
     return j._e

@@ -197,9 +197,6 @@ class Multivector:
         """Exponential of a 2-form u: the coefficient of f_S is Pf(u_S)."""
         return from_int_terms(self.n, *exp_wedge_ints(self))
 
-    def top_coefficient(self) -> GaussianRational:
-        return self.terms.get((1 << self.n) - 1, QI.zero)
-
     def leading_term(self):
         """(mask, coeff) with the lexicographically first sorted index tuple."""
         if not self.terms:

@@ -21,6 +21,12 @@ Each step works on data that already exists.  For a form of T terms:
   the lowest-degree components and test it by reproducing the form:
   O(n^2) lookups plus one expansion.
 - ``mukai_pairing`` is one pass over complementary masks, O(T).
+- ``structure_from_spinor`` is the conversion spinor -> structure: the
+  standard form, E built from it once, and J rebuilt from E's imaginary
+  block.  E meets its conjugate only in 0 exactly when (phi, conj phi)
+  != 0 (Chevalley's criterion, in Gualtieri's statement), so the pairing
+  is a second route to E's own check, and the spinor of a structure
+  must pair to nonzero with its conjugate.
 - ``annihilator_subspace`` is the route for an arbitrary form: a signed
   permutation of masks per generator gives a (<= 2^n) x 2n integer matrix
   M, O(T n).  Only r of its rows are eliminated, from n (enough for a
@@ -34,7 +40,7 @@ Each step works on data that already exists.  For a form of T terms:
 
 from __future__ import annotations
 
-from .core import Record, is_isotropic, standard_two_form
+from .core import IsotropicE, Record, _aut_of, _checked_eigenspace, is_isotropic, standard_two_form
 from .fields import QI, GaussianRational, gauss_int_row, rational_from_ints
 from .linalg import Matrix, Subspace
 from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices, two_form_from_coeff
@@ -240,9 +246,16 @@ def standard_form(phi: Multivector) -> StandardForm:
     sf = _read_standard_form(phi)
     if sf is None:
         raise ValueError("spinor is not pure")
-    if standard_data_for_subspace(subspace_from_standard_form(sf)) != (sf.u, sf.factors):
-        raise AssertionError("standard form differs from the one of its annihilator")
+    _annihilator_of(sf)
     return sf
+
+
+def _annihilator_of(sf: StandardForm) -> Subspace:
+    """subspace_from_standard_form, checked by reading sf back off it."""
+    e = subspace_from_standard_form(sf)
+    if standard_data_for_subspace(e) != (sf.u, sf.factors):
+        raise AssertionError("standard form differs from the one of its annihilator")
+    return e
 
 
 def subspace_from_standard_form(sf: StandardForm) -> Subspace:
@@ -289,46 +302,25 @@ def mukai_pairing(alpha: Multivector, beta: Multivector) -> GaussianRational:
     )
 
 
-def _mukai_sides(sf: StandardForm):
-    """(<phi, conj phi>, top coefficient of (u - conj u)^p ^ f ^ conj f).
+def structure_from_spinor(phi: Multivector):
+    """The structure whose +i eigenspace annihilates phi, or the label of
+    the first condition phi fails: "zero", "purity" (also for odd n,
+    where no structure exists) or "conjugate-pairing".
 
-    p = n/2 - k; for k > n/2 the right side is None.
+    E is built once, from phi's standard form, and passes its round-trip
+    check (``_annihilator_of``).  Whether E meets its conjugate only in 0
+    is decided by two routes that must agree, by Chevalley's criterion:
+    E's own check (``core._checked_eigenspace``, one inversion of its
+    imaginary block B) and (phi, conj phi) != 0 (``mukai_pairing``).  J is
+    rebuilt from that B^-1 (``core._aut_of``) and keeps E.
     """
-    n = sf.n
-    if n % 2:
-        raise ValueError("the comparison needs an even-dimensional space")
-    phi = sf.expand()
-    lhs = mukai_pairing(phi, phi.conjugate())
-    p = n // 2 - sf.k
-    if p < 0:
-        return lhs, None
-    diff = sf.u - sf.u.conjugate()
-    rhs = Multivector.scalar(n, 1)
-    for _ in range(p):
-        rhs = rhs.wedge(diff)
-    for f in (*sf.factors, *(f.conjugate() for f in sf.factors)):
-        rhs = rhs.wedge(f)
-    return lhs, rhs.top_coefficient()
-
-
-def check_mukai_formula(sf: StandardForm) -> bool:
-    """Vanishing of <phi, conj phi> matches (u - conj u)^p ^ f ^ conj f.
-
-    p = n/2 - k; for k > n/2 the right side is taken to be zero.
-    """
-    lhs, rhs = _mukai_sides(sf)
-    return bool(lhs) == bool(rhs)
-
-
-def mukai_formula_ratio(sf: StandardForm):
-    """Ratio of the two sides compared above, or None when both vanish."""
-    lhs, bottom = _mukai_sides(sf)
-    if bottom is None:
-        if lhs:
-            raise AssertionError("pairing nonzero with overfull factor count")
-        return None
-    if not bottom:
-        if lhs:
-            raise AssertionError("pairing nonzero while the product form vanishes")
-        return None
-    return lhs / bottom
+    if phi.is_zero():
+        return "zero"
+    sf = _read_standard_form(phi) if phi.n % 2 == 0 else None
+    if sf is None:
+        return "purity"
+    e = IsotropicE(phi.n, _annihilator_of(sf))
+    check, b_inv = _checked_eigenspace(e)
+    if check.ok != bool(mukai_pairing(phi, phi.conjugate())):
+        raise AssertionError("Mukai pairing disagrees with E meeting its conjugate")
+    return _aut_of(e, b_inv) if check else "conjugate-pairing"

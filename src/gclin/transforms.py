@@ -237,7 +237,8 @@ def assemble_sum_transform(
             ],
         ],
     )
-    check, aut = _validated(GCAut.from_full(full))
+    aut = GCAut.from_full(full)
+    check = _validated(aut)
     if not check:
         raise AssertionError(f"assembled automorphism invalid: {check.violations}")
 

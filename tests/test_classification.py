@@ -2,8 +2,10 @@ import sys
 import time
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from gclin import classification
 from gclin.classification import (
     build_graphnotsub_example,
     build_notquot_example,
@@ -33,7 +35,7 @@ from gclin.samples import (
     random_symplectic_form,
     random_two_form,
 )
-from gclin.subspaces import induce_on_quotient, induce_on_subspace
+from gclin.subspaces import InducedStructure, induce_on_quotient, induce_on_subspace
 from gclin.transforms import b_transform, classify_type, recover
 from helpers import contains_subspace, projection_matrix, real_form
 
@@ -235,6 +237,40 @@ class TestDecompose:
                 assert d.s.dim + d.w.dim == n
                 assert d.omega.m.is_invertible()
                 assert d.s.dim % 2 == 0 and d.w.dim % 2 == 0
+
+    def test_symplectic_form_is_inverted_only_by_the_reassembly(self, monkeypatch):
+        # S's induced structure is checked against omega_s by its blocks;
+        # symplectic_structure, which inverts omega_s, runs only in the
+        # closing round trip (twice when the check built it too)
+        built = []
+        build = classification.symplectic_structure
+
+        def counting(omega):
+            built.append(omega)
+            return build(omega)
+
+        monkeypatch.setattr(classification, "symplectic_structure", counting)
+        d = decompose(random_gcs(Random(3), 4))
+        assert built == [d.omega]
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (lambda j: GCAut(j.j1, j.j2.scale(2), j.j3, j.j4), "induced J2 does not invert the real 2-form"),
+            (lambda j: GCAut(j.j1 + Matrix.identity(QQ, j.n), j.j2, j.j3, j.j4), "induced structure on the symplectic"),
+        ],
+        ids=["j2", "j1"],
+    )
+    def test_each_block_check_of_s_is_reached(self, monkeypatch, fault, message):
+        canonical = classification._canonical_s
+
+        def faulty(j):
+            s, ind = canonical(j)
+            return s, InducedStructure(ind.ew, ind.is_gc, fault(ind.jw), ind.witness)
+
+        monkeypatch.setattr(classification, "_canonical_s", faulty)
+        with pytest.raises(AssertionError, match=message):
+            decompose(symplectic_structure(OMEGA2))
 
     def test_already_split_input_keeps_symplectic_part(self):
         rng = Random(8)

@@ -12,7 +12,7 @@ from gclin import classification, cli, core, relations, spinor
 from gclin.classification import canonical_omega
 from gclin.cli import main
 from gclin.core import GCAut, TwoForm, complex_structure, symplectic_structure, to_eigenspace
-from gclin.fields import QQ
+from gclin.fields import QI, QQ
 from gclin.linalg import Matrix, Subspace
 from gclin.relations import identity_relation, map_relation
 from gclin.samples import random_gcs
@@ -23,6 +23,7 @@ from gclin.serialize import (
     encode_eigenspace,
     encode_matrix,
     encode_relation,
+    encode_spinor,
     encode_subspace,
 )
 
@@ -254,7 +255,7 @@ def test_spinor_verb_over_the_size_limit_exits_2_before_building(write, capsys, 
     ids=["validate", "convert", "classify-type"],
 )
 def test_spinor_payload_over_the_size_limit_exits_2(write, capsys, monkeypatch, argv):
-    for name in ("is_pure", "annihilator_subspace", "mukai_pairing"):
+    for name in ("structure_from_spinor", "annihilator_subspace", "mukai_pairing"):
         monkeypatch.setattr(spinor, name, _refuse_spinor)
     monkeypatch.setattr(cli, "decode_gcs", _refuse_spinor)
     n = cli.MAX_SPINOR_N + 2
@@ -270,6 +271,44 @@ def test_spinor_size_limit_is_inclusive(write, capsys):
     code, out = run(capsys, "convert", "--to", "spinor", src)
     assert code == 0
     assert len(json.loads(out)["spinor"]) == 2 ** (n // 2)
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["convert", "--to", "aut"]], ids=["validate", "loader"])
+def test_spinor_payload_builds_its_eigenspace_once(write, capsys, monkeypatch, argv):
+    # validate and the loader decide the payload by one function, which
+    # builds E from the standard form once and checks and keeps that E
+    built = []
+    build = spinor.subspace_from_standard_form
+
+    def counting(sf):
+        built.append(sf)
+        return build(sf)
+
+    monkeypatch.setattr(spinor, "subspace_from_standard_form", counting)
+    phi = spinor.spinor_from_subspace(to_eigenspace(random_gcs(Random(5), 4)).e).rep
+    src = write("spin.json", encode_spinor(phi))
+    code, _ = run(capsys, *argv, src)
+    assert code == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,payload,message",
+    [
+        (["convert", "--to", "aut"], "spinor", "Mukai pairing disagrees with E meeting its conjugate"),
+        (["validate"], "spinor", "Mukai pairing disagrees with E meeting its conjugate"),
+        (["convert", "--to", "spinor"], "aut", "the spinor of a structure pairs to zero with its conjugate"),
+    ],
+    ids=["loader", "validate", "convert"],
+)
+def test_a_pairing_that_disagrees_with_e_exits_3(write, capsys, monkeypatch, argv, payload, message):
+    j = random_gcs(Random(6), 4)
+    phi = spinor.spinor_from_subspace(to_eigenspace(j).e).rep
+    src = write("j.json", encode_spinor(phi) if payload == "spinor" else encode_aut(j))
+    monkeypatch.setattr(spinor, "mukai_pairing", lambda alpha, beta: QI.zero)
+    code, out = run(capsys, *argv, src)
+    assert code == 3
+    assert json.loads(out) == {"error": f"AssertionError: {message}"}
 
 
 # Seconds each spinor verb may take at n = MAX_SPINOR_N on the Fraction

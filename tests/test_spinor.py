@@ -4,7 +4,9 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gclin import spinor
 from gclin.core import (
+    GCAut,
     TwoForm,
     covector_summand,
     to_eigenspace,
@@ -19,13 +21,12 @@ from gclin.spinor import (
     StandardForm,
     annihilator_subspace,
     clifford_act,
-    check_mukai_formula,
     is_pure,
-    mukai_formula_ratio,
     mukai_pairing,
     spinor_from_subspace,
     standard_data_for_subspace,
     standard_form,
+    structure_from_spinor,
     subspace_from_standard_form,
 )
 from gclin.transforms import b_transform, b_transform_eigenspace
@@ -254,55 +255,6 @@ class TestMukai:
             assert bool(mukai_pairing(phi, phi.conjugate())) == disjoint
 
 
-class TestMukaiFormula:
-    def test_symplectic_case(self):
-        sf = standard_form(omega_std().scale(I).exp())
-        assert check_mukai_formula(sf)
-        assert mukai_formula_ratio(sf) == QI.coerce(-1)
-
-    def test_complex_case(self):
-        # k = n/2 factors, p = 0
-        phi = mv(2, ((1,), 1), ((2,), I))  # f1 + i f2, annihilated by a complex line
-        assert is_pure(phi)
-        sf = standard_form(phi)
-        assert sf.k == 1
-        assert check_mukai_formula(sf)
-        assert mukai_formula_ratio(sf) is not None
-
-    def test_degenerate_case_both_zero(self):
-        sf = standard_form(mv(2, ((1,), 1)))
-        assert check_mukai_formula(sf)
-        assert mukai_formula_ratio(sf) is None
-
-    def test_overfull_factor_count(self):
-        # k = 2 > n/2: the product side is absent and the pairing vanishes
-        sf = standard_form(mv(2, ((1, 2), 1)))
-        assert sf.k == 2
-        assert check_mukai_formula(sf)
-        assert mukai_formula_ratio(sf) is None
-
-    def test_odd_dimension_is_refused(self):
-        sf = standard_form(mv(1, ((1,), 1)))
-        for compare in (check_mukai_formula, mukai_formula_ratio):
-            with pytest.raises(ValueError):
-                compare(sf)
-
-    def test_ratio_consistent_for_fixed_shape(self):
-        rng = Random(9)
-        seen = {}
-        for _ in range(30):
-            n = rng.choice((2, 4))
-            j = random_gcs(rng, n)
-            sf = standard_form(spinor_from_subspace(to_eigenspace(j).e).rep)
-            assert check_mukai_formula(sf)
-            ratio = mukai_formula_ratio(sf)
-            key = (n, sf.k)
-            if key in seen:
-                assert seen[key] == ratio
-            else:
-                seen[key] = ratio
-
-
 class TestTransformAndTwistOnSpinors:
     def test_b_transform_multiplies_by_exponential(self):
         rng = Random(10)
@@ -388,7 +340,7 @@ def oracle_annihilator(phi):
 
 
 def oracle_mukai(alpha, beta):
-    return alpha.reversal().wedge(beta).top_coefficient()
+    return alpha.reversal().wedge(beta).terms.get((1 << alpha.n) - 1, QI.zero)
 
 
 def _gaussian(rng):
@@ -426,6 +378,55 @@ def _maximal_isotropic(rng, n):
 
 even_sizes = st.sampled_from([2, 4, 6])
 seeds = st.integers(min_value=0, max_value=10**6)
+
+
+class TestStructureFromSpinor:
+    @settings(max_examples=30, deadline=None)
+    @given(even_sizes, seeds, st.integers(min_value=1, max_value=5))
+    def test_spinor_of_a_structure_gives_it_back_with_e_kept(self, n, seed, scale):
+        rng = Random(seed)
+        j = random_gcs(rng, n)
+        e = to_eigenspace(j)
+        phi = spinor_from_subspace(e.e).rep
+        for rep in (phi, phi.scale(GaussianRational(scale, -1))):
+            back = structure_from_spinor(rep)
+            assert back == j
+            assert back._e.e == e.e
+
+    @settings(max_examples=30, deadline=None)
+    @given(even_sizes, seeds)
+    def test_a_structure_exactly_when_e_misses_its_conjugate(self, n, seed):
+        e = _maximal_isotropic(Random(seed), n)
+        back = structure_from_spinor(spinor_from_subspace(e).rep)
+        if e.intersect(e.conjugate()).is_zero():
+            assert isinstance(back, GCAut) and back._e.e == e
+        else:
+            assert back == "conjugate-pairing"
+
+    @pytest.mark.parametrize(
+        "phi,label",
+        [
+            (Multivector.zero(2), "zero"),
+            # 1 + f1^f2^f3^f4 is not exp(u) for any u
+            (Multivector.scalar(4, 1) + Multivector(4, {0b1111: 1}), "purity"),
+            # a pure covector on an odd-dimensional space
+            (Multivector(1, {0b1: 1}), "purity"),
+            # real spinors: E is real, so it is its own conjugate
+            (Multivector(2, {0b1: 1}), "conjugate-pairing"),
+            (Multivector.scalar(2, 1), "conjugate-pairing"),
+        ],
+        ids=["zero", "impure", "odd-n", "real-covector", "real-scalar"],
+    )
+    def test_violation_labels(self, phi, label):
+        assert structure_from_spinor(phi) == label
+
+    @pytest.mark.parametrize("pairing", [QI.zero, QI.one], ids=["pairs-to-zero", "pairs-to-one"])
+    def test_a_pairing_that_disagrees_with_e_raises(self, monkeypatch, pairing):
+        phi = spinor_from_subspace(to_eigenspace(random_gcs(Random(2), 4)).e).rep
+        real = Multivector(2, {0b1: 1})
+        monkeypatch.setattr(spinor, "mukai_pairing", lambda alpha, beta: pairing)
+        with pytest.raises(AssertionError, match="^Mukai pairing disagrees with E meeting its conjugate$"):
+            structure_from_spinor(phi if pairing == QI.zero else real)
 
 
 class TestAgainstOracles:

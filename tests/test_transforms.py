@@ -482,5 +482,6 @@ class TestCarriedEigenspace:
         assert validate_eigenspace(wrong).ok
         with pytest.raises(AssertionError, match="equation list disagrees with the eigenspace of J"):
             _checked_pair(b_transform(j, b), wrong)
-        check, carrying = _checked_pair(b_transform(j, b), b_transform_eigenspace(j._e, b))
+        carrying = b_transform(j, b)
+        check = _checked_pair(carrying, b_transform_eigenspace(j._e, b))
         assert check.ok and carrying == b_transform(j, b) and to_eigenspace(carrying) == to_eigenspace(b_transform(j, b))
