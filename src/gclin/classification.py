@@ -19,6 +19,8 @@ from .core import (
     Record,
     TwoForm,
     _checked_pair,
+    _conjugate,
+    _set,
     complex_structure,
     conjugate_by_basis,
     direct_sum,
@@ -115,6 +117,11 @@ class Decomposition(Record):
         b_transform(transported direct sum, b) == original structure,
 
     where the transport is along the basis assembled from s then w.
+
+    A decomposition that ``decompose`` returns keeps, in ``_held``, what
+    it has already built and checked for the reassembly: the symplectic
+    structure of omega, that basis p and p^-1.  The slot is no field, so
+    equality, hash, repr and encoding do not see it.
     """
 
     s: Subspace
@@ -122,12 +129,21 @@ class Decomposition(Record):
     w: Subspace
     jw: Matrix
     b: TwoForm
+    _held = None  # (symplectic_structure(omega), p, p^-1), kept by decompose
 
 
 def reassemble(d: Decomposition) -> GCAut:
-    ds = direct_sum(symplectic_structure(d.omega), complex_structure(d.jw))
-    p = Matrix.from_blocks(QQ, [[d.s.basis], [d.w.basis]]).transpose()
-    return b_transform(conjugate_by_basis(ds, p), d.b)
+    """The structure d factors: the direct sum of omega's symplectic
+    structure and jw's complex one, moved by the basis p of s then w,
+    diag(p, p^-T), and transformed by b.  The symplectic part, p and p^-1
+    are read from ``d._held`` when ``decompose`` kept them; for a d built
+    by hand, omega and p are inverted once each."""
+    if d._held is None:
+        ds = direct_sum(symplectic_structure(d.omega), complex_structure(d.jw))
+        p = Matrix.from_blocks(QQ, [[d.s.basis], [d.w.basis]]).transpose()
+        return b_transform(conjugate_by_basis(ds, p), d.b)
+    j_s, p, p_inv = d._held
+    return b_transform(_conjugate(direct_sum(j_s, complex_structure(d.jw)), p, p_inv), d.b)
 
 
 def decompose(j: GCAut) -> Decomposition:
@@ -136,7 +152,9 @@ def decompose(j: GCAut) -> Decomposition:
     E is solved for j at most once.  The B-field b_r read off it moves j in
     blocks and E by back-substitution (``b_transform_eigenspace``), and
     the moved pair is checked by both routes (``core._checked_pair``)
-    instead of E being solved again.
+    instead of E being solved again.  The closing check, ``reassemble``,
+    reads the symplectic part, p and p^-1 it keeps (``_held``), so it
+    inverts neither omega_s nor p again.
     """
     n = j.n
     e = to_eigenspace(j)
@@ -154,7 +172,7 @@ def decompose(j: GCAut) -> Decomposition:
     omega_s = TwoForm((s.basis @ omega_map).mul_t(s.basis))
     # ind_s.jw is symplectic_structure(omega_s), (0, -omega_s^-1, omega_s,
     # 0), exactly when these hold; J2 omega_s = -1 also proves omega_s
-    # nondegenerate, with no inversion
+    # nondegenerate, with no inversion, and the reassembly reuses it
     j_s = ind_s.jw
     if not j_s.j2.mul_is(omega_s.m, -1):
         raise AssertionError("induced J2 does not invert the real 2-form on the symplectic part")
@@ -184,6 +202,7 @@ def decompose(j: GCAut) -> Decomposition:
     total = TwoForm(b_push - b_r.m)
 
     result = Decomposition(s, omega_s, w, jw_mat, total)
+    _set(result, "_held", (j_s, p, p_inv))
     if reassemble(result) != j:
         raise AssertionError("decomposition failed to reassemble the input")
     return result

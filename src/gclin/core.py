@@ -567,6 +567,11 @@ def conjugate_by_basis(j: GCAut, p: Matrix) -> GCAut:
         p_inv = p.inverse()
     except ValueError:
         raise ValueError("change of basis must be invertible") from None
+    return _conjugate(j, p, p_inv)
+
+
+def _conjugate(j: GCAut, p: Matrix, p_inv: Matrix) -> GCAut:
+    """``conjugate_by_basis`` for a caller that holds p's inverse p_inv."""
     p_inv_t = p_inv.transpose()
     return GCAut(
         p @ j.j1 @ p_inv,

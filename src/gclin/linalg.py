@@ -31,14 +31,16 @@ eliminates once, at width ambient - dim(other) + dim(self)
 
 Every product of stored rows runs one loop, ``_dots``: the integer parts
 of x . y for a row x against rows y, (re,) over Q and (re, im) when
-either side is over Q(i).  ``@`` and ``mul_t`` make its results
-canonical (``_against``).  ``a.mul_t(b)`` is ``a @ b.transpose()``: the
-rows of b, brought to one denominator, are the columns of the product as
-they stand, where a transpose would rescale them into columns only for
-``@`` to read them back.  ``Matrix.block_diagonal(field, blocks)`` pads
-each stored row with zeros, which keeps it canonical, where
-``from_blocks`` with ``Matrix.zero`` blocks would rejoin every row over a
-common denominator; ``spread`` places rows on chosen coordinates alike.
+either side is over Q(i); a zero test runs its twin ``_dots_vanish``,
+which stops at the first product that is not zero.  ``@`` and ``mul_t``
+make its results canonical (``_against``).  ``a.mul_t(b)`` is
+``a @ b.transpose()``: the rows of b, brought to one denominator, are
+the columns of the product as they stand, where a transpose would
+rescale them into columns only for ``@`` to read them back.
+``Matrix.block_diagonal(field, blocks)`` pads each stored row with
+zeros, which keeps it canonical, where ``from_blocks`` with
+``Matrix.zero`` blocks would rejoin every row over a common denominator;
+``spread`` places rows on chosen coordinates alike.
 
 Identity kernels decide a @ b = c without building a @ b, and one
 kernel, ``_first_miss``, decides every product form:
@@ -48,7 +50,11 @@ a @ b^T = s*c for a scalar s, c the identity when omitted (so
 of any shape).  Each row's dot products are compared with c's row, both
 sides brought to the same scale by cross-multiplying the denominators,
 and the first row with a mismatch ends the check: no gcd, no canonical
-row, no Matrix.
+row, no Matrix.  The zero test (s = 0 and no c) compares no scale: it
+forms a row's dot products one at a time, over Q(i) as the two
+equalities re(x).re(y) = im(x).im(y) and re(x).im(y) = -im(x).re(y),
+and the first nonzero one ends both the row and the check
+(``_dots_vanish``).
 ``a.zero_product_miss(x, b)`` returns the first row r with
 (a @ x^T @ b^T)[r] != 0, or None: x's rows are brought to one
 denominator once, and each middle row a_r @ x^T, plain integer dot
@@ -320,6 +326,25 @@ def _dots(x, ys):
     return (re,) if len(x) == 1 else (re, [sum(map(mul, x[1], y)) for (y,) in ys])
 
 
+def _dots_vanish(x, ys):
+    """Whether x . y = 0 for every y in ys, for integer parts as in
+    ``_dots``; each product is tested as it is formed, and the first that
+    is not zero ends the test."""
+    if len(x) == 2 and ys and len(ys[0]) == 2:
+        xr, xi = x
+        for yr, yi in ys:
+            if sum(map(mul, xr, yr)) != sum(map(mul, xi, yi)) or sum(map(mul, xr, yi)) != -sum(map(mul, xi, yr)):
+                return False
+        return True
+    # a side over Q: each part of x . y is a part of x dotted with a part of y
+    for y in ys:
+        for q in y:
+            for p in x:
+                if sum(map(mul, p, q)):
+                    return False
+    return True
+
+
 def _first_miss(a, ys, dbs, scale, target):
     """Index of the first row a_r of a at which a_r . b_k = s * target[r][k]
     fails for some b_k = ys[k] / dbs[k], s = (sr + i*si) / sd given as
@@ -328,7 +353,8 @@ def _first_miss(a, ys, dbs, scale, target):
     a (any iterable, read row by row) and target are rows of integer parts
     over a nonzero denominator, (ints, den) or (re, im, den), canonical or
     not, and ys integer parts; target None is the identity, or, when s =
-    0, the zero matrix of any shape, which reads the dot products alone.
+    0, the zero matrix of any shape, which tests the dot products alone,
+    to the first that is not zero (``_dots_vanish``).
     With a_r over da, b_k over db and the target row over dt,
     the entry holds when dot(a_r, b_k) * dt * sd = (sr + i*si) * t * da * db,
     so both sides are compared as integers, row by row, and the first row
@@ -336,7 +362,7 @@ def _first_miss(a, ys, dbs, scale, target):
     """
     sr, si, sd = scale
     if target is None and not (sr or si):
-        return next((r for r, row in enumerate(a) if any(map(any, _dots(row[:-1], ys)))), None)
+        return next((r for r, row in enumerate(a) if not _dots_vanish(row[:-1], ys)), None)
     for r, row in enumerate(a):
         da = row[-1]
         parts = _dots(row[:-1], ys)

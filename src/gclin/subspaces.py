@@ -77,18 +77,25 @@ def _cut(j: GCAut, w: Subspace, quotient: bool) -> Matrix:
     quotient), the step shared by both induced structures.  E is met with
     the window's null rows, (N | 0) for W's null rows N, or for the
     quotient (0 | W) for W's rows, so neither the window nor Ann(W) is
-    eliminated."""
+    eliminated.  On a zero target, W = 0 (or W = V for the quotient), the
+    cut rows would be restricted to 0 columns and spanned to 0, so E is
+    solved, which checks j, but not met with the window, and no row is
+    cut."""
     n = j.n
     if w.ambient_dim != n or w.field is not QQ:
         raise ValueError("W must be a rational subspace of the carrier")
     e = to_eigenspace(j).e
+    if w.dim == (n if quotient else 0):
+        return Matrix.zero(QI, 0, 2 * n)
     empty = Matrix.zero(QQ, 0, n)
     null = Matrix.block_diagonal(QQ, [empty, w.basis] if quotient else [w.null_rows(), empty])
     return e.orthogonal_to(null).basis
 
 
 def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
-    """Structure induced on W: restrict covectors of E over points of W."""
+    """Structure induced on W: restrict covectors of E over points of W.
+    On W = 0 no row is cut (``_cut``): the induced E is 0, the structure
+    on the zero space, and j is still checked."""
     n = j.n
     cut = _cut(j, w, quotient=False)
     restricted = cut.block(0, cut.rows, n, 2 * n).mul_t(w.basis)
@@ -97,7 +104,9 @@ def induce_on_subspace(j: GCAut, w: Subspace) -> InducedStructure:
 
 
 def induce_on_quotient(j: GCAut, w: Subspace) -> InducedStructure:
-    """Structure induced on V/W: keep covectors annihilating W."""
+    """Structure induced on V/W: keep covectors annihilating W.  On W = V
+    no row is cut (``_cut``): the induced E is 0, the structure on the
+    zero space, and j is still checked."""
     n = j.n
     cut = _cut(j, w, quotient=True)
     free = [c for c in range(n) if c not in w.pivots]

@@ -1,9 +1,10 @@
 """Test helpers that the library itself does not need: each answers a
 question the tests ask of the library's values, through public API."""
 
-from gclin.core import covector_summand, vector_summand
+from gclin.core import covector_summand, to_eigenspace, vector_summand
 from gclin.fields import QQ
 from gclin.linalg import Subspace
+from gclin.subspaces import _finish_induced
 
 
 def projection_matrix(n, which):
@@ -49,3 +50,24 @@ def oracle_compose(phi, gamma, nv, nw, nz):
     )
     kept = list(range(nv)) + list(range(nv + nw, nv + nw + nz))
     return Subspace.from_spanning(field, nv + nz, chained.basis.select_columns(kept))
+
+
+def oracle_induced_on_zero_target(j, quotient):
+    """The structure induced on W = 0 (on V/W for W = V, when quotient)
+    by the meet that ``subspaces._cut`` skips for a zero target: E met
+    with the window, V_C* (V_C for the quotient), the cut rows restricted
+    to the target's 0 coordinates and handed to ``_finish_induced``."""
+    n = j.n
+    window = vector_summand(n) if quotient else covector_summand(n)
+    cut = to_eigenspace(j).e.intersect(window).basis
+    return _finish_induced(0, cut.select_columns([]))
+
+
+def first_nonzero_row(a, b):
+    """The first row r of a @ b^T with a nonzero entry, or None, from the
+    scalar entries of a and b by the definition of the product; either
+    side may be over Q or Q(i)."""
+    return next(
+        (r for r, x in enumerate(a.data) if any(sum(p * q for p, q in zip(x, y)) != 0 for y in b.data)),
+        None,
+    )

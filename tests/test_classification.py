@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gclin import classification
 from gclin.classification import (
+    Decomposition,
     build_graphnotsub_example,
     build_notquot_example,
     build_subnotquot_example,
@@ -24,6 +25,7 @@ from gclin.core import (
     dualize,
     symplectic_structure,
     to_eigenspace,
+    twist,
     vector_summand,
 )
 from gclin.fields import QI, QQ, I
@@ -239,9 +241,10 @@ class TestDecompose:
                 assert d.s.dim % 2 == 0 and d.w.dim % 2 == 0
 
     def test_symplectic_form_is_inverted_only_by_the_reassembly(self, monkeypatch):
-        # S's induced structure is checked against omega_s by its blocks;
-        # symplectic_structure, which inverts omega_s, runs only in the
-        # closing round trip (twice when the check built it too)
+        # S's induced structure is checked against omega_s by its blocks,
+        # and decompose's closing round trip reuses it, so decompose builds
+        # no symplectic_structure; a decomposition built by hand holds
+        # nothing, and its reassembly builds the structure exactly once
         built = []
         build = classification.symplectic_structure
 
@@ -250,8 +253,48 @@ class TestDecompose:
             return build(omega)
 
         monkeypatch.setattr(classification, "symplectic_structure", counting)
-        d = decompose(random_gcs(Random(3), 4))
+        j = random_gcs(Random(3), 4)
+        d = decompose(j)
+        assert built == []
+        by_hand = Decomposition(d.s, d.omega, d.w, d.jw, d.b)
+        assert reassemble(by_hand) == j
         assert built == [d.omega]
+
+    def test_kept_and_built_reassembly_agree(self):
+        rng = Random(11)
+        for n in (2, 4, 6):
+            for _ in range(4):
+                j = random_gcs(rng, n)
+                d = decompose(j)
+                by_hand = Decomposition(d.s, d.omega, d.w, d.jw, d.b)
+                assert d._held is not None and by_hand._held is None
+                assert reassemble(d) == reassemble(by_hand) == j
+
+    def test_the_held_slot_is_no_field(self):
+        # equality, hash and repr read the fields alone, as the CLI's
+        # encoding does
+        d = decompose(random_gcs(Random(5), 4))
+        by_hand = Decomposition(d.s, d.omega, d.w, d.jw, d.b)
+        assert d == by_hand and hash(d) == hash(by_hand)
+        assert repr(d) == repr(by_hand) and "_held" not in repr(d)
+        assert Decomposition._fields == ("s", "omega", "w", "jw", "b")
+        with pytest.raises(AttributeError):
+            d._held = None
+
+    @pytest.mark.parametrize("which", [0, 2], ids=["j_s", "p_inv"])
+    def test_a_corrupted_held_part_fails_the_closing_check(self, monkeypatch, which):
+        # decompose's reassembly check reads what it holds, so a wrong
+        # symplectic part or p^-1 there is caught, not trusted
+        keep = classification._set
+
+        def corrupting(obj, name, value):
+            held = list(value)
+            held[which] = twist(held[0]) if which == 0 else held[2].scale(2)
+            keep(obj, name, tuple(held))
+
+        monkeypatch.setattr(classification, "_set", corrupting)
+        with pytest.raises(AssertionError, match="decomposition failed to reassemble the input"):
+            decompose(random_gcs(Random(3), 4))
 
     @pytest.mark.parametrize(
         "fault,message",

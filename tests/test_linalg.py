@@ -18,7 +18,7 @@ from gclin.subspaces import (
     is_generalized_isotropic,
     is_generalized_lagrangian,
 )
-from helpers import real_form
+from helpers import first_nonzero_row, real_form
 
 
 def laplace_det(rows):
@@ -1194,6 +1194,32 @@ def test_hyp_first_outside_is_the_first_row_with_a_remainder(field, n, seed_valu
             m = rows_in_or_near(rng, rows_of.field, rng.randint(0, n + 1), rows_of)
             outside = [k for k, row in enumerate(m.data) if any(oracle_reduce(w, row))]
             assert w.first_outside(m) == (outside[0] if outside else None)
+
+
+@pytest.mark.parametrize(
+    "a_field,b_field", [(QQ, QQ), (QQ, QI), (QI, QQ), (QI, QI)], ids=["Q-Q", "Q-Qi", "Qi-Q", "Qi-Qi"]
+)
+@SIZES
+@seed(20261022)
+@settings(max_examples=40, deadline=None)
+@given(seed_value=seeds)
+def test_hyp_zero_test_finds_the_first_miss_of_the_full_product(a_field, b_field, n, seed_value):
+    # rows of a in or near a rational K and rows of b in or near Ann(K),
+    # each over its own field, so a @ b^T is zero, zero in some rows or
+    # nowhere; the zero test, which stops at the first nonzero dot
+    # product, must name the row the formed product names
+    rng = Random(seed_value)
+    for _ in range(3):
+        x = seeded_matrix(rng, QQ, rng.randint(0, n), n)
+        a = rows_in_or_near(rng, a_field, rng.randint(0, n + 1), x.kernel())
+        b = rows_in_or_near(rng, b_field, rng.randint(0, n + 1), Subspace.from_spanning(QQ, n, x))
+        want = first_nonzero_row(a, b)
+        assert mul_t_miss(a, b, 0) == want
+        assert a.mul_t_is(b, 0) == (want is None)
+        assert a.zero_product_miss(Matrix.identity(QQ, n), b) == want
+        if a_field is QQ or b_field is QI:
+            s = Subspace.from_spanning(b_field, n, b).annihilator()
+            assert s.first_outside(a) == first_nonzero_row(a, s.null_rows())
 
 
 def test_first_outside_refuses_q_i_rows_against_a_q_subspace():

@@ -49,7 +49,7 @@ from gclin.subspaces import (
     verify_split,
 )
 from gclin.transforms import _recover, b_transform, beta_transform, classify_type
-from helpers import contains_subspace, proportional_to
+from helpers import contains_subspace, oracle_induced_on_zero_target, proportional_to
 
 I = GaussianRational(0, 1)
 ROT = Matrix(QQ, [[0, -1], [1, 0]])
@@ -204,6 +204,56 @@ class TestInduceOnQuotient:
             rhs = induce_on_subspace(dualize(j), w.annihilator()).is_gc
             assert lhs == rhs
 
+
+
+class TestZeroTargets:
+    """W = 0 for the induced structure and W = V for the quotient: the
+    target is the zero space, so E is not met with the window."""
+
+    @pytest.mark.parametrize("quotient", [False, True], ids=["sub", "quot"])
+    def test_equals_the_window_meet_oracle(self, quotient):
+        rng = Random(21)
+        for n in (2, 4, 6):
+            for _ in range(3):
+                j = random_gcs(rng, n, rng.random() < 0.5)
+                w = Subspace.full(QQ, n) if quotient else Subspace.zero(QQ, n)
+                induce = induce_on_quotient if quotient else induce_on_subspace
+                got = induce(GCAut(*j.blocks()), w)
+                assert got == oracle_induced_on_zero_target(GCAut(*j.blocks()), quotient)
+                assert got.is_gc and got.ew.ambient_dim == 0 and got.jw.n == 0
+
+    def test_no_window_meet_and_the_structure_keeps_its_e(self, monkeypatch):
+        meets = []
+        meet = Subspace.orthogonal_to
+
+        def recording(self, null):
+            meets.append(null.rows)
+            return meet(self, null)
+
+        monkeypatch.setattr(Subspace, "orthogonal_to", recording)
+        for n in (2, 4):
+            j = random_gcs(Random(n), n)
+            induce_on_subspace(j, Subspace.zero(QQ, n))
+            assert j._e is not None
+            induce_on_quotient(j, Subspace.full(QQ, n))
+        assert meets == []
+        # any other W is met with its window, once
+        induce_on_subspace(j, Subspace.full(QQ, 4))
+        assert len(meets) == 1
+
+    def test_an_invalid_structure_still_raises(self):
+        for j in (GCAut(*(Matrix.zero(QQ, 2, 2) for _ in range(4))), GCAut.from_full(Matrix.identity(QQ, 4))):
+            with pytest.raises(ValueError, match="invalid automorphism"):
+                induce_on_subspace(j, Subspace.zero(QQ, 2))
+            with pytest.raises(ValueError, match="invalid automorphism"):
+                induce_on_quotient(j, Subspace.full(QQ, 2))
+
+    def test_w_must_still_be_a_rational_subspace_of_the_carrier(self):
+        j = random_gcs(Random(2), 2)
+        for w in (Subspace.zero(QI, 2), Subspace.full(QI, 2), Subspace.zero(QQ, 4), Subspace.full(QQ, 4)):
+            for induce in (induce_on_subspace, induce_on_quotient):
+                with pytest.raises(ValueError, match="rational subspace of the carrier"):
+                    induce(j, w)
 
 def classical_verdict(kind, m, w):
     """JW = W for a complex structure J, omega|_W nondegenerate for a
