@@ -585,34 +585,47 @@ def standard_two_form(e: Subspace) -> Matrix:
     """The 2-form u of the standard data (u, f_i) of a maximally isotropic
     E, annihilator(exp(u) ^ f_1 ^ ... ^ f_k) = E, as its skew n x n
     coefficient matrix over Q(i): u is the sum of u[a][b] f_a ^ f_b over
-    a < b.  ``spinor.standard_data_for_subspace`` builds the multivector
-    from it, and ``classification.decompose`` reads its B-field and
-    symplectic form off it.
+    a < b.  ``classification.decompose`` reads its B-field and symplectic
+    form off it; E must be checked already (``_standard_data``).
+    """
+    if e.dim != e.ambient_dim // 2:
+        raise AssertionError("projection dimension violates maximal isotropy")
+    data = _standard_data(e)
+    if data is None:
+        raise AssertionError("the standard data's pairings do not vanish; subspace not isotropic")
+    return data[0]
+
+
+def _standard_data(e: Subspace):
+    """(u, F) for an n-dimensional E in V + V*, or None when E is not
+    isotropic: u as in ``standard_two_form`` and F the covector parts of
+    E meet V*, the f_i.  ``spinor.standard_data_for_subspace`` builds the
+    multivectors from them.
 
     Read off the canonical RREF basis of E: rows whose pivot lies in V are
     lifts (v_a, g_a) of the RREF basis of rho(E), and the other rows are
-    E meet V* in RREF, whose covector parts are the f_i.  u is the unique
-    2-form supported on the non-pivot (free) dual coordinates of span(f_i)
-    with u(v_a, v_b) = -g_a(v_b): with M the vector parts on the free
-    coordinates and G[a][b] = g_a(v_b), skew, u = -M^-1 G M^-T =
-    M^-1 G^T M^-T on those coordinates, spread over all n
-    (``Matrix.spread``).
+    E meet V* in RREF, whose covector parts are the f_i.  E is isotropic
+    exactly when the Gram matrix G[a][b] = g_a(v_b) of the lifts is skew
+    and every f_i vanishes on every v_a; two covectors always pair to 0.
+    u is then the unique 2-form supported on the non-pivot (free) dual
+    coordinates of span(f_i) with u(v_a, v_b) = -g_a(v_b): with M the
+    vector parts on the free coordinates, u = -M^-1 G M^-T = M^-1 G^T M^-T
+    on those coordinates, spread over all n (``Matrix.spread``).
     """
     n = e.ambient_dim // 2
     # pivots ascend, so the lifts are the first rows
     lifts = sum(p < n for p in e.pivots)
     fixed = {p - n for p in e.pivots if p >= n}
     free = [c for c in range(n) if c not in fixed]
-    if e.dim != n:
-        raise AssertionError("projection dimension violates maximal isotropy")
+    factors = e.basis.block(lifts, e.dim, n, 2 * n)
     if not lifts:
-        return Matrix.zero(QI, n, n)
+        return Matrix.zero(QI, n, n), factors
     vecs = e.basis.block(0, lifts, 0, n)
     gram_t = vecs.mul_t(e.basis.block(0, lifts, n, 2 * n))
-    if not gram_t.is_skew():
-        raise AssertionError("lifts pair to a non-skew form; subspace not isotropic?")
+    if not gram_t.is_skew() or not factors.mul_t_is(vecs, 0):
+        return None
     try:
         m_inv = vecs.select_columns(free).inverse()
     except ValueError:
         raise AssertionError("vector parts are not a basis on the free coordinates") from None
-    return (m_inv @ gram_t).mul_t(m_inv).spread(n, free)
+    return (m_inv @ gram_t).mul_t(m_inv).spread(n, free), factors

@@ -72,10 +72,12 @@ Every operation reads and returns integer rows, and no other module
 reads, builds or joins them.  Exact scalars (``Fraction`` and
 ``GaussianRational``) appear only at the edge: ``Matrix(field, rows)``
 and ``Subspace.from_spanning`` convert them in (``fields.int_row``),
-``Matrix.from_gaussian_ints`` takes integer rows as they are, and
-``Matrix.data`` builds scalars out when read, as a read-only tuple that
-is not kept, as do ``upper_entries`` (over Q(i)) and the vector-valued
-``apply``, ``solve``, ``reduce`` and ``vec_dot``.
+``Matrix.from_gaussian_ints`` takes integer rows in as they are and
+``to_gaussian_ints`` hands copies of them out, and ``Matrix.data``
+builds scalars out when read, as a read-only tuple that is not kept, as
+do the vector-valued ``apply``, ``solve``, ``reduce`` and ``vec_dot``.
+An elimination whose shape settles its answer (no rows, or no columns)
+returns at once: ``rref``, ``rank``, ``inverse`` and the span.
 """
 
 from __future__ import annotations
@@ -464,17 +466,6 @@ class Matrix:
         field = self.field
         return tuple([_scalars(field, row) for row in self._z])
 
-    def upper_entries(self) -> dict:
-        """The nonzero entries above the diagonal as {(r, c): x}, r < c, x
-        a Gaussian rational; no scalar is built for an entry below it."""
-        out, cols = {}, self.cols
-        for r, (re, im, d) in enumerate(self._rows_over(QI)):
-            for c in range(r + 1, cols):
-                if re[c] or im[c]:
-                    x, y = rational_from_ints(re[c], d), rational_from_ints(im[c], d)
-                    out[r, c] = GaussianRational.from_rationals(x, y)
-        return out
-
     @staticmethod
     def zero(field, rows, cols) -> "Matrix":
         return Matrix._of(field, [_zero_row(field, cols)] * rows, cols)
@@ -493,6 +484,12 @@ class Matrix:
     def from_gaussian_ints(rows, cols) -> "Matrix":
         """The Q(i) matrix of rows re + i*im, integer lists kept as handed over."""
         return Matrix._of(QI, [(re, im, 1) for re, im in rows], cols)
+
+    def to_gaussian_ints(self):
+        """The rows as (re, im, den) integers, row r being (re + i*im) / den
+        with den > 0 and gcd(den, *re, *im) = 1; fresh lists, so a caller
+        that writes into them changes no matrix."""
+        return [(list(re), list(im), d) for re, im, d in self._rows_over(QI)]
 
     @staticmethod
     def identity(field, n) -> "Matrix":
@@ -723,6 +720,9 @@ class Matrix:
         last Bareiss pivot, and is made canonical.
         """
         field, n = self.field, self.cols
+        if not self.rows or not n:
+            # no rows, or rows of no entries: nothing to eliminate
+            return Matrix._of(field, [_zero_row(field, 0)] * self.rows, n), []
         if field is QQ:
             a = [_primitive(ints) for ints, _ in self._z]
             pivots, d = _rref_z(a, n)
@@ -751,7 +751,7 @@ class Matrix:
         return Matrix._of(field, z, n), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.rref()[1]) if self.rows and self.cols else 0
 
     def kernel(self) -> "Subspace":
         """Right kernel {x : self @ x = 0} as a subspace of F^cols: the
@@ -777,6 +777,8 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
+        if not n:
+            return self
         red, pivots = Matrix.from_blocks(self.field, [[self, Matrix.identity(self.field, n)]]).rref()
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")

@@ -142,9 +142,10 @@ def encode_multivector(mv: Multivector) -> list:
     from .multivector import mask_to_indices
 
     # distinct masks have distinct index tuples, so the sort never reaches the mask
-    keyed = sorted((mask_to_indices(m), m) for m in mv.terms)
+    terms = mv.terms
+    keyed = sorted((mask_to_indices(m), m) for m in terms)
     return [
-        {"coeff": encode_gaussian(mv.terms[mask]), "indices": [i + 1 for i in indices]}
+        {"coeff": encode_gaussian(terms[mask]), "indices": [i + 1 for i in indices]}
         for indices, mask in keyed
     ]
 

@@ -9,18 +9,24 @@ the evaluation f(v), the negative of the quadratic form Q(v+f) = -f(v).
 A nonzero form is pure when its annihilator has the maximal dimension n,
 and every pure spinor factors as c exp(u) f_1 ^ ... ^ f_k.
 
-Each step works on data that already exists.  For a form of T terms:
+Each step works on data that already exists, and on the integers a
+multivector stores (``Multivector.ints``): no step builds a scalar per
+term.  For a form of T terms:
 
 - ``standard_data_for_subspace`` reads (u, f_i) off the canonical RREF
-  basis of E: one (n-k)-square inverse and two products.
+  basis of E, on its integer rows: one (n-k)-square inverse and two
+  products, which also decide whether E is isotropic.
 - ``StandardForm.expand`` and ``spinor_product`` build c exp(u) ^ f_1
   ^ ... ^ f_k on integers (``multivector.exp_wedge_ints``): Pfaffians of
   u, at most m products per even subset of the m coordinates u lives on,
-  then one pass per factor, and one scalar per output term.
+  then one pass per factor, and one more to bring the terms to one
+  denominator (``multivector.from_int_terms``).
 - ``is_pure`` and ``standard_form`` read the candidate factorization off
   the lowest-degree components and test it by reproducing the form:
-  O(n^2) lookups plus one expansion.
-- ``mukai_pairing`` is one pass over complementary masks, O(T).
+  O(n^2) lookups plus one expansion, compared with phi by integer
+  equality of the canonical storage.
+- ``mukai_pairing`` is one pass over complementary masks, O(T), on both
+  sides' integers; conj phi is phi with its imaginary parts negated.
 - ``structure_from_spinor`` is the conversion spinor -> structure: the
   standard form, E built from it once, and J rebuilt from E's imaginary
   block.  E meets its conjugate only in 0 exactly when (phi, conj phi)
@@ -40,10 +46,18 @@ Each step works on data that already exists.  For a form of T terms:
 
 from __future__ import annotations
 
-from .core import IsotropicE, Record, _aut_of, _checked_eigenspace, is_isotropic, standard_two_form
+from .core import IsotropicE, Record, _aut_of, _checked_eigenspace, _standard_data
 from .fields import QI, GaussianRational, gauss_int_row, rational_from_ints
 from .linalg import Matrix, Subspace
-from .multivector import Multivector, exp_wedge_ints, from_int_terms, mask_to_indices, two_form_from_coeff
+from .multivector import (
+    Multivector,
+    covectors_of,
+    exp_wedge_ints,
+    from_int_terms,
+    lex_first,
+    mask_to_indices,
+    two_form_from_coeff,
+)
 
 
 def clifford_act(x, phi: Multivector) -> Multivector:
@@ -78,10 +92,9 @@ def annihilator_subspace(phi: Multivector) -> Subspace:
         raise ValueError("zero spinor has no annihilator subspace")
     n = phi.n
     width = 2 * n
-    masks = list(phi.terms)
-    re, im, _ = gauss_int_row([phi.terms[m] for m in masks])
+    terms, _ = phi.ints()
     rows = {}
-    for mask, x, y in zip(masks, re, im):
+    for mask, (x, y) in terms.items():
         for i in range(n):
             bit = 1 << i
             # column i is the wedge with f_i, column n + i the contraction with e_i
@@ -144,7 +157,8 @@ class StandardForm(Record):
 
     def expand(self) -> Multivector:
         """c * exp(u) ^ f_1 ^ ... ^ f_k."""
-        return from_int_terms(self.n, *exp_wedge_ints(self.u, self.factors), self.c)
+        (cr,), (ci,), cd = gauss_int_row([self.c])
+        return from_int_terms(self.n, *exp_wedge_ints(self.u, self.factors), (cr, ci, cd))
 
 
 def spinor_product(u: Multivector, factors) -> Multivector:
@@ -153,40 +167,49 @@ def spinor_product(u: Multivector, factors) -> Multivector:
 
 
 def _covector_rows(factors, n):
-    return [[f.terms.get(1 << i, QI.zero) for i in range(n)] for f in factors]
+    rows = []
+    for f in factors:
+        terms = f.terms
+        rows.append([terms.get(1 << i, QI.zero) for i in range(n)])
+    return rows
 
 
 def standard_data_for_subspace(e: Subspace):
     """(u, factors) with annihilator(exp(u)^factors) = e.
 
     Requires e maximally isotropic; purity of the result encodes exactly
-    that.  u is read off the canonical RREF basis of e as a matrix
-    (``core.standard_two_form``), and the rows whose pivot lies in V* are
-    E intersect V* in RREF, whose covector parts are the factors.
+    that.  u is read off the canonical RREF basis of e as a matrix, and
+    the rows whose pivot lies in V* are E intersect V* in RREF, whose
+    covector parts are the factors (``core._standard_data``, which also
+    decides isotropy from the pairings it forms).  Both are read into
+    multivectors on their integer rows.
     """
-    n = e.ambient_dim // 2
-    if e.dim != n:
+    if e.ambient_dim % 2 or e.dim != e.ambient_dim // 2:
         raise ValueError("subspace is not half-dimensional")
-    if not is_isotropic(e):
+    data = _standard_data(e)
+    if data is None:
         raise ValueError("subspace is not isotropic")
-    u = two_form_from_coeff(standard_two_form(e))
-    lifts = sum(p < n for p in e.pivots)
-    factors = tuple(Multivector.covector(n, row) for row in e.basis.block(lifts, e.dim, n, 2 * n).data)
-    return u, factors
+    u, factors = data
+    return two_form_from_coeff(u), covectors_of(factors)
 
 
 def spinor_with_standard_form(e: Subspace):
     """(line, sf): the spinor line killed by e and the standard form of its
-    normalized representative, from one computation of (u, factors)."""
+    normalized representative, from one computation of (u, factors).
+
+    With the leading term a / q of exp(u) ^ f_1 ^ ... ^ f_k, the
+    representative is that form times c = q conj(a) / |a|^2, on integers;
+    c is the one scalar built.
+    """
     u, factors = standard_data_for_subspace(e)
     terms, den = exp_wedge_ints(u, factors)
     if not terms:
         raise AssertionError("representative spinor vanished")
-    lead = min(terms, key=mask_to_indices)
+    lead = lex_first(terms)
     re, im = terms[lead]
-    q = den(lead)
-    c = QI.one / GaussianRational(rational_from_ints(re, q), rational_from_ints(im, q))
-    return SpinorLine(from_int_terms(u.n, terms, den, c)), StandardForm(c, u, factors)
+    q, norm = den[lead.bit_count()], re * re + im * im
+    c = GaussianRational.from_rationals(rational_from_ints(q * re, norm), rational_from_ints(-q * im, norm))
+    return SpinorLine(from_int_terms(u.n, terms, den, (q * re, -q * im, norm))), StandardForm(c, u, factors)
 
 
 def spinor_from_subspace(e: Subspace) -> SpinorLine:
@@ -204,39 +227,44 @@ def _read_standard_form(phi: Multivector):
     P.  phi is pure exactly when this candidate reproduces it.
     """
     n = phi.n
-    k = min(m.bit_count() for m in phi.terms)
-    lowest = min((m for m in phi.terms if m.bit_count() == k), key=mask_to_indices)
-    get = phi.terms.get
-    c = get(lowest)
-    inv = QI.one / c
+    terms, den = phi.ints()
+    k = min(m.bit_count() for m in terms)
+    lowest = lex_first([m for m in terms if m.bit_count() == k])
+    get = terms.get
+    cr, ci = get(lowest)
+    # a coefficient x of phi over c, on integers: x conj(c) over |c|^2
+    norm = cr * cr + ci * ci
     free = [x for x in range(n) if not lowest >> x & 1]
     factors = []
     for p in mask_to_indices(lowest):
-        row = [QI.zero] * n
-        row[p] = QI.one
+        row = {1 << p: (norm, 0)}
         rest = lowest ^ (1 << p)
         for x in free:
             coeff = get(rest | (1 << x))
-            if coeff:
+            if coeff is not None:
+                a, b = coeff[0] * cr + coeff[1] * ci, coeff[1] * cr - coeff[0] * ci
                 # f_i[x] moves from column p past the pivots between p and x
                 between = rest & ((1 << max(p, x)) - (1 << min(p, x)))
-                row[x] = -coeff * inv if between.bit_count() & 1 else coeff * inv
-        factors.append(Multivector.covector(n, row))
+                row[1 << x] = (-a, -b) if between.bit_count() & 1 else (a, b)
+        factors.append(Multivector.from_ints(n, row, norm))
     u_terms = {}
     for a, x in enumerate(free):
         for y in free[a + 1 :]:
             pair = (1 << x) | (1 << y)
             coeff = get(lowest | pair)
-            if coeff:
+            if coeff is not None:
+                re, im = coeff[0] * cr + coeff[1] * ci, coeff[1] * cr - coeff[0] * ci
                 # f_x ^ f_y ^ f_P: f_x and f_y move past the pivots below them
                 below = (lowest & ((1 << x) - 1)).bit_count() + (lowest & ((1 << y) - 1)).bit_count()
-                u_terms[pair] = -coeff * inv if below & 1 else coeff * inv
-    sf = StandardForm(c, Multivector(n, u_terms), tuple(factors))
-    if sf.expand() != phi:
+                u_terms[pair] = (-re, -im) if below & 1 else (re, im)
+    u, factors = Multivector.from_ints(n, u_terms, norm), tuple(factors)
+    # the candidate reproduces phi exactly when their canonical integers agree
+    if from_int_terms(n, *exp_wedge_ints(u, factors), (cr, ci, den)) != phi:
         return None
     if phi.parity() is None:
         raise AssertionError("pure spinor with mixed parity")
-    return sf
+    c = GaussianRational.from_rationals(rational_from_ints(cr, den), rational_from_ints(ci, den))
+    return StandardForm(c, u, factors)
 
 
 def standard_form(phi: Multivector) -> StandardForm:
@@ -265,10 +293,10 @@ def subspace_from_standard_form(sf: StandardForm) -> Subspace:
     phi_span = Subspace.from_spanning(QI, n, factor_rows)
     ann = phi_span.annihilator()
     rows = []
+    minus_u = -sf.u
     for v in ann.basis.data:
-        minus_iv_u = (-sf.u).contract(list(v))
-        cov = [minus_iv_u.terms.get(1 << i, QI.zero) for i in range(n)]
-        rows.append(list(v) + cov)
+        minus_iv_u = minus_u.contract(list(v)).terms
+        rows.append(list(v) + [minus_iv_u.get(1 << i, QI.zero) for i in range(n)])
     for f in factor_rows:
         rows.append([QI.zero] * n + list(f))
     return Subspace.from_spanning(QI, 2 * n, rows)
@@ -287,19 +315,21 @@ def mukai_pairing(alpha: Multivector, beta: Multivector) -> GaussianRational:
         raise ValueError("spinors on different spaces")
     full = (1 << alpha.n) - 1
     odd = sum(1 << i for i in range(1, alpha.n, 2))
-    masks = [m for m in alpha.terms if full ^ m in beta.terms]
-    ar, ai, ad = gauss_int_row([alpha.terms[m] for m in masks])
-    br, bi, bd = gauss_int_row([beta.terms[full ^ m] for m in masks])
+    terms_a, da = alpha.ints()
+    terms_b, db = beta.ints()
+    get = terms_b.get
     re = im = 0
-    for m, w, x, y, z in zip(masks, ar, ai, br, bi):
+    for m, (w, x) in terms_a.items():
+        other = get(full ^ m)
+        if other is None:
+            continue
+        y, z = other
         tr, ti = w * y - x * z, w * z + x * y
         if (m & odd).bit_count() & 1:
             re, im = re - tr, im - ti
         else:
             re, im = re + tr, im + ti
-    return GaussianRational.from_rationals(
-        rational_from_ints(re, ad * bd), rational_from_ints(im, ad * bd)
-    )
+    return GaussianRational.from_rationals(rational_from_ints(re, da * db), rational_from_ints(im, da * db))
 
 
 def structure_from_spinor(phi: Multivector):

@@ -127,7 +127,7 @@ def restrict_spinor(j: GCAut, w: Subspace):
     """
     # the spinor layer is imported by its few users only, so that code
     # which never builds a spinor (most CLI verbs) does not load it
-    from .multivector import Multivector, two_form_from_coeff
+    from .multivector import Multivector, covectors_of, two_form_from_coeff
     from .spinor import SpinorLine, StandardForm, annihilator_subspace, spinor_product
 
     n = j.n
@@ -155,7 +155,7 @@ def restrict_spinor(j: GCAut, w: Subspace):
     wmat = w_ci.basis
     u_w = two_form_from_coeff((wmat @ u_mat).mul_t(wmat))
     pulled = Matrix(QI, factor_rows[:l], cols=n).mul_t(wmat)
-    phi_w = spinor_product(u_w, [Multivector.covector(w.dim, row) for row in pulled.data])
+    phi_w = spinor_product(u_w, covectors_of(pulled))
     if phi_w.is_zero():
         raise AssertionError("restricted spinor vanished")
     line_w = SpinorLine.of(phi_w)

@@ -2,8 +2,9 @@
 question the tests ask of the library's values, through public API."""
 
 from gclin.core import covector_summand, to_eigenspace, vector_summand
-from gclin.fields import QQ
+from gclin.fields import QI, QQ, GaussianRational
 from gclin.linalg import Subspace
+from gclin.multivector import mask_to_indices
 from gclin.subspaces import _finish_induced
 
 
@@ -71,3 +72,91 @@ def first_nonzero_row(a, b):
         (r for r, x in enumerate(a.data) if any(sum(p * q for p, q in zip(x, y)) != 0 for y in b.data)),
         None,
     )
+
+
+class ScalarMultivector:
+    """The exterior algebra with one exact scalar stored per term, as
+    ``Multivector`` stored it before its integer storage; kept as an
+    oracle for it.  ``exp`` sums wedge powers, and ``mukai`` wedges the
+    reversal in full."""
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {}
+        for mask, coeff in (terms or {}).items():
+            coeff = QI.coerce(coeff)
+            if coeff:
+                if mask < 0 or mask >= (1 << n):
+                    raise ValueError("term outside the algebra")
+                self.terms[mask] = coeff
+
+    @staticmethod
+    def of(mv):
+        """The oracle's copy of a Multivector, read through its scalars."""
+        return ScalarMultivector(mv.n, dict(mv.terms))
+
+    def __eq__(self, other):
+        return self.n == other.n and self.terms == other.terms
+
+    def _accumulated(self, pairs):
+        terms = {}
+        for mask, c in pairs:
+            terms[mask] = terms.get(mask, QI.zero) + c
+        return ScalarMultivector(self.n, terms)
+
+    def __add__(self, other):
+        return self._accumulated([*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self):
+        return ScalarMultivector(self.n, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return ScalarMultivector(self.n, {m: c * v for m, v in self.terms.items()})
+
+    def wedge(self, other):
+        pairs = []
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                if not ma & mb:
+                    # each index of b below an index of a is one transposition
+                    swaps = sum(bin(mb & ((1 << i) - 1)).count("1") for i in mask_to_indices(ma))
+                    pairs.append((ma | mb, -(ca * cb) if swaps % 2 else ca * cb))
+        return self._accumulated(pairs)
+
+    def contract(self, coords):
+        pairs = []
+        for mask, c in self.terms.items():
+            for i in mask_to_indices(mask):
+                sign = -1 if bin(mask & ((1 << i) - 1)).count("1") % 2 else 1
+                pairs.append((mask ^ (1 << i), QI.coerce(coords[i]) * c * sign))
+        return self._accumulated(pairs)
+
+    def reversal(self):
+        return ScalarMultivector(
+            self.n, {m: -c if (len(mask_to_indices(m)) // 2) % 2 else c for m, c in self.terms.items()}
+        )
+
+    def conjugate(self):
+        return ScalarMultivector(self.n, {m: c.conjugate() for m, c in self.terms.items()})
+
+    def exp(self):
+        out = power = ScalarMultivector(self.n, {0: 1})
+        fact = 1
+        for m in range(1, self.n // 2 + 1):
+            power = power.wedge(self)
+            fact *= m
+            out = out + power.scale(GaussianRational(f"1/{fact}"))
+        return out
+
+    def mukai(self, other):
+        return self.reversal().wedge(other).terms.get((1 << self.n) - 1, QI.zero)
+
+    def leading_term(self):
+        best = min(self.terms, key=mask_to_indices)
+        return best, self.terms[best]
+
+    def normalized(self):
+        return self.scale(QI.one / self.leading_term()[1])

@@ -135,6 +135,35 @@ def test_private_linalg_names_stay_behind_its_boundary():
     assert not defined & {"_remainder", "_null_space"}
 
 
+def test_private_multivector_names_stay_behind_its_boundary():
+    # a multivector's integer terms are multivector's format: no other module
+    # imports a private multivector name, reads the stored terms or
+    # denominator, or builds a multivector past its canonical form
+    for path in sorted((SRC / "gclin").glob("*.py")):
+        if path.stem == "multivector":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) in ((1, "multivector"), (0, "gclin.multivector"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        built = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "Multivector"
+        }
+        assert not private, (path.stem, private)
+        assert not attributes & {"_t", "_d"}, (path.stem, attributes & {"_t", "_d"})
+        assert not {a for a in built if a.startswith("_")}, (path.stem, built)
+
+
 def test_no_module_imports_the_removed_carrying_copy():
     # a structure keeps its checked eigenspace (core.to_eigenspace), so no
     # caller asks core for a copy that carries it, as core._carrying did

@@ -1346,13 +1346,26 @@ def test_spread_places_each_entry_at_its_coordinates(field):
 
 
 @FIELDS
-def test_upper_entries_are_the_nonzero_entries_above_the_diagonal(field):
+def test_gaussian_ints_are_the_entries_over_one_row_denominator(field):
     rng = Random(53)
-    for rows, cols in ((0, 0), (1, 1), (3, 3), (4, 6), (5, 2)):
+    for rows, cols in ((0, 0), (1, 1), (3, 3), (4, 6), (5, 2), (2, 0)):
         m = seeded_matrix(rng, field, rows, cols)
-        got = m.upper_entries()
-        assert got == {(r, c): x for r, row in enumerate(m.data) for c, x in enumerate(row) if c > r and x}
-        assert all(type(x) is GaussianRational for x in got.values())
+        got = m.to_gaussian_ints()
+        assert len(got) == rows
+        for (re, im, d), row in zip(got, m.data):
+            assert d > 0 and gcd(d, *re, *im) == 1
+            assert [GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)] == [
+                QI.coerce(x) for x in row
+            ]
+        # the lists are copies: writing into them changes no matrix
+        before = m.data
+        for re, im, _ in got:
+            re[:], im[:] = [7] * cols, [7] * cols
+        assert m.data == before
+        # the mirror of from_gaussian_ints: each row scaled by its denominator
+        assert Matrix.from_gaussian_ints([(re, im) for re, im, _ in m.to_gaussian_ints()], cols).rref() == (
+            m.to_gaussian().rref()
+        )
 
 
 def oracle_swap_form_vanishes(m):

@@ -186,6 +186,37 @@ class TestSpinorFromSubspace:
         with pytest.raises(ValueError):
             spinor_from_subspace(bad)
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # e1 + f1 pairs with itself: the lifts' Gram matrix is not skew
+            ([[1, 0, 1, 0], [0, 1, 0, 0]], "not isotropic"),
+            # e1 and f1: the Gram matrix of the one lift is 0, but f1(e1) = 1
+            ([[1, 0, 0, 0], [0, 0, 1, 0]], "not isotropic"),
+            ([[1, 0, 0, 0]], "not half-dimensional"),
+        ],
+        ids=["gram-not-skew", "factor-on-a-lift", "too-small"],
+    )
+    def test_each_failed_pairing_is_a_value_error(self, rows, message):
+        bad = Subspace.from_spanning(QI, 4, rows)
+        with pytest.raises(ValueError, match=message):
+            spinor_from_subspace(bad)
+
+    def test_isotropy_is_read_off_the_standard_data(self, monkeypatch):
+        # E's own check (core._checked_eigenspace) is not repeated on the spinor route
+        import sys
+
+        import gclin.core
+
+        eigenspaces = [to_eigenspace(random_gcs(Random(n), n)).e for n in (2, 4)]
+        calls, original = [], gclin.core.is_isotropic
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gclin.") and getattr(module, "is_isotropic", None) is original:
+                monkeypatch.setattr(module, "is_isotropic", lambda e: calls.append(e) or True)
+        for e in eigenspaces:
+            spinor_from_subspace(e)
+        assert calls == []
+
 
 class TestStandardForm:
     def test_exponential_case(self):
@@ -333,9 +364,9 @@ def oracle_exp(u):
 def oracle_annihilator(phi):
     """Kernel of the matrix whose columns are clifford_act of unit vectors."""
     n = phi.n
-    images = [clifford_act(unit, phi) for unit in Matrix.identity(QI, 2 * n).data]
-    masks = sorted({m for img in images for m in img.terms})
-    rows = [[img.terms.get(m, QI.zero) for img in images] for m in masks]
+    images = [clifford_act(unit, phi).terms for unit in Matrix.identity(QI, 2 * n).data]
+    masks = sorted({m for img in images for m in img})
+    rows = [[img.get(m, QI.zero) for img in images] for m in masks]
     return Matrix(QI, rows, cols=2 * n).kernel()
 
 
